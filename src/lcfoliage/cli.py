@@ -2,8 +2,8 @@
 
 Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
-on success, 2 on bad input, 3 when a size guard trips (override with
-``--force``).
+on success, 2 on bad input or an output path that cannot be written, 3 when
+a size guard trips (override with ``--force``).
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def _read_source(args: argparse.Namespace) -> str:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -192,8 +200,7 @@ def _cmd_orbit(args: argparse.Namespace) -> str:
         )
         if args.members == "-":
             return lines + f"labeled={rep.labeled_size} classes={rep.class_size}\n"
-        with open(args.members, "w", encoding="ascii") as fh:
-            fh.write(lines)
+        _write_file(args.members, lines)
     return f"labeled={rep.labeled_size} classes={rep.class_size}\n"
 
 
@@ -228,8 +235,7 @@ def _cmd_classes(args: argparse.Namespace) -> str:
         )
         if args.reps == "-":
             return lines
-        with open(args.reps, "w", encoding="ascii") as fh:
-            fh.write(lines)
+        _write_file(args.reps, lines)
     return f"{census.count}\n"
 
 
@@ -251,6 +257,16 @@ def _cmd_construct(args: argparse.Namespace) -> str:
     except ValueError as exc:
         raise ValueError(f"bad partition {args.partition!r}") from exc
     return encode_graph6(graph_for_partition(sizes)) + "\n"
+
+
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _add_graph_input(sub: argparse.ArgumentParser) -> None:
@@ -325,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="include disconnected graphs")
     p.add_argument("--csv", action="store_true", help="per-class symmetry table")
     p.add_argument("--reps", help="write class representatives as graph6 to this path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("stats", help="average saturation statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
@@ -352,16 +368,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.func(args)
+        if args.output:
+            _write_file(args.output, text)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return 0
 

@@ -12,6 +12,11 @@ Parts come in four shapes: singletons (Z), a star centre with its leaves
 independent set of twins (D).  A two-vertex component is both a star and a
 clique; it is labelled K with no axil so that the normal form leaves it
 alone.
+
+Away from leaves, related vertices are twins: non-adjacent ones share their
+open neighbourhood, adjacent ones their closed neighbourhood (over Z_d the
+weights must also be proportional).  So the partition and the quotient graph
+each take O(n + m) big-int operations on the bitmask rows.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .graph import Graph, WeightedGraph, connected_components, iter_bits, local_complement
+from .graph import Graph, WeightedGraph, _support_rows, iter_bits, local_complement
 
 __all__ = [
     "PartType",
@@ -118,10 +123,6 @@ class SaturationReport:
         return self.chain[-1]
 
 
-def _supports(g: Graph | WeightedGraph) -> tuple[int, ...]:
-    return g.rows if isinstance(g, Graph) else g.supports
-
-
 def _same_component(sup: tuple[int, ...], v: int, w: int) -> bool:
     comp = 1 << v
     frontier = 1 << v
@@ -166,7 +167,7 @@ def vertices_related(g: Graph | WeightedGraph, v: int, w: int) -> bool:
     n = g.n
     if not (0 <= v < n and 0 <= w < n):
         raise ValueError("vertex out of range")
-    sup = _supports(g)
+    sup = _support_rows(g)
     if not _same_component(sup, v, w):
         return False
     excl = (1 << v) | (1 << w)
@@ -177,57 +178,88 @@ def vertices_related(g: Graph | WeightedGraph, v: int, w: int) -> bool:
     return _weighted_rows_dependent(g, v, w, excl)
 
 
-def _twin_check(g: Graph | WeightedGraph, v: int, w: int) -> bool:
-    excl = (1 << v) | (1 << w)
-    if isinstance(g, Graph):
-        return (g.rows[v] ^ g.rows[w]) & ~excl == 0
-    return _weighted_rows_dependent(g, v, w, excl)
-
-
 def foliage_partition(g: Graph | WeightedGraph) -> FoliagePartition:
-    """Compute the foliage partition by one sweep over the vertices.
+    """Compute the foliage partition in one sweep over the vertices.
 
-    Each pivot is resolved as isolated, leaf, axil, or twin-class member;
-    the whole class is emitted at once, so the sweep never compares more
-    than degree-matched candidate pairs.
+    The least unassigned vertex is the next pivot.  An isolated pivot is a
+    singleton; a leaf joins its neighbour and that neighbour's other leaves;
+    a vertex with leaves takes them.  Otherwise the pivot's part is its twin
+    class: vertices of degree at least 2 are related iff their open
+    neighbourhoods agree (non-adjacent twins) or their closed ones do
+    (adjacent twins), plus proportional weights over Z_d.  Twin classes come
+    from bucketing the neighbourhood masks, so the whole sweep costs
+    O(n + m) big-int operations.
     """
     n = g.n
-    sup = _supports(g)
-    deg = [s.bit_count() for s in sup]
-    by_degree: dict[int, int] = {}
+    sup = _support_rows(g)
+    deg = [0] * n  # 0, 1, or 2 for two and more
+    leaves: dict[int, list[int]] = {}  # vertex -> its degree-1 neighbours
+    twins: dict[int, list[int]] = {}  # vertex -> its class, if it has a twin
+    # Masks make poor dict keys: hashing reads all of a mask, and Python
+    # hashes an int modulo 2**61 - 1, so sparse rows whose bits agree mod 61
+    # collide (a path of 20000 vertices takes over a second).  Twins share
+    # the top vertex and the head, the 64 bits below it, of their open or
+    # closed neighbourhood, which take O(1) to read off a mask.  Only
+    # vertices that share such a key have whole masks compared.
+    first: dict[int, int] = {}  # (top, head, closed?) packed -> first vertex, -1 once shared
+    by_mask: dict[int, int] = {}  # open or closed mask -> first vertex
+
+    def compare(v: int, closed: int) -> None:
+        u = by_mask.setdefault(sup[v] | 1 << v if closed else sup[v], v)
+        if u != v:
+            cls = twins.setdefault(u, [u])
+            cls.append(v)
+            twins[v] = cls
+
+    for v, s in enumerate(sup):
+        if not s:
+            continue
+        top = s.bit_length()
+        head = s >> max(top - 64, 0)
+        # a leaf; two bits in the head spare most rows the whole-mask test
+        if not head & (head - 1) and s == 1 << (top - 1):
+            deg[v] = 1
+            leaves.setdefault(top - 1, []).append(v)
+            continue
+        deg[v] = 2
+        closed_top = max(top, v + 1)
+        cut = max(closed_top - 64, 0)
+        closed_head = s >> cut | (1 << (v - cut) if v >= cut else 0)
+        for key in (top << 65 | head << 1, closed_top << 65 | closed_head << 1 | 1):
+            u = first.setdefault(key, v)
+            if u != v:
+                if u >= 0:
+                    compare(u, key & 1)
+                    first[key] = -1
+                compare(v, key & 1)
+
+    qubit = isinstance(g, Graph)
+    assigned = [False] * n
+    parts = []
     for v in range(n):
-        by_degree[deg[v]] = by_degree.get(deg[v], 0) | (1 << v)
-
-    def leaves_of(w: int) -> int:
-        m = 0
-        for u in iter_bits(sup[w]):
-            if deg[u] == 1:
-                m |= 1 << u
-        return m
-
-    unassigned = (1 << n) - 1
-    masks = []
-    while unassigned:
-        v = (unassigned & -unassigned).bit_length() - 1
+        if assigned[v]:
+            continue
         if deg[v] == 0:
-            part = 1 << v
+            part = (v,)
         elif deg[v] == 1:
             w = sup[v].bit_length() - 1
-            part = (1 << w) | leaves_of(w)
+            part = sorted([w, *leaves[w]])
+        elif v in leaves:
+            part = [v, *leaves[v]]
         else:
-            leaf_nbrs = leaves_of(v)
-            if leaf_nbrs:
-                part = (1 << v) | leaf_nbrs
-            else:
-                part = 1 << v
-                cands = by_degree[deg[v]] & unassigned & ~(1 << v)
-                for w in iter_bits(cands):
-                    if _twin_check(g, v, w):
-                        part |= 1 << w
-        masks.append(part)
-        unassigned &= ~part
-    parts = tuple(tuple(iter_bits(m)) for m in masks)
-    return FoliagePartition(n, parts)
+            part = twins.get(v, (v,))
+            if not qubit:
+                # over Z_d, support twins must also have proportional weights
+                part = [
+                    w
+                    for w in part
+                    if w == v
+                    or (not assigned[w] and _weighted_rows_dependent(g, v, w, (1 << v) | (1 << w)))
+                ]
+        for w in part:
+            assigned[w] = True
+        parts.append(tuple(part))
+    return FoliagePartition(n, tuple(parts))
 
 
 def foliage_set(g: Graph | WeightedGraph) -> int:
@@ -242,24 +274,29 @@ def foliage_set(g: Graph | WeightedGraph) -> int:
 
 def foliage_graph(g: Graph | WeightedGraph) -> Graph:
     """Quotient graph: one vertex per part, adjacent iff any cross edge."""
-    return _quotient(_supports(g), foliage_partition(g))
+    return _quotient(_support_rows(g), foliage_partition(g))
 
 
 def _quotient(sup: tuple[int, ...], part: FoliagePartition) -> Graph:
-    k = len(part.parts)
-    reach = []
-    for m in part.masks:
-        r = 0
-        for v in iter_bits(m):
-            r |= sup[v]
-        reach.append(r)
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if reach[i] & part.masks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._wrap(k, tuple(rows))
+    """Parts adjacent iff some edge joins them.
+
+    Every edge that leaves a part leaves from its anchor: the axil of a star
+    part, or any member of a twin class, since twins share their outside
+    neighbours.  So row ``i`` is the anchor row of part ``i`` mapped through
+    the vertex-to-part map, O(n + m) big-int operations in all.  A trivial
+    partition keeps the rows.
+    """
+    if part.is_trivial:
+        return Graph._wrap(part.n, sup)
+    owner = part._index
+    rows = []
+    for i, members in enumerate(part.parts):
+        anchor = max(members, key=lambda v: sup[v].bit_count())  # a star's axil
+        row = 0
+        for u in iter_bits(sup[anchor]):
+            row |= 1 << owner[u]
+        rows.append(row & ~(1 << i))
+    return Graph._wrap(len(rows), tuple(rows))
 
 
 def foliage_representation(g: Graph) -> FoliageRepresentation:
@@ -267,20 +304,19 @@ def foliage_representation(g: Graph) -> FoliageRepresentation:
     if not isinstance(g, Graph):
         raise TypeError("part typing is defined for qubit graphs")
     part = foliage_partition(g)
-    deg = [r.bit_count() for r in g.rows]
     types = []
     axils = []
     for members in part.parts:
         if len(members) == 1:
             types.append(PartType.Z)
             continue
-        leaf_members = [v for v in members if deg[v] == 1]
+        leaf_members = [v for v in members if g.degree(v) == 1]
         if leaf_members:
             if len(leaf_members) == len(members):
                 # both vertices are leaves: an isolated edge, labelled K
                 types.append(PartType.K)
                 continue
-            (axil,) = [v for v in members if deg[v] > 1]
+            (axil,) = [v for v in members if g.degree(v) > 1]
             types.append(PartType.AL)
             axils.append(axil)
         else:

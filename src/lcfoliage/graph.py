@@ -10,6 +10,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "WeightedGraph",
@@ -44,6 +46,46 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _pack_rows(rows: Sequence[int]) -> np.ndarray:
+    """Rows as an ``(n, ceil(n / 8))`` uint8 array, bit ``w`` at byte ``w // 8``, bit ``w % 8``."""
+    n = len(rows)
+    nb = (n + 7) // 8
+    raw = b"".join(int(row).to_bytes(nb, "little") for row in rows)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(n, nb)
+
+
+def _unpack_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """Inverse of ``_pack_rows``."""
+    nb = packed.shape[1]
+    raw = packed.tobytes()
+    return tuple(int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb or 1))
+
+
+def _first_asymmetry(packed: np.ndarray) -> tuple[int, int] | None:
+    """First ``(v, w)`` in row-major order with arc ``v -> w`` but not ``w -> v``."""
+    n = packed.shape[0]
+    cells = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    bad = cells > cells.T
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k // n, k % n
+
+
+def _byte_cells(rows: tuple[tuple[int, ...], ...], n: int, d: int) -> np.ndarray | None:
+    """Weights as an ``(n, n)`` uint8 array if they are valid and each fits a byte, else None."""
+    if any(len(row) != n for row in rows):
+        return None
+    try:
+        raw = b"".join(map(bytes, rows))
+    except (TypeError, ValueError):
+        return None
+    cells = np.frombuffer(raw, dtype=np.uint8).reshape(n, n)
+    if n and (cells.max() >= d or cells.diagonal().any() or not np.array_equal(cells, cells.T)):
+        return None
+    return cells
+
+
 class Graph:
     """An undirected simple graph on vertices ``0..n-1``."""
 
@@ -60,10 +102,9 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(n):
-            for w in iter_bits(rows[v]):
-                if not (rows[w] >> v) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {w})")
+        asym = _first_asymmetry(_pack_rows(rows))
+        if asym is not None:
+            raise ValueError(f"adjacency not symmetric at ({asym[0]}, {asym[1]})")
         self.n = n
         self.rows = tuple(rows)
 
@@ -152,24 +193,28 @@ class WeightedGraph:
             raise ValueError(f"modulus {d} is not prime")
         if len(weights) != n:
             raise ValueError("need one weight row per vertex")
-        rows = []
-        for v, row in enumerate(weights):
-            if len(row) != n:
-                raise ValueError(f"weight row {v} has wrong length")
-            for w, x in enumerate(row):
-                if not (0 <= x < d):
-                    raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")
-                if v == w and x != 0:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if row[w] != weights[w][v]:
-                    raise ValueError(f"weights not symmetric at ({v}, {w})")
-            rows.append(tuple(row))
+        rows = tuple(map(tuple, weights))
+        cells = _byte_cells(rows, n, d)
+        if cells is None:
+            # weights that do not fit a byte, or bad input: the cell-by-cell
+            # pass names the first offending cell in row-major order
+            for v, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValueError(f"weight row {v} has wrong length")
+                for w, x in enumerate(row):
+                    if not (0 <= x < d):
+                        raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")
+                    if v == w and x != 0:
+                        raise ValueError(f"self-loop at vertex {v}")
+                    if x != rows[w][v]:
+                        raise ValueError(f"weights not symmetric at ({v}, {w})")
+            supports = tuple(mask_of(w for w, x in enumerate(row) if x) for row in rows)
+        else:
+            supports = _unpack_rows(np.packbits(cells != 0, axis=1, bitorder="little"))
         self.n = n
         self.d = d
-        self.weights = tuple(rows)
-        self.supports = tuple(
-            mask_of(w for w, x in enumerate(row) if x) for row in rows
-        )
+        self.weights = rows
+        self.supports = supports
 
     @classmethod
     def from_edges(

@@ -15,11 +15,34 @@ with a ``u v weight`` line per edge, weights in ``1..d-1``.
 
 from __future__ import annotations
 
-from .graph import Graph, WeightedGraph
+import binascii
+import re
+
+import numpy as np
+
+from .graph import Graph, WeightedGraph, _pack_rows, _unpack_rows
 
 __all__ = ["encode_graph6", "decode_graph6", "encode_weighted", "decode_weighted"]
 
 _HEADER = ">>graph6<<"
+_INVALID = re.compile("[^?-~]")  # outside chr(63)..chr(126)
+# A graph6 body byte and a base64 digit both carry 6 bits, high bit first,
+# so binascii converts between bodies and packed bit strings once the
+# alphabets are swapped.
+_G6_DIGITS = bytes(range(63, 127))
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
+_FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
+
+
+def _lower(n: int) -> np.ndarray:
+    """Strict lower triangle mask.
+
+    Column ``j`` of the upper triangle, which graph6 lists in order, is row
+    ``j`` of the lower one, so the set cells, read row by row, are the body
+    bits in order.
+    """
+    return np.tri(n, k=-1, dtype=bool)
 
 
 def encode_graph6(g: Graph) -> str:
@@ -30,20 +53,10 @@ def encode_graph6(g: Graph) -> str:
         out = [chr(n + 63)]
     else:
         out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
+    cells = np.unpackbits(_pack_rows(g.rows), axis=1, count=n, bitorder="little")
+    bits = cells[_lower(n)]
+    text = binascii.b2a_base64(np.packbits(bits).tobytes(), newline=False)
+    out.append(text[: -(-len(bits) // 6)].translate(_FROM_B64).decode("ascii"))  # cut the padding
     return "".join(out)
 
 
@@ -53,21 +66,19 @@ def decode_graph6(text: str) -> Graph:
         s = s[len(_HEADER):]
     if not s:
         raise ValueError("empty graph6 string")
-    vals = []
-    for ch in s:
-        o = ord(ch)
-        if o < 63 or o > 126:
-            raise ValueError(f"invalid graph6 character {ch!r}")
-        vals.append(o - 63)
-    if vals[0] < 63:
-        n = vals[0]
+    bad = _INVALID.search(s)
+    if bad:
+        raise ValueError(f"invalid graph6 character {bad.group()!r}")
+    vals = s.encode("ascii")  # each byte is a 6-bit value plus 63
+    if vals[0] < 126:
+        n = vals[0] - 63
         body = vals[1:]
     else:
         if len(vals) < 4:
             raise ValueError("truncated graph6 size header")
-        if vals[1] == 63:
+        if vals[1] == 126:
             raise ValueError("8-byte graph6 size headers are not supported")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        n = ((vals[1] - 63) << 12) | ((vals[2] - 63) << 6) | (vals[3] - 63)
         body = vals[4:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -75,18 +86,14 @@ def decode_graph6(text: str) -> Graph:
         raise ValueError(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
         )
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = (body[pos // 6] >> (5 - pos % 6)) & 1
-            pos += 1
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    if need and body[-1] & ((1 << (need * 6 - nbits)) - 1):
+    if need and (body[-1] - 63) & ((1 << (need * 6 - nbits)) - 1):
         raise ValueError("graph6 padding bits are not zero")
-    return Graph._wrap(n, tuple(rows))
+    raw = binascii.a2b_base64(body.translate(_TO_B64) + b"A" * (-need % 4))  # "A" is 0
+    cells = np.zeros((n, n), dtype=np.uint8)
+    cells[_lower(n)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits]
+    cells |= cells.T
+    packed = np.packbits(cells, axis=1, bitorder="little")
+    return Graph._wrap(n, _unpack_rows(packed))
 
 
 def encode_weighted(g: WeightedGraph) -> str:

@@ -8,6 +8,7 @@ joining canonical isomorphism types along single complementation moves.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,6 +126,11 @@ def _extend_chunk(args: tuple[int, list[tuple[int, ...]]]) -> dict[bytes, tuple[
     return found
 
 
+def _pool_size(workers: int) -> int:
+    """Worker processes to start for a request of ``workers``: 1 up to the CPU count."""
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> list[Graph]:
     """All isomorphism types of order ``n``, canonical, sorted by key.
 
@@ -138,6 +144,7 @@ def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> l
             _ATLAS[1] = [Graph._wrap(1, (0,))]
         else:
             parents = [g.rows for g in nonisomorphic_graphs(n - 1, workers=workers)]
+            workers = _pool_size(workers)
             if workers > 1 and len(parents) >= workers:
                 chunk = (len(parents) + workers - 1) // workers
                 jobs = [
@@ -232,6 +239,7 @@ def lc_classes(
             parent[max(rx, ry)] = min(rx, ry)
 
     rows_list = [g.rows for g in graphs]
+    workers = _pool_size(workers)
     if workers > 1 and len(rows_list) >= workers:
         chunk = (len(rows_list) + workers - 1) // workers
         jobs = [(n, rows_list[i : i + chunk]) for i in range(0, len(rows_list), chunk)]

@@ -236,6 +236,32 @@ def test_bad_input_exits_2(capsys):
     assert rc == 2  # no input at all
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-o", "BAD", "lc", "0", "--g6", S5],
+        ["orbit", "--members", "BAD", "--g6", P3],
+        ["classes", "--n", "4", "--reps", "BAD"],
+    ],
+)
+def test_unwritable_path_exits_2(capsys, tmp_path, argv):
+    bad = str(tmp_path / "missing" / "x")
+    rc, out, err = run(capsys, *[bad if a == "BAD" else a for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classes", "stats"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_workers_below_one_is_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "4", "--workers", value])
+    assert exc.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
 def test_guard_exits_3_and_force_overrides(capsys):
     big_empty = "P" + "?" * 23  # 17 isolated vertices
     rc, _, err = run(capsys, "orbit", "--g6", big_empty)

@@ -8,6 +8,7 @@ from conftest import (
     random_graph,
     random_weighted,
     related_by_definition,
+    weight_matrix,
 )
 from lcfoliage.foliage import (
     PartType,
@@ -127,6 +128,100 @@ def test_partition_matches_definition_weighted():
         d = rng.choice([2, 3, 5])
         g = random_weighted(rng.randrange(1, 9), d, rng.random(), rng)
         assert parts_as_sets(foliage_partition(g).parts) == partition_by_definition(g)
+
+
+# Random graphs rarely hold more than one twin, so these families are built
+# from twin classes: every vertex of the base graph becomes a class of true
+# (adjacent) or false twins, under a random relabelling.  Weighted blow-ups
+# scale vertex u by lam[u], so a class's rows are proportional over Z_d, and
+# then knock out a few weights to break some of the proportions.
+
+def blow_up(base, sizes, true_twins, rng, d=None, noise=0.0):
+    """Graph on the classes of ``base`` (an edge set on range(len(sizes)))."""
+    members = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(members)  # members[u] is the class of vertex u
+    n = len(members)
+    lam = [rng.randrange(1, d) if d else 1 for _ in range(n)]
+    scale = {}  # one weight per class pair
+    edges = []
+    for u in range(n):
+        for w in range(u + 1, n):
+            a, b = sorted((members[u], members[w]))
+            if (a, b) not in base and not (a == b and true_twins[a]):
+                continue
+            x = scale.setdefault((a, b), rng.randrange(1, d) if d else 1)
+            if d:
+                x = x * lam[u] * lam[w] % d
+                if rng.random() < noise:
+                    x = rng.randrange(1, d)
+            edges.append((u, w, x))
+    if d:
+        return build_weighted_graph(n, d, edges)
+    return build_graph(n, [(u, w) for u, w, _ in edges])
+
+
+def twin_rich_graph(rng, d=None):
+    kind = rng.randrange(4)
+    if kind == 0:  # complete multipartite: false-twin classes, all joined
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        base = {(a, b) for a in range(len(sizes)) for b in range(a + 1, len(sizes))}
+        true_twins = [False] * len(sizes)
+    elif kind == 1:  # a star: a centre and its leaves
+        sizes = [1, rng.randint(1, 8)]
+        base = {(0, 1)}
+        true_twins = [False, False]
+    elif kind == 2:  # disjoint cliques
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        base = set()
+        true_twins = [True] * len(sizes)
+    else:  # blow-up of a random graph
+        k = rng.randint(1, 5)
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        base = {(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.5}
+        true_twins = [rng.random() < 0.5 for _ in range(k)]
+    return blow_up(base, sizes, true_twins, rng, d, noise=0.1 if d else 0.0)
+
+
+def test_partition_matches_definition_on_twin_rich_graphs():
+    rng = random.Random(2305)
+    for _ in range(300):
+        g = twin_rich_graph(rng)
+        assert parts_as_sets(foliage_partition(g).parts) == partition_by_definition(g)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_partition_matches_definition_on_twin_rich_weighted_graphs(d):
+    rng = random.Random(d)
+    for _ in range(150):
+        g = twin_rich_graph(rng, d)
+        assert parts_as_sets(foliage_partition(g).parts) == partition_by_definition(g)
+
+
+# parts, in order, of the sample below; the order reaches the CLI text and
+# JSON, so it must not drift
+FROZEN_PARTS = [
+    ((0, 5), (1, 2), (3, 4)),
+    ((0, 1),),
+    ((0, 2, 5, 9), (1, 8), (3, 4), (6, 7)),
+    ((0, 1, 2),),
+    ((0, 8, 9), (1, 2, 6), (3, 5, 7), (4, 10)),
+    ((0,),),
+    ((0, 1, 4, 6), (2,), (3, 5, 7)),
+    ((0,), (1,), (2,), (3,)),
+    ((0, 3), (1, 4), (2, 5)),
+    ((0,), (1, 4), (2,), (3,), (5,), (6,)),
+    ((0, 1, 2),),
+    ((0,), (1,), (2,), (3,)),
+    ((0,), (1, 5, 7), (2,), (3,), (4, 6), (8,)),
+    ((0,), (1,), (2, 6, 7), (3,), (4,), (5,), (8,), (9,)),
+]
+
+
+def test_parts_order_is_frozen():
+    rng = random.Random(77)
+    moduli = [None] * 8 + [3, 5, 7, 3, 5, 7]
+    got = [foliage_partition(twin_rich_graph(rng, d)).parts for d in moduli]
+    assert got == FROZEN_PARTS
 
 
 def test_parts_are_ordered_by_least_member():
@@ -300,6 +395,96 @@ def test_saturation_of_disconnected_graphs():
 def test_foliage_graph_quotient():
     assert foliage_graph(K23).edges() == [(0, 1)]
     assert foliage_graph(cycle(5)).n == 5
+
+
+def quotient_by_definition(g, parts):
+    """Edges between parts that some edge of ``g`` joins."""
+    mat, _ = weight_matrix(g)
+    return [
+        (i, j)
+        for i in range(len(parts))
+        for j in range(i + 1, len(parts))
+        if any(mat[u][w] for u in parts[i] for w in parts[j])
+    ]
+
+
+def sparse_with_twins(rng, largest=30):
+    """A path with chords, then some vertices given a leaf or a twin."""
+    n = rng.randint(3, largest)
+    edges = {(v, v + 1) for v in range(n - 1)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n // 2))}
+    rows = [set() for _ in range(n)]
+    for u, w in edges:
+        rows[u].add(w)
+        rows[w].add(u)
+    for v in rng.sample(range(n), rng.randint(0, n // 3)):
+        new = len(rows)
+        kind = rng.randrange(3)  # leaf, false twin, true twin
+        rows.append({v} if kind == 0 else set(rows[v]) | ({v} if kind == 2 else set()))
+        for w in rows[new]:
+            rows[w].add(new)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    edges = [(order[u], order[w]) for u in range(len(rows)) for w in rows[u] if u < w]
+    return build_graph(len(rows), edges)
+
+
+def test_quotient_matches_definition():
+    rng = random.Random(6)
+    graphs = [sparse_with_twins(rng) for _ in range(300)]
+    graphs += [twin_rich_graph(rng) for _ in range(200)]
+    for g in graphs:
+        rep = foliage_representation(g)
+        expected = quotient_by_definition(g, rep.partition.parts)
+        assert rep.quotient.edges() == expected
+        assert foliage_graph(g).edges() == expected
+
+
+def partition_by_pairs(g):
+    """Qubit parts from the definition over GF(2): v and w are related iff
+    they share a component and their rows away from v and w are equal, or
+    one of them is empty."""
+    n = g.n
+    comp = list(range(n))  # least vertex of the component
+    for v in range(n):
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in range(n):
+                if (g.rows[u] >> w) & 1 and comp[w] > comp[v]:
+                    comp[w] = comp[v]
+                    stack.append(w)
+    # the relation is an equivalence, so a vertex's least relative names its part
+    parts = {}
+    for v in range(n):
+        least = next(
+            (w for w in range(v) if comp[w] == comp[v] and related_over_gf2(g, v, w)), v
+        )
+        parts.setdefault(least, set()).add(v)
+    return {frozenset(p) for p in parts.values()}
+
+
+def related_over_gf2(g, v, w):
+    away = ~((1 << v) | (1 << w))
+    rv, rw = g.rows[v] & away, g.rows[w] & away
+    return rv == rw or not rv or not rw
+
+
+def test_partition_matches_definition_past_64_vertices():
+    # rows wider than 64 bits: far leaves, far twins and chords to far vertices
+    rng = random.Random(64)
+    for _ in range(60):
+        g = sparse_with_twins(rng, largest=160)
+        assert parts_as_sets(foliage_partition(g).parts) == partition_by_pairs(g)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_weighted_quotient_matches_definition(d):
+    rng = random.Random(d)
+    for _ in range(150):
+        g = twin_rich_graph(rng, d)
+        parts = foliage_partition(g).parts
+        assert foliage_graph(g).edges() == quotient_by_definition(g, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,44 @@ def test_census_workers_match_serial():
     assert parallel == serial
 
 
+def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 4)
+    assert [orbits_mod._pool_size(w) for w in (-1, 0, 1, 3, 4, 5, 10**6)] == [1, 1, 1, 3, 4, 4, 4]
+    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: None)
+    assert orbits_mod._pool_size(8) == 1
+
+
+def test_both_pools_start_at_most_cpu_count_workers(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    expected = lc_classes(5)
+    monkeypatch.setattr(orbits_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
+    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
+    assert lc_classes(5, workers=10**6) == expected
+    # one pool per enumerated level from n = 4 up (n = 3 has too few
+    # parents to split), then one for the move keys
+    assert started == [3, 3, 3]
+
+
 # ---------------------------------------------------------------------------
 # LC automorphisms
 
