@@ -10,7 +10,7 @@ explored subtree.
 
 from __future__ import annotations
 
-from .graph import Graph, iter_bits
+from .graph import Graph, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
 
@@ -42,14 +42,7 @@ def canonical_key(g: Graph) -> bytes:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabelled copy of ``g``."""
-    key, perm = canonical_form(g)
-    rows = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for w in iter_bits(g.rows[v]):
-            row |= 1 << perm[w]
-        rows[perm[v]] = row
-    return Graph._wrap(g.n, tuple(rows))
+    return Graph._wrap(g.n, _relabel_rows(g.rows, canonical_form(g)[1]))
 
 
 def _pack(n: int, bits: int) -> bytes:

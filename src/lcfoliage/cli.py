@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     SizeGuardError,
     connected_components,
+    induced_subgraph,
     iter_bits,
     local_complement,
     qudit_scale,
@@ -156,16 +157,7 @@ def _cmd_saturation(args: argparse.Namespace) -> str:
     comps = connected_components(g)
     if len(comps) > 1:
         for comp in comps:
-            verts = list(iter_bits(comp))
-            relabel = {v: i for i, v in enumerate(verts)}
-            rows = []
-            for v in verts:
-                row = 0
-                for w in iter_bits(g.rows[v] & comp):
-                    row |= 1 << relabel[w]
-                rows.append(row)
-            sub = Graph._wrap(len(verts), tuple(rows))
-            s = saturation(sub)
+            s = saturation(induced_subgraph(g, comp))
             lines.append(
                 f"component={_set_str(comp)} time={s.time} size={s.size} "
                 f"chain={_chain_str(s.chain)}"

@@ -19,8 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .foliage import FoliageRepresentation, PartType, foliage_partition, foliage_representation
-from .gf2 import BitMatrix, gf2_rank, submatrix
-from .graph import Graph, SizeGuardError, WeightedGraph, connected_components, iter_bits
+from .gf2 import rank_of_rows
+from .graph import Graph, SizeGuardError, WeightedGraph, connected_components, iter_bits, mask_of
 
 __all__ = [
     "EntropyVector",
@@ -48,7 +48,7 @@ def entropy(g: Graph, subset: int) -> int:
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")
     comp = full & ~subset
-    return gf2_rank(rows_restricted(g, subset, comp))
+    return rank_of_rows(rows_restricted(g, subset, comp))
 
 
 def rows_restricted(g: Graph, row_mask: int, col_mask: int) -> list[int]:
@@ -94,19 +94,14 @@ def schmidt_vector(g: Graph, force: bool = False) -> EntropyVector:
     return EntropyVector(g.n, bytes(vals))
 
 
-def e_matrix(rep: FoliageRepresentation) -> BitMatrix:
-    """Quotient adjacency plus a diagonal 1 on K parts, over part indices."""
+def e_matrix(rep: FoliageRepresentation) -> tuple[int, ...]:
+    """Rows of the quotient adjacency plus a diagonal 1 on K parts, over part indices."""
     if rep.axils:
         raise ValueError("E-matrix needs an axil-free representation (normal form)")
-    k = len(rep.partition.parts)
-    rows = []
-    for i in range(k):
-        row = rep.quotient.rows[i]
-        if rep.types[i] is PartType.K:
-            row |= 1 << i
-        rows.append(row)
-    labels = tuple(range(k))
-    return BitMatrix(tuple(rows), k, labels, labels)
+    return tuple(
+        row | (1 << i if t is PartType.K else 0)
+        for i, (row, t) in enumerate(zip(rep.quotient.rows, rep.types))
+    )
 
 
 def entropy_via_foliage(g: Graph, subset: int) -> int:
@@ -117,14 +112,9 @@ def entropy_via_foliage(g: Graph, subset: int) -> int:
     rep = foliage_representation(g)
     em = e_matrix(rep)  # raises if g is not in normal form
     comp = full & ~subset
-    row_parts = 0
-    col_parts = 0
-    for i, m in enumerate(rep.partition.masks):
-        if m & subset:
-            row_parts |= 1 << i
-        if m & comp:
-            col_parts |= 1 << i
-    return gf2_rank(submatrix(em.rows, row_parts, col_parts))
+    masks = rep.partition.masks
+    col_parts = mask_of(i for i, m in enumerate(masks) if m & comp)
+    return rank_of_rows(em[i] & col_parts for i, m in enumerate(masks) if m & subset)
 
 
 def marginal_maximally_mixed(g: Graph, v: int, w: int) -> bool:
@@ -160,9 +150,7 @@ def uniformity(g: Graph, force: bool = False) -> UniformityReport:
         )
     for k in range(1, g.n // 2 + 1):
         for combo in combinations(range(g.n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
+            mask = mask_of(combo)
             if entropy(g, mask) != k:
                 return UniformityReport(g.n, k - 1, mask)
     return UniformityReport(g.n, g.n // 2, None)

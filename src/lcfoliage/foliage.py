@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .graph import Graph, WeightedGraph, _support_rows, iter_bits, local_complement
+from .graph import Graph, WeightedGraph, _support_rows, iter_bits, local_complement, mask_of
 
 __all__ = [
     "PartType",
@@ -67,13 +67,7 @@ class FoliagePartition:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        out = []
-        for part in self.parts:
-            m = 0
-            for v in part:
-                m |= 1 << v
-            out.append(m)
-        return tuple(out)
+        return tuple(map(mask_of, self.parts))
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -81,7 +75,10 @@ class FoliagePartition:
 
     def part_of(self, v: int) -> int:
         """Index of the part containing vertex ``v``."""
-        return self._index[v]
+        try:
+            return self._index[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} out of range") from None
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
@@ -123,20 +120,6 @@ class SaturationReport:
         return self.chain[-1]
 
 
-def _same_component(sup: tuple[int, ...], v: int, w: int) -> bool:
-    comp = 1 << v
-    frontier = 1 << v
-    while frontier:
-        if (comp >> w) & 1:
-            return True
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= sup[u]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return bool((comp >> w) & 1)
-
-
 def _weighted_rows_dependent(g: WeightedGraph, v: int, w: int, excl: int) -> bool:
     sv = g.supports[v] & ~excl
     sw = g.supports[w] & ~excl
@@ -164,18 +147,10 @@ def vertices_related(g: Graph | WeightedGraph, v: int, w: int) -> bool:
     """
     if v == w:
         raise ValueError("vertices must be distinct")
-    n = g.n
-    if not (0 <= v < n and 0 <= w < n):
+    if not (0 <= v < g.n and 0 <= w < g.n):
         raise ValueError("vertex out of range")
-    sup = _support_rows(g)
-    if not _same_component(sup, v, w):
-        return False
-    excl = (1 << v) | (1 << w)
-    if isinstance(g, Graph):
-        rv = g.rows[v] & ~excl
-        rw = g.rows[w] & ~excl
-        return rv == rw or rv == 0 or rw == 0
-    return _weighted_rows_dependent(g, v, w, excl)
+    part = foliage_partition(g)
+    return part.part_of(v) == part.part_of(w)
 
 
 def foliage_partition(g: Graph | WeightedGraph) -> FoliagePartition:

@@ -1,16 +1,16 @@
-"""Linear algebra over GF(2) on bit-packed rows.
+"""Rank over GF(2) on bit-packed rows.
 
 A matrix row is a Python int whose bit ``i`` is the entry in column ``i``.
 Arbitrary-precision ints give word-parallel XOR for free, so elimination
-runs fast even for a few thousand columns.
+runs fast even for a few thousand columns.  Zero columns add nothing to the
+rank, so a submatrix is simply its rows masked to the chosen columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-__all__ = ["BitMatrix", "gf2_rank", "rank_of_rows", "submatrix"]
+__all__ = ["rank_of_rows"]
 
 
 def rank_of_rows(rows: Iterable[int]) -> int:
@@ -30,79 +30,3 @@ def rank_of_rows(rows: Iterable[int]) -> int:
                 break
             row ^= pivot
     return rank
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """A labelled GF(2) matrix with bit-packed rows.
-
-    ``rows[i]`` holds row ``i``; bit ``j`` of it is the entry in column ``j``.
-    ``row_labels`` / ``col_labels`` remember where the rows and columns came
-    from (vertex or part identifiers), which keeps submatrix bookkeeping
-    honest.
-    """
-
-    rows: tuple[int, ...]
-    n_cols: int
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.row_labels):
-            raise ValueError("row count does not match row labels")
-        if self.n_cols != len(self.col_labels):
-            raise ValueError("column count does not match column labels")
-        limit = 1 << self.n_cols
-        for r in self.rows:
-            if r < 0 or r >= limit:
-                raise ValueError("row has bits outside the column range")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def transpose(self) -> "BitMatrix":
-        cols = [0] * self.n_cols
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return BitMatrix(tuple(cols), self.n_rows, self.col_labels, self.row_labels)
-
-
-def gf2_rank(m: BitMatrix | Sequence[int]) -> int:
-    """Rank of a :class:`BitMatrix` (or a plain sequence of bit rows)."""
-    if isinstance(m, BitMatrix):
-        return rank_of_rows(m.rows)
-    return rank_of_rows(m)
-
-
-def submatrix(full_rows: Sequence[int], row_mask: int, col_mask: int) -> BitMatrix:
-    """Extract the labelled submatrix with rows/columns picked by bitmask.
-
-    Columns are compressed to contiguous positions; labels record the
-    original indices.
-    """
-    col_labels = _bits(col_mask)
-    row_labels = _bits(row_mask)
-    packed = []
-    for v in row_labels:
-        row = full_rows[v]
-        out = 0
-        for j, c in enumerate(col_labels):
-            out |= ((row >> c) & 1) << j
-        packed.append(out)
-    return BitMatrix(tuple(packed), len(col_labels), tuple(row_labels), tuple(col_labels))
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)

@@ -8,6 +8,7 @@ prime d.  Both are immutable; every operator returns a new object.
 from __future__ import annotations
 
 from math import isqrt
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "build_graph",
     "build_weighted_graph",
     "local_complement",
+    "induced_subgraph",
     "qudit_star",
     "qudit_scale",
     "connected_components",
@@ -202,10 +204,14 @@ class WeightedGraph:
                 if len(row) != n:
                     raise ValueError(f"weight row {v} has wrong length")
                 for w, x in enumerate(row):
+                    if not isinstance(x, Integral):
+                        raise ValueError(f"weight at ({v}, {w}) is not an integer")
                     if not (0 <= x < d):
                         raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")
                     if v == w and x != 0:
                         raise ValueError(f"self-loop at vertex {v}")
+                    if len(rows[w]) <= v:  # a later row, too short to hold (w, v)
+                        raise ValueError(f"weight row {w} has wrong length")
                     if x != rows[w][v]:
                         raise ValueError(f"weights not symmetric at ({v}, {w})")
             supports = tuple(mask_of(w for w, x in enumerate(row) if x) for row in rows)
@@ -267,20 +273,46 @@ def build_weighted_graph(
     return WeightedGraph.from_edges(n, d, edges)
 
 
+def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """Rows after complementing the neighbourhood of ``a``; ``a`` is not checked."""
+    nb = rows[a]
+    out = list(rows)
+    m = nb
+    while m:
+        low = m & -m
+        # toggle the edges from this neighbour to the other neighbours of a,
+        # keeping its own bit clear
+        out[low.bit_length() - 1] ^= nb ^ low
+        m ^= low
+    return tuple(out)
+
+
+def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the same graph with vertex ``v`` renamed ``perm[v]``."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        image = 0
+        for w in iter_bits(row):
+            image |= 1 << perm[w]
+        out[perm[v]] = image
+    return tuple(out)
+
+
 def local_complement(g: Graph, a: int) -> Graph:
     """Complement the subgraph induced on the neighbourhood of ``a``."""
     if not (0 <= a < g.n):
         raise ValueError(f"vertex {a} out of range")
-    nb = g.rows[a]
-    rows = list(g.rows)
-    m = nb
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        # toggle edges from v to the other neighbours of a, keep (v, v) clear
-        rows[v] ^= nb ^ low
-    return Graph._wrap(g.n, tuple(rows))
+    return Graph._wrap(g.n, _lc_rows(g.rows, a))
+
+
+def induced_subgraph(g: Graph, mask: int) -> Graph:
+    """Subgraph induced on the vertices of ``mask``, renumbered in increasing order."""
+    if mask < 0 or mask >> g.n:
+        raise ValueError("vertex mask has bits outside the vertex range")
+    label = {v: i for i, v in enumerate(iter_bits(mask))}
+    return Graph._wrap(
+        len(label), tuple(mask_of(label[w] for w in iter_bits(g.rows[v] & mask)) for v in label)
+    )
 
 
 def qudit_star(g: WeightedGraph, w: int, a: int) -> WeightedGraph:

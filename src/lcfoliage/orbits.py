@@ -12,12 +12,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 from .canonical import canonical_form, canonical_key
 from .foliage import FoliagePartition, foliage_partition, saturation
-from .graph import Graph, SizeGuardError, connected_components, iter_bits, local_complement
+from .graph import Graph, SizeGuardError, _lc_rows, _relabel_rows, connected_components
 
 __all__ = [
     "OrbitReport",
@@ -41,28 +41,6 @@ __all__ = [
 
 _ORBIT_GUARD = 16
 _CLASS_GUARD = 8
-
-
-def _tau_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
-    nb = rows[a]
-    out = list(rows)
-    m = nb
-    while m:
-        low = m & -m
-        out[low.bit_length() - 1] ^= nb ^ low
-        m ^= low
-    return tuple(out)
-
-
-def _permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(rows)
-    out = [0] * n
-    for v in range(n):
-        row = 0
-        for w in iter_bits(rows[v]):
-            row |= 1 << perm[w]
-        out[perm[v]] = row
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -96,7 +74,7 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
                 nb = rows[a]
                 if nb & (nb - 1) == 0:
                     continue  # degree 0 or 1: complementation is the identity
-                image = _tau_rows(rows, a)
+                image = _lc_rows(rows, a)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
@@ -122,13 +100,28 @@ def _extend_chunk(args: tuple[int, list[tuple[int, ...]]]) -> dict[bytes, tuple[
             ) + (mask,)
             key, perm = canonical_form(Graph._wrap(n, ext))
             if key not in found:
-                found[key] = _permute_rows(ext, perm)
+                found[key] = _relabel_rows(ext, perm)
     return found
 
 
 def _pool_size(workers: int) -> int:
     """Worker processes to start for a request of ``workers``: 1 up to the CPU count."""
     return max(1, min(workers, os.cpu_count() or 1))
+
+
+def _pool_map(fn, n: int, items: list, workers: int) -> list:
+    """``fn((n, chunk))`` for consecutive chunks of ``items``, results in chunk order.
+
+    The chunks go to a process pool of ``_pool_size(workers)`` processes when
+    there are at least that many items, else ``items`` is one chunk run here.
+    """
+    workers = _pool_size(workers)
+    if workers == 1 or len(items) < workers:
+        return [fn((n, items))]
+    chunk = (len(items) + workers - 1) // workers
+    jobs = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> list[Graph]:
@@ -144,19 +137,10 @@ def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> l
             _ATLAS[1] = [Graph._wrap(1, (0,))]
         else:
             parents = [g.rows for g in nonisomorphic_graphs(n - 1, workers=workers)]
-            workers = _pool_size(workers)
-            if workers > 1 and len(parents) >= workers:
-                chunk = (len(parents) + workers - 1) // workers
-                jobs = [
-                    (n, parents[i : i + chunk]) for i in range(0, len(parents), chunk)
-                ]
-                found: dict[bytes, tuple[int, ...]] = {}
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for part in pool.map(_extend_chunk, jobs):
-                        for key, rows in part.items():
-                            found.setdefault(key, rows)
-            else:
-                found = _extend_chunk((n, parents))
+            found, *rest = _pool_map(_extend_chunk, n, parents, workers)
+            for part in rest:
+                for key, rows in part.items():
+                    found.setdefault(key, rows)
             _ATLAS[n] = [Graph._wrap(n, found[k]) for k in sorted(found)]
     level = _ATLAS[n]
     if connected:
@@ -196,7 +180,7 @@ def _move_keys_chunk(args: tuple[int, list[tuple[int, ...]]]) -> list[list[bytes
             nb = rows[a]
             if nb & (nb - 1) == 0:
                 continue
-            keys.append(canonical_key(Graph._wrap(n, _tau_rows(rows, a))))
+            keys.append(canonical_key(Graph._wrap(n, _lc_rows(rows, a))))
         out.append(keys)
     return out
 
@@ -239,16 +223,7 @@ def lc_classes(
             parent[max(rx, ry)] = min(rx, ry)
 
     rows_list = [g.rows for g in graphs]
-    workers = _pool_size(workers)
-    if workers > 1 and len(rows_list) >= workers:
-        chunk = (len(rows_list) + workers - 1) // workers
-        jobs = [(n, rows_list[i : i + chunk]) for i in range(0, len(rows_list), chunk)]
-        move_keys: list[list[bytes]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_move_keys_chunk, jobs):
-                move_keys.extend(part)
-    else:
-        move_keys = _move_keys_chunk((n, rows_list))
+    move_keys = chain.from_iterable(_pool_map(_move_keys_chunk, n, rows_list, workers))
     for i, keys_i in enumerate(move_keys):
         for k2 in keys_i:
             union(i, index[k2])
@@ -320,7 +295,7 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     auts = [
         sigma
         for sigma in permutations(range(g.n))
-        if _permute_rows(g.rows, sigma) in member_set
+        if _relabel_rows(g.rows, sigma) in member_set
     ]
     part = foliage_partition(g)
     lower, upper = aut_bounds(part)

@@ -105,9 +105,9 @@ def test_schmidt_vector_is_lc_invariant(seed):
 
 def test_e_matrix_anchors():
     em = e_matrix(foliage_representation(complete(5)))
-    assert em.rows == (0b1,)
+    assert em == (0b1,)
     em = e_matrix(foliage_representation(K23))
-    assert em.rows == (0b10, 0b01)
+    assert em == (0b10, 0b01)
 
 
 def test_e_matrix_requires_normal_form():
@@ -134,6 +134,12 @@ def test_marginal_anchors():
         marginal_maximally_mixed(build_graph(3, [(0, 1)]), 0, 2)
     with pytest.raises(ValueError):
         marginal_maximally_mixed(K23, 1, 1)
+
+
+@pytest.mark.parametrize("w", [5, -1])
+def test_marginal_rejects_vertices_outside_the_graph(w):
+    with pytest.raises(ValueError, match=rf"^vertex {w} out of range$"):
+        marginal_maximally_mixed(complete(3), 0, w)
 
 
 def test_marginal_equals_pair_entropy_exhaustively():

@@ -243,6 +243,12 @@ def test_partition_helpers():
     assert foliage_partition(cycle(5)).is_trivial
 
 
+@pytest.mark.parametrize("v", [5, -1])
+def test_part_of_rejects_vertices_outside_the_graph(v):
+    with pytest.raises(ValueError, match=rf"^vertex {v} out of range$"):
+        foliage_partition(K23).part_of(v)
+
+
 def test_foliage_set():
     assert foliage_set(path(4)) == 0b1111
     assert foliage_set(cycle(5)) == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import dense_gf2_rank
-from lcfoliage.gf2 import BitMatrix, gf2_rank, rank_of_rows, submatrix
+from lcfoliage.gf2 import rank_of_rows
 
 
 def test_identity_rank():
@@ -24,7 +24,7 @@ def test_dependent_triple():
 def test_input_rows_not_mutated():
     rows = [0b011, 0b110, 0b101]
     snapshot = list(rows)
-    gf2_rank(rows)
+    rank_of_rows(rows)
     assert rows == snapshot
 
 
@@ -44,26 +44,5 @@ def test_rank_equals_transpose_rank(seed):
     r = rng.randrange(1, 9)
     c = rng.randrange(1, 9)
     rows = tuple(rng.randrange(1 << c) for _ in range(r))
-    m = BitMatrix(rows, c, tuple(range(r)), tuple(range(c)))
-    assert gf2_rank(m) == gf2_rank(m.transpose())
-
-
-def test_bitmatrix_validation():
-    with pytest.raises(ValueError):
-        BitMatrix((0b100,), 2, (0,), (0, 1))  # bit outside columns
-    with pytest.raises(ValueError):
-        BitMatrix((0b1, 0b1), 1, (0,), (0,))  # label count mismatch
-    with pytest.raises(ValueError):
-        BitMatrix((0b1,), 2, (0,), (0,))  # column label mismatch
-
-
-def test_submatrix_labels_and_entries():
-    # rows of a 4x4 matrix, pick rows {0, 2} and columns {1, 3}
-    full = [0b0110, 0b1001, 0b1110, 0b0011]
-    m = submatrix(full, 0b0101, 0b1010)
-    assert m.row_labels == (0, 2)
-    assert m.col_labels == (1, 3)
-    assert m.entry(0, 0) == 1  # full[0] bit 1
-    assert m.entry(0, 1) == 0  # full[0] bit 3
-    assert m.entry(1, 0) == 1  # full[2] bit 1
-    assert m.entry(1, 1) == 1  # full[2] bit 3
+    cols = [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(c)]
+    assert rank_of_rows(rows) == rank_of_rows(cols)

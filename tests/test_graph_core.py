@@ -9,6 +9,7 @@ from lcfoliage.graph import (
     build_graph,
     build_weighted_graph,
     connected_components,
+    induced_subgraph,
     iter_bits,
     local_complement,
     mask_of,
@@ -53,6 +54,17 @@ def test_graph_ctor_rejects_asymmetry_and_loops():
 def test_iter_bits():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert list(iter_bits(0)) == []
+
+
+def test_induced_subgraph_renumbers_in_increasing_order():
+    g = build_graph(5, [(0, 1), (1, 3), (3, 4), (0, 4)])
+    assert induced_subgraph(g, 0b11010) == build_graph(3, [(0, 1), (1, 2)])
+    assert induced_subgraph(g, 0) == build_graph(0, [])
+    assert induced_subgraph(g, 0b11111) == g
+    with pytest.raises(ValueError):
+        induced_subgraph(g, 1 << 5)
+    with pytest.raises(ValueError):
+        induced_subgraph(g, -1)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

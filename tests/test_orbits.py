@@ -7,9 +7,8 @@ import pytest
 from conftest import random_graph
 from lcfoliage.canonical import canonical_key
 from lcfoliage.foliage import foliage_partition
-from lcfoliage.graph import Graph, SizeGuardError, build_graph, local_complement
+from lcfoliage.graph import Graph, SizeGuardError, _relabel_rows, build_graph, local_complement
 from lcfoliage.orbits import (
-    _permute_rows,
     aut_bounds,
     aut_in_group,
     class_lower_bound,
@@ -72,7 +71,7 @@ def test_orbit_size_is_relabeling_invariant():
         g = random_graph(6, 0.5, rng)
         perm = list(range(6))
         rng.shuffle(perm)
-        h = Graph(6, _permute_rows(g.rows, tuple(perm)))
+        h = Graph(6, _relabel_rows(g.rows, tuple(perm)))
         a, b = lc_orbit(g), lc_orbit(h)
         assert (a.labeled_size, a.class_size) == (b.labeled_size, b.class_size)
 
@@ -220,7 +219,7 @@ def test_aut_generators_generate_the_group():
         assert len(_closure(list(rep.generators), g.n)) == rep.order
         orbit = set(lc_orbit(g).members)
         for sigma in rep.generators:
-            assert _permute_rows(g.rows, sigma) in orbit
+            assert _relabel_rows(g.rows, sigma) in orbit
 
 
 def test_aut_bounds_anchors():
@@ -263,7 +262,7 @@ def test_aut_in_is_inside_aut_and_normal():
         inner = _closure(gens, g.n)
         orbit = set(lc_orbit(g).members)
         for sigma in gens:
-            assert _permute_rows(g.rows, sigma) in orbit
+            assert _relabel_rows(g.rows, sigma) in orbit
         report = lc_automorphism_group(g)
         full = _closure(list(report.generators), g.n)
         for _ in range(30):
@@ -286,7 +285,7 @@ def test_part_permutations_preserve_sizes():
                 size_of[v] = len(p)
         full_orbit = set(lc_orbit(g).members)
         for sigma in permutations(range(g.n)):
-            if _permute_rows(g.rows, sigma) not in full_orbit:
+            if _relabel_rows(g.rows, sigma) not in full_orbit:
                 continue
             for p in part.parts:
                 image = {sigma[v] for v in p}

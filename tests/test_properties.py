@@ -1,7 +1,11 @@
-"""Property tests for the whole-row graph6 codec and graph validators.
+"""Property tests for the graph6 codec, the graph validators and the row primitives.
 
 The references below are the plain bit-by-bit and cell-by-cell loops the
 fast paths must agree with, down to the first offending pair an error names.
+The row-level relabelling and complementation that the orbit and census
+loops share are checked against their defining properties: relabelling
+inverts, canonical keys ignore labels, and lifted moves on the foliage
+representation follow complementation of the graph.
 """
 
 import random
@@ -11,8 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from lcfoliage.graph import Graph, WeightedGraph, build_graph
+from lcfoliage.canonical import canonical_graph, canonical_key
+from lcfoliage.foliage import foliage_representation, lifted_local_complement
+from lcfoliage.graph import (
+    Graph,
+    WeightedGraph,
+    _relabel_rows,
+    build_graph,
+    induced_subgraph,
+    local_complement,
+)
 from lcfoliage.graph6 import decode_graph6, encode_graph6
+
+
+@st.composite
+def graphs(draw, min_n=0, max_n=40):
+    """Any graph on ``min_n..max_n`` vertices, drawn as its upper-triangle bits."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    upper = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return build_graph(n, [pair for k, pair in enumerate(pairs) if (upper >> k) & 1])
 
 
 def reference_encode(g):
@@ -110,12 +132,8 @@ def test_graph6_roundtrip_across_size_headers(n, p, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_decode_inverts_encode_on_random_rows(data):
-    n = data.draw(st.integers(0, 40))
-    upper = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    g = build_graph(n, [pair for k, pair in enumerate(pairs) if (upper >> k) & 1])
+@given(graphs())
+def test_decode_inverts_encode_on_random_rows(g):
     assert decode_graph6(encode_graph6(g)) == g
 
 
@@ -215,3 +233,76 @@ def test_weighted_graph_names_the_first_bad_cell(data):
         with pytest.raises(ValueError) as exc:
             WeightedGraph(n, d, mat)
         assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize(
+    "d, weights, message",
+    [
+        (2, [(0, 0, 1), (0, 0, 0), (1,)], "weight row 2 has wrong length"),
+        (2, [(0, 1), ()], "weight row 1 has wrong length"),
+        (3, [(0, 1.5), (1.5, 0)], "weight at (0, 1) is not an integer"),
+        (3, [(0, 1.0), (1.0, 0)], "weight at (0, 1) is not an integer"),
+        (3, [(0, "1"), ("1", 0)], "weight at (0, 1) is not an integer"),
+    ],
+)
+def test_weighted_graph_rejects_short_rows_and_non_integer_weights(d, weights, message):
+    with pytest.raises(ValueError) as exc:
+        WeightedGraph(len(weights), d, weights)
+    assert str(exc.value) == message
+
+
+def test_weighted_from_edges_rejects_non_integer_weights():
+    with pytest.raises(ValueError, match="is not an integer"):
+        WeightedGraph.from_edges(2, 5, [(0, 1, 2.5)])
+
+
+# ---------------------------------------------------------------------------
+# row primitives
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_relabel_then_inverse_gives_back_the_rows(data):
+    g = data.draw(graphs(max_n=12))
+    perm = data.draw(st.permutations(range(g.n)))
+    inverse = [0] * g.n
+    for v, image in enumerate(perm):
+        inverse[image] = v
+    moved = Graph(g.n, _relabel_rows(g.rows, perm))  # validates the relabelled rows
+    assert sorted(moved.edges()) == sorted(
+        (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges()
+    )
+    assert _relabel_rows(moved.rows, inverse) == g.rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_ignores_relabelling(data):
+    g = data.draw(graphs(max_n=9))
+    perm = data.draw(st.permutations(range(g.n)))
+    moved = Graph._wrap(g.n, _relabel_rows(g.rows, perm))
+    assert canonical_key(moved) == canonical_key(g)
+    assert canonical_graph(moved) == canonical_graph(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lifted_moves_follow_local_complementation(data):
+    g = data.draw(graphs(min_n=1, max_n=10))
+    rep = foliage_representation(g)
+    for a in data.draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
+        rep = lifted_local_complement(rep, a)
+        g = local_complement(g, a)
+        assert rep == foliage_representation(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_induced_subgraph_matches_edge_reference(data):
+    g = data.draw(graphs(max_n=16))
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    label = {v: i for i, v in enumerate(v for v in range(g.n) if (mask >> v) & 1)}
+    expected = build_graph(
+        len(label), [(label[u], label[v]) for u, v in g.edges() if u in label and v in label]
+    )
+    assert induced_subgraph(g, mask) == expected
