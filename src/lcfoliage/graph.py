@@ -100,6 +100,8 @@ class Graph:
             raise ValueError("need one adjacency row per vertex")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
+            if isinstance(row, bool) or not isinstance(row, Integral):
+                raise ValueError(f"row {v} is not an integer")
             if row < 0 or row & ~full:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if (row >> v) & 1:
@@ -195,8 +197,20 @@ class WeightedGraph:
             raise ValueError(f"modulus {d} is not prime")
         if len(weights) != n:
             raise ValueError("need one weight row per vertex")
-        rows = tuple(map(tuple, weights))
-        cells = _byte_cells(rows, n, d)
+        rows = []
+        for v, row in enumerate(weights):
+            try:
+                rows.append(tuple(row))
+            except TypeError:
+                raise ValueError(f"weight row {v} is not a sequence") from None
+        rows = tuple(rows)
+        # a bool passes bytes() as 0 or 1; byte-string rows cannot hold one
+        has_bool = any(
+            bool in set(map(type, row))
+            for row, given in zip(rows, weights)
+            if not isinstance(given, (bytes, bytearray))
+        )
+        cells = None if has_bool else _byte_cells(rows, n, d)
         if cells is None:
             # weights that do not fit a byte, or bad input: the cell-by-cell
             # pass names the first offending cell in row-major order
@@ -204,7 +218,7 @@ class WeightedGraph:
                 if len(row) != n:
                     raise ValueError(f"weight row {v} has wrong length")
                 for w, x in enumerate(row):
-                    if not isinstance(x, Integral):
+                    if isinstance(x, bool) or not isinstance(x, Integral):
                         raise ValueError(f"weight at ({v}, {w}) is not an integer")
                     if not (0 <= x < d):
                         raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")

@@ -116,7 +116,9 @@ def decode_weighted(text: str) -> WeightedGraph:
         n = int(head[3])
     except ValueError as exc:
         raise ValueError(f"bad weighted header {lines[0]!r}") from exc
-    mat = [[0] * n for _ in range(n)]
+    # byte-string rows when every weight fits a byte: the graph then skips
+    # its per-cell type check
+    mat = [bytearray(n) if d <= 256 else [0] * n for _ in range(n)]
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:

@@ -2,8 +2,17 @@
 
 The labelled orbit of a graph is its closure under local complementation at
 every vertex.  Collapsing the orbit by graph isomorphism gives the LC class.
-Class censuses over all (connected) graphs of a given order are built by
-joining canonical isomorphism types along single complementation moves.
+
+A class census closes a set of seed isomorphism types under single
+complementation moves, breadth first over canonical keys, and joins every
+type to its move images in a union-find; the classes are its components.
+The connected census of order ``n`` is seeded from the connected classes of
+order ``n - 1`` (the Danielsen-Parker scheme): deleting a non-cut vertex
+``v`` of a connected graph leaves a connected graph, and complementing at a
+vertex other than ``v`` commutes with deleting ``v``, so every connected
+class contains a representative of an ``n - 1`` class with one new vertex
+joined to a nonempty set of its vertices.  The census over all graphs is
+seeded with every isomorphism type.
 """
 
 from __future__ import annotations
@@ -12,10 +21,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, permutations
 from math import factorial
 
-from .canonical import canonical_form, canonical_key
+from .canonical import canonical_form, canonical_graph, canonical_key
 from .foliage import FoliagePartition, foliage_partition, saturation
 from .graph import Graph, SizeGuardError, _lc_rows, _relabel_rows, connected_components
 
@@ -40,6 +50,8 @@ __all__ = [
 ]
 
 _ORBIT_GUARD = 16
+# labelled members an orbit BFS may hold; force does not lift this budget
+_ORBIT_MEMBERS = 1 << 20
 _CLASS_GUARD = 8
 
 
@@ -58,7 +70,9 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     """Breadth-first closure of ``g`` under single local complementations.
 
     ``class_size`` counts isomorphism types inside the orbit, which is the
-    size of the whole LC class of ``g``.
+    size of the whole LC class of ``g``.  Raises ``SizeGuardError`` for
+    ``n`` above the guard unless forced, and in any case once the orbit
+    passes ``_ORBIT_MEMBERS`` labelled members.
     """
     if g.n > _ORBIT_GUARD and not force:
         raise SizeGuardError(
@@ -78,6 +92,10 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
+                    if len(seen) > _ORBIT_MEMBERS:
+                        raise SizeGuardError(
+                            f"lc_orbit passed {_ORBIT_MEMBERS} labelled members"
+                        )
         frontier = nxt
     members = tuple(sorted(seen))
     types = {canonical_key(Graph._wrap(g.n, rows)) for rows in members}
@@ -90,11 +108,17 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
 _ATLAS: dict[int, list[Graph]] = {}
 
 
-def _extend_chunk(args: tuple[int, list[tuple[int, ...]]]) -> dict[bytes, tuple[int, ...]]:
+def _extend_chunk(
+    low: int, args: tuple[int, list[tuple[int, ...]]]
+) -> dict[bytes, tuple[int, ...]]:
+    """Canonical key -> canonical rows of each parent plus vertex ``n - 1``.
+
+    The new vertex is joined to every neighbourhood mask from ``low`` up.
+    """
     n, parents = args
     found: dict[bytes, tuple[int, ...]] = {}
     for rows in parents:
-        for mask in range(1 << (n - 1)):
+        for mask in range(low, 1 << (n - 1)):
             ext = tuple(
                 rows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (mask,)
@@ -124,6 +148,15 @@ def _pool_map(fn, n: int, items: list, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
+def _merged(parts: list[dict]) -> dict:
+    """The chunk dicts in order, earlier chunks winning on a shared key."""
+    found, *rest = parts
+    for part in rest:
+        for key, value in part.items():
+            found.setdefault(key, value)
+    return found
+
+
 def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> list[Graph]:
     """All isomorphism types of order ``n``, canonical, sorted by key.
 
@@ -137,10 +170,7 @@ def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> l
             _ATLAS[1] = [Graph._wrap(1, (0,))]
         else:
             parents = [g.rows for g in nonisomorphic_graphs(n - 1, workers=workers)]
-            found, *rest = _pool_map(_extend_chunk, n, parents, workers)
-            for part in rest:
-                for key, rows in part.items():
-                    found.setdefault(key, rows)
+            found = _merged(_pool_map(partial(_extend_chunk, 0), n, parents, workers))
             _ATLAS[n] = [Graph._wrap(n, found[k]) for k in sorted(found)]
     level = _ATLAS[n]
     if connected:
@@ -171,17 +201,21 @@ class ClassCensus:
 _CENSUS_CACHE: dict[tuple[int, bool], ClassCensus] = {}
 
 
-def _move_keys_chunk(args: tuple[int, list[tuple[int, ...]]]) -> list[list[bytes]]:
+def _moves_chunk(
+    args: tuple[int, list[tuple[int, ...]]]
+) -> list[dict[bytes, tuple[int, ...]]]:
+    """Per graph: canonical key -> rows of one image of each type a single move reaches."""
     n, graphs = args
     out = []
     for rows in graphs:
-        keys = []
+        images: dict[bytes, tuple[int, ...]] = {}
         for a in range(n):
             nb = rows[a]
             if nb & (nb - 1) == 0:
-                continue
-            keys.append(canonical_key(Graph._wrap(n, _lc_rows(rows, a))))
-        out.append(keys)
+                continue  # degree 0 or 1: complementation is the identity
+            image = _lc_rows(rows, a)
+            images.setdefault(canonical_key(Graph._wrap(n, image)), image)
+        out.append(images)
     return out
 
 
@@ -193,10 +227,15 @@ def lc_classes(
 ) -> ClassCensus:
     """Partition the isomorphism types of order ``n`` into LC classes.
 
-    Types are joined whenever one complementation move maps one to the
-    other; classes are the resulting connected components.  Moves never
-    change vertex count or connectivity, so the move graph stays inside the
-    enumerated set.
+    The seeds are every one-vertex extension (new vertex joined to a
+    nonempty neighbourhood) of the representatives of ``lc_classes(n - 1)``
+    for the connected census, and every isomorphism type otherwise.  A
+    level-synchronous BFS closes the seeds under single complementation
+    moves, joining each type to its images; every class then holds all of
+    its types.  A class is represented by its canonical graph of least key
+    and sized by its type count; classes are ordered by that key.  Censuses
+    are cached per process; seeds and BFS levels are spread over
+    ``workers`` processes.
     """
     if n > _CLASS_GUARD and not force:
         raise SizeGuardError(
@@ -205,11 +244,19 @@ def lc_classes(
     cached = _CENSUS_CACHE.get((n, connected_only))
     if cached is not None:
         return cached
-    graphs = nonisomorphic_graphs(n, connected=connected_only, workers=workers)
-    keys = [canonical_key(g) for g in graphs]
+    if connected_only and n > 1:
+        smaller = lc_classes(n - 1, force=force, workers=workers)
+        reps = [cls.representative.rows for cls in smaller.classes]
+        seeds = _merged(_pool_map(partial(_extend_chunk, 1), n, reps, workers))
+    else:
+        seeds = {
+            canonical_key(g): g.rows
+            for g in nonisomorphic_graphs(n, connected=connected_only, workers=workers)
+        }
+    keys = list(seeds)
+    rows_of = list(seeds.values())
     index = {k: i for i, k in enumerate(keys)}
-
-    parent = list(range(len(graphs)))
+    parent = list(range(len(keys)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -222,21 +269,34 @@ def lc_classes(
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    rows_list = [g.rows for g in graphs]
-    move_keys = chain.from_iterable(_pool_map(_move_keys_chunk, n, rows_list, workers))
-    for i, keys_i in enumerate(move_keys):
-        for k2 in keys_i:
-            union(i, index[k2])
+    frontier = list(range(len(keys)))
+    while frontier:
+        batch = [rows_of[i] for i in frontier]
+        images = chain.from_iterable(_pool_map(_moves_chunk, n, batch, workers))
+        nxt = []
+        for i, found in zip(frontier, images):
+            for key, rows in found.items():
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(keys)
+                    keys.append(key)
+                    rows_of.append(rows)
+                    parent.append(j)
+                    nxt.append(j)
+                union(i, j)
+        frontier = nxt
 
     groups: dict[int, list[int]] = {}
-    for i in range(len(graphs)):
+    for i in range(len(keys)):
         groups.setdefault(find(i), []).append(i)
-    classes = []
-    for root in sorted(groups, key=lambda r: keys[r]):
-        members = groups[root]
-        lead = min(members, key=lambda i: keys[i])
-        classes.append(LCClass(graphs[lead], len(members)))
-    census = ClassCensus(n, connected_only, tuple(classes))
+    leads = sorted(
+        (min(keys[i] for i in members), len(members)) for members in groups.values()
+    )
+    classes = tuple(
+        LCClass(canonical_graph(Graph._wrap(n, rows_of[index[key]])), size)
+        for key, size in leads
+    )
+    census = ClassCensus(n, connected_only, classes)
     _CENSUS_CACHE[(n, connected_only)] = census
     return census
 

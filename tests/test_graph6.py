@@ -83,6 +83,12 @@ def test_weighted_text_form():
     assert encode_weighted(g) == "d 3 n 4\n0 1 2\n1 2 1\n"
 
 
+def test_weighted_text_with_weights_past_a_byte():
+    g = decode_weighted("d 257 n 3\n0 1 256\n1 2 3\n")
+    assert g.weights == ((0, 256, 0), (256, 0, 3), (0, 3, 0))
+    assert g.supports == (0b010, 0b101, 0b010)
+
+
 def test_weighted_accepts_comments_and_blank_lines():
     g = decode_weighted("# a comment\nd 5 n 3\n\n0 2 4\n")
     assert g.edges() == [(0, 2, 4)]

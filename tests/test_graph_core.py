@@ -51,6 +51,21 @@ def test_graph_ctor_rejects_asymmetry_and_loops():
         Graph(2, (0b100, 0b01))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([0.0, 0.0], "row 0 is not an integer"),
+        ("ab", "row 0 is not an integer"),
+        ([0b10, True], "row 1 is not an integer"),
+        ([0b10, None], "row 1 is not an integer"),
+    ],
+)
+def test_graph_ctor_rejects_non_integer_rows(rows, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(2, rows)
+    assert str(exc.value) == message
+
+
 def test_iter_bits():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert list(iter_bits(0)) == []
@@ -111,6 +126,30 @@ def test_weighted_validation():
         WeightedGraph(1, 3, [[2]])  # loop
     with pytest.raises(ValueError):
         WeightedGraph(2, 3, [[0, 5], [5, 0]])  # weight out of range
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1, 2], "weight row 0 is not a sequence"),
+        ([[0, 1], None], "weight row 1 is not a sequence"),
+        ([[0, True], [True, 0]], "weight at (0, 1) is not an integer"),
+        ([[False, 1], [1, 0]], "weight at (0, 0) is not an integer"),
+        ([b"\x00\x01", [True, 0]], "weight at (1, 0) is not an integer"),
+    ],
+)
+def test_weighted_ctor_rejects_non_sequence_rows_and_bools(weights, message):
+    with pytest.raises(ValueError) as exc:
+        WeightedGraph(2, 3, weights)
+    assert str(exc.value) == message
+
+
+def test_weighted_ctor_takes_byte_string_rows():
+    g = WeightedGraph(3, 5, [b"\x00\x04\x00", bytearray(b"\x04\x00\x02"), [0, 2, 0]])
+    assert g.weights == ((0, 4, 0), (4, 0, 2), (0, 2, 0))
+    assert all(type(x) is int for row in g.weights for x in row)
+    assert g.supports == (0b010, 0b101, 0b010)
+    assert g == build_weighted_graph(3, 5, [(0, 1, 4), (1, 2, 2)])
 
 
 def test_qudit_star_example_d3():

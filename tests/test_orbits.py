@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,6 +8,7 @@ import pytest
 
 from conftest import random_graph
 from lcfoliage.canonical import canonical_key
+from lcfoliage.cli import main
 from lcfoliage.foliage import foliage_partition
 from lcfoliage.graph import Graph, SizeGuardError, _relabel_rows, build_graph, local_complement
 from lcfoliage.orbits import (
@@ -81,8 +84,41 @@ def test_orbit_guard():
         lc_orbit(build_graph(17, []))
 
 
+def test_orbit_member_budget(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    labeled = lc_orbit(cycle(5)).labeled_size
+    monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", labeled)
+    assert lc_orbit(cycle(5)).labeled_size == labeled
+    monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", labeled - 1)
+    with pytest.raises(SizeGuardError, match=f"passed {labeled - 1} labelled members"):
+        lc_orbit(cycle(5))
+    # force lifts the size guard on n, not the member budget
+    with pytest.raises(SizeGuardError):
+        lc_orbit(cycle(5), force=True)
+
+
+def test_orbit_member_budget_exits_3(monkeypatch, capsys):
+    import lcfoliage.orbits as orbits_mod
+
+    monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", 10)
+    assert main(["orbit", "--force", "--g6", "Dhc"]) == 3  # the 5-cycle
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lc_orbit passed 10 labelled members\n"
+
+
 # ---------------------------------------------------------------------------
 # enumeration
+
+def test_nonisomorphic_counts_match_the_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = Counter(g.number_of_nodes() for g in nx.graph_atlas_g())
+    assert [atlas[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] == [
+        atlas[n] for n in range(1, 8)
+    ]
+
 
 def test_nonisomorphic_counts():
     all_counts = [len(nonisomorphic_graphs(n)) for n in range(1, 8)]
@@ -143,6 +179,54 @@ def test_census_agrees_with_orbit_route():
                 assert seen == len(k)
 
 
+def union_find_census(n):
+    """(representative rows, size) per class: every connected type joined to its move images."""
+    types = nonisomorphic_graphs(n, connected=True)
+    keys = [canonical_key(g) for g in types]
+    index = {k: i for i, k in enumerate(keys)}
+    parent = list(range(len(types)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, g in enumerate(types):
+        for a in range(n):
+            j = index[canonical_key(local_complement(g, a))]
+            parent[find(i)] = find(j)
+    classes = {}
+    for i in range(len(types)):
+        classes.setdefault(find(i), []).append(i)
+    out = []
+    for members in classes.values():
+        lead = min(members, key=lambda i: keys[i])
+        out.append((keys[lead], types[lead].rows, len(members)))
+    return [(rows, size) for _, rows, size in sorted(out)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_matches_union_find_over_all_types(n):
+    census = lc_classes(n)
+    assert [(c.representative.rows, c.size) for c in census.classes] == union_find_census(n)
+
+
+def euler_transform(a):
+    """b[n] counts multisets of items of sizes summing to n, with a[k] kinds of size k."""
+    c = [0] + [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, len(a))]
+    b = [1]
+    for n in range(1, len(a)):
+        b.append(sum(c[k] * b[n - k] for k in range(1, n + 1)) // n)
+    return b
+
+
+def test_all_graph_class_counts_are_the_euler_transform_of_connected_counts():
+    connected = [0] + [lc_classes(n).count for n in range(1, 8)]
+    expected = euler_transform(connected)[1:]
+    assert expected == [1, 2, 3, 6, 11, 26, 59]
+    assert [lc_classes(n, connected_only=False).count for n in range(1, 8)] == expected
+
+
 def test_census_guard():
     with pytest.raises(SizeGuardError):
         lc_classes(9)
@@ -190,8 +274,11 @@ def test_both_pools_start_at_most_cpu_count_workers(monkeypatch):
     monkeypatch.setattr(orbits_mod, "_ATLAS", {})
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
     assert lc_classes(5, workers=10**6) == expected
-    # one pool per enumerated level from n = 4 up (n = 3 has too few
-    # parents to split), then one for the move keys
+    assert started and all(w <= 3 for w in started)
+    # one pool per BFS level of at least three types: the first n = 4 level
+    # (5 seeds) and the first two n = 5 levels (14 seeds, then 6 new
+    # types); the seed steps extend one or two representatives, too few
+    # to split
     assert started == [3, 3, 3]
 
 
@@ -438,3 +525,38 @@ def test_graph_for_partition_all_profiles_up_to_nine():
                 continue
             g = graph_for_partition(sizes)
             assert tuple(sorted(foliage_partition(g).sizes())) == sizes
+
+
+# ---------------------------------------------------------------------------
+# frozen census output, taken from the census that enumerated every
+# isomorphism type of the order before joining them along moves
+
+N8_REPS_SHA256 = "9a9558fe0a75fca6cb8daeba1bdb91dca76e562754677e42a59216a961d36da7"
+N8_SIZES = [2, 6, 6, 16, 4, 16, 10, 10, 16, 10, 44, 21, 10, 16, 10, 10, 25, 44, 66, 44, 44, 44, 26, 28, 44, 26, 120, 132, 114, 56, 57, 9, 26, 14, 66, 72, 198, 66, 72, 6, 10, 14, 25, 28, 10, 17, 7, 120, 72, 72, 76, 72, 28, 66, 66, 63, 56, 176, 114, 172, 194, 372, 352, 36, 39, 103, 70, 66, 37, 87, 46, 542, 264, 170, 542, 154, 300, 74, 340, 542, 156, 174, 46, 24, 46, 262, 254, 117, 476, 214, 802, 433, 208, 298, 28, 267, 4, 28, 7, 51, 22]
+N7_CSV_SHA256 = "f92efd7dc0375c2bd56b55d3d6e7567cac2e29449c4704f92d24c4744c0282c9"
+N7_STATS_SHA256 = "5c0ee4e7fec7548457aa10287ee7ffb1a906cc400b84d569868259f131928f08"
+N6_ALL_REPS_SHA256 = "5a118355ff01f6a316575be2e544d5d46dbb309fe3ca9dcd49a280ccd6e53f8e"
+
+
+def cli_sha256(capsys, *argv):
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+
+
+def test_census_all_graphs_n6_reps_frozen(capsys):
+    assert cli_sha256(capsys, "classes", "--n", "6", "--all", "--reps", "-") == N6_ALL_REPS_SHA256
+
+
+@pytest.mark.slow
+def test_census_n8_frozen(capsys):
+    assert cli_sha256(capsys, "classes", "--n", "8", "--reps", "-") == N8_REPS_SHA256
+    assert main(["classes", "--n", "8"]) == 0
+    assert capsys.readouterr().out == "101\n"
+    assert [c.size for c in lc_classes(8).classes] == N8_SIZES
+    assert sum(N8_SIZES) == 11117  # connected graphs on 8 vertices, OEIS A001349
+
+
+@pytest.mark.slow
+def test_census_n7_tables_frozen(capsys):
+    assert cli_sha256(capsys, "classes", "--n", "7", "--csv") == N7_CSV_SHA256
+    assert cli_sha256(capsys, "stats", "--n", "7", "--csv") == N7_STATS_SHA256
