@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -104,15 +105,24 @@ def e_matrix(rep: FoliageRepresentation) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=1)
+def _part_matrix(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """E-matrix rows and part masks of ``g``, kept for the last graph asked about."""
+    rep = foliage_representation(g)
+    return e_matrix(rep), rep.partition.masks  # e_matrix raises if g is not in normal form
+
+
 def entropy_via_foliage(g: Graph, subset: int) -> int:
-    """Entropy from the part-indexed matrix; requires ``g`` in normal form."""
+    """Entropy from the part-indexed matrix; requires ``g`` in normal form.
+
+    The matrix of the last graph is kept, so a run of cuts of one graph
+    builds its foliage representation once.
+    """
     full = (1 << g.n) - 1
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")
-    rep = foliage_representation(g)
-    em = e_matrix(rep)  # raises if g is not in normal form
+    em, masks = _part_matrix(g)
     comp = full & ~subset
-    masks = rep.partition.masks
     col_parts = mask_of(i for i, m in enumerate(masks) if m & comp)
     return rank_of_rows(em[i] & col_parts for i, m in enumerate(masks) if m & subset)
 

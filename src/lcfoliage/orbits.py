@@ -19,15 +19,25 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 
 from .canonical import canonical_form, canonical_graph, canonical_key
+from .entanglement import entropy
 from .foliage import FoliagePartition, foliage_partition, saturation
-from .graph import Graph, SizeGuardError, _lc_rows, _relabel_rows, connected_components
+from .graph import (
+    Graph,
+    SizeGuardError,
+    _lc_rows,
+    _relabel_rows,
+    connected_components,
+    iter_bits,
+    mask_of,
+)
 
 __all__ = [
     "OrbitReport",
@@ -66,18 +76,12 @@ class OrbitReport:
         return [Graph._wrap(self.representative.n, rows) for rows in self.members]
 
 
-def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
-    """Breadth-first closure of ``g`` under single local complementations.
+def _orbit_members(g: Graph) -> set[tuple[int, ...]]:
+    """Rows of every labelled graph reachable from ``g`` by local complementations.
 
-    ``class_size`` counts isomorphism types inside the orbit, which is the
-    size of the whole LC class of ``g``.  Raises ``SizeGuardError`` for
-    ``n`` above the guard unless forced, and in any case once the orbit
-    passes ``_ORBIT_MEMBERS`` labelled members.
+    Breadth first; raises ``SizeGuardError`` once the orbit passes
+    ``_ORBIT_MEMBERS`` labelled members.
     """
-    if g.n > _ORBIT_GUARD and not force:
-        raise SizeGuardError(
-            f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
-        )
     start = g.rows
     seen = {start}
     frontier = [start]
@@ -97,7 +101,22 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
                             f"lc_orbit passed {_ORBIT_MEMBERS} labelled members"
                         )
         frontier = nxt
-    members = tuple(sorted(seen))
+    return seen
+
+
+def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
+    """Breadth-first closure of ``g`` under single local complementations.
+
+    ``class_size`` counts isomorphism types inside the orbit, which is the
+    size of the whole LC class of ``g``.  Raises ``SizeGuardError`` for
+    ``n`` above the guard unless forced, and in any case once the orbit
+    passes ``_ORBIT_MEMBERS`` labelled members.
+    """
+    if g.n > _ORBIT_GUARD and not force:
+        raise SizeGuardError(
+            f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
+        )
+    members = tuple(sorted(_orbit_members(g)))
     types = {canonical_key(Graph._wrap(g.n, rows)) for rows in members}
     return OrbitReport(g, len(members), len(types), members)
 
@@ -133,19 +152,39 @@ def _pool_size(workers: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1))
 
 
-def _pool_map(fn, n: int, items: list, workers: int) -> list:
-    """``fn((n, chunk))`` for consecutive chunks of ``items``, results in chunk order.
+class _Pool:
+    """One process pool of ``_pool_size(workers)`` processes, started on first need.
 
-    The chunks go to a process pool of ``_pool_size(workers)`` processes when
-    there are at least that many items, else ``items`` is one chunk run here.
+    A top-level census or enumeration and all of its recursive levels share
+    one ``_Pool``; leaving its ``with`` block shuts the processes down.
     """
-    workers = _pool_size(workers)
-    if workers == 1 or len(items) < workers:
-        return [fn((n, items))]
-    chunk = (len(items) + workers - 1) // workers
-    jobs = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+
+    def __init__(self, workers: int):
+        self.size = _pool_size(workers)
+        self._stack = ExitStack()
+        self._executor = None
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stack.close()
+
+    def map(self, fn, n: int, items: list) -> list:
+        """``fn((n, chunk))`` for consecutive chunks of ``items``, results in chunk order.
+
+        The chunks go to the processes when there are at least as many items
+        as processes, else ``items`` is one chunk run here.
+        """
+        if self.size == 1 or len(items) < self.size:
+            return [fn((n, items))]
+        if self._executor is None:
+            self._executor = self._stack.enter_context(
+                ProcessPoolExecutor(max_workers=self.size)
+            )
+        chunk = (len(items) + self.size - 1) // self.size
+        jobs = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
+        return list(self._executor.map(fn, jobs))
 
 
 def _merged(parts: list[dict]) -> dict:
@@ -165,12 +204,17 @@ def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> l
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    with _Pool(workers) as pool:
+        return _types(n, connected, pool)
+
+
+def _types(n: int, connected: bool, pool: _Pool) -> list[Graph]:
     if n not in _ATLAS:
         if n == 1:
             _ATLAS[1] = [Graph._wrap(1, (0,))]
         else:
-            parents = [g.rows for g in nonisomorphic_graphs(n - 1, workers=workers)]
-            found = _merged(_pool_map(partial(_extend_chunk, 0), n, parents, workers))
+            parents = [g.rows for g in _types(n - 1, False, pool)]
+            found = _merged(pool.map(partial(_extend_chunk, 0), n, parents))
             _ATLAS[n] = [Graph._wrap(n, found[k]) for k in sorted(found)]
     level = _ATLAS[n]
     if connected:
@@ -235,24 +279,26 @@ def lc_classes(
     its types.  A class is represented by its canonical graph of least key
     and sized by its type count; classes are ordered by that key.  Censuses
     are cached per process; seeds and BFS levels are spread over
-    ``workers`` processes.
+    ``workers`` processes, one pool for the whole call.
     """
     if n > _CLASS_GUARD and not force:
         raise SizeGuardError(
             f"lc_classes is limited to n <= {_CLASS_GUARD} (force to override)"
         )
+    with _Pool(workers) as pool:
+        return _census(n, connected_only, pool)
+
+
+def _census(n: int, connected_only: bool, pool: _Pool) -> ClassCensus:
     cached = _CENSUS_CACHE.get((n, connected_only))
     if cached is not None:
         return cached
     if connected_only and n > 1:
-        smaller = lc_classes(n - 1, force=force, workers=workers)
+        smaller = _census(n - 1, True, pool)
         reps = [cls.representative.rows for cls in smaller.classes]
-        seeds = _merged(_pool_map(partial(_extend_chunk, 1), n, reps, workers))
+        seeds = _merged(pool.map(partial(_extend_chunk, 1), n, reps))
     else:
-        seeds = {
-            canonical_key(g): g.rows
-            for g in nonisomorphic_graphs(n, connected=connected_only, workers=workers)
-        }
+        seeds = {canonical_key(g): g.rows for g in _types(n, connected_only, pool)}
     keys = list(seeds)
     rows_of = list(seeds.values())
     index = {k: i for i, k in enumerate(keys)}
@@ -272,7 +318,7 @@ def lc_classes(
     frontier = list(range(len(keys)))
     while frontier:
         batch = [rows_of[i] for i in frontier]
-        images = chain.from_iterable(_pool_map(_moves_chunk, n, batch, workers))
+        images = chain.from_iterable(pool.map(_moves_chunk, n, batch))
         nxt = []
         for i, found in zip(frontier, images):
             for key, rows in found.items():
@@ -341,32 +387,122 @@ def _greedy_generators(elements: list[tuple[int, ...]], n: int) -> list[tuple[in
     return gens
 
 
+def _lc_automorphisms(g: Graph, members: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every permutation ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``members``.
+
+    Cut rank (the entropy of a vertex set) is invariant under local
+    complementation, so an LC automorphism maps every pair and every triple
+    of vertices onto a set of the same cut rank.  A depth-first search
+    assigns ``sigma[0], sigma[1], ...`` in increasing order, which yields
+    the permutations in lexicographic order, and drops a prefix as soon as
+    an assigned pair or triple has an image of another cut rank.  A check
+    on which every pair (or every triple) agrees cannot prune and is
+    skipped; with neither check left every permutation is a candidate.
+    Only complete candidates are relabelled and looked up.
+    """
+    n = g.n
+    rank = {
+        m: entropy(g, m)
+        for size in (2, 3)
+        for m in map(mask_of, combinations(range(n), size))
+    }
+    check_pairs = len({rank[m] for m in rank if m.bit_count() == 2}) > 1
+    check_triples = len({rank[m] for m in rank if m.bit_count() == 3}) > 1
+    rows = g.rows
+    relabel = _relabel_rows
+    if not (check_pairs or check_triples):
+        return [p for p in permutations(range(n)) if relabel(rows, p) in members]
+    # per position k, the cut ranks of {j, k} for j < k and of {i, j, k}
+    # for i < j < k, pairs (i, j) ordered by j and then i
+    pair_want = [
+        [rank[1 << j | 1 << k] for j in range(k)] if check_pairs else []
+        for k in range(n)
+    ]
+    triple_want = [
+        [rank[1 << i | 1 << j | 1 << k] for j in range(k) for i in range(j)]
+        if check_triples
+        else []
+        for k in range(n)
+    ]
+    sigma = [0] * n
+    bits = [0] * n  # 1 << sigma[j]
+    pair_bits = [0] * (n * (n - 1) // 2)  # images of the pairs, in triple_want order
+    found: list[tuple[int, ...]] = []
+
+    def extend(k: int, free: int) -> None:
+        if k == n:
+            if relabel(rows, sigma) in members:
+                found.append(tuple(sigma))
+            return
+        pairs, triples = pair_want[k], triple_want[k]
+        start = k * (k - 1) // 2
+        for x in iter_bits(free):
+            bx = 1 << x
+            for b, want in zip(bits, pairs):
+                if rank[b | bx] != want:
+                    break
+            else:
+                for m, want in zip(pair_bits, triples):
+                    if rank[m | bx] != want:
+                        break
+                else:
+                    sigma[k] = x
+                    bits[k] = bx
+                    if check_triples:
+                        for j in range(k):
+                            pair_bits[start + j] = bits[j] | bx
+                    extend(k + 1, free ^ bx)
+
+    extend(0, (1 << n) - 1)
+    return found
+
+
+def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> int:
+    """Orbits of the group generated by ``gens`` on ``members`` (relabelled rows)."""
+    left = set(members)
+    count = 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            rows = stack.pop()
+            for sigma in gens:
+                image = _relabel_rows(rows, sigma)
+                if image in left:
+                    left.remove(image)
+                    stack.append(image)
+    return count
+
+
 def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     """Permutations whose relabelling of ``g`` stays inside its LC orbit.
 
-    Brute force over all n! permutations, so kept to small orders.
+    The labelled orbit is enumerated once.  Candidate permutations come
+    from a backtracking search that keeps the cut rank of every vertex pair
+    and triple, and each survivor is checked against the orbit.  Two orbit
+    members are isomorphic exactly when an LC automorphism maps one onto
+    the other, so ``class_size`` is the number of orbits of the group on the
+    members.  Kept to small orders: the orbit and the search both grow
+    quickly with ``n``.
     """
     if g.n > _CLASS_GUARD and not force:
         raise SizeGuardError(
             f"lc_automorphism_group is limited to n <= {_CLASS_GUARD} (force to override)"
         )
-    orbit = lc_orbit(g, force=force)
-    member_set = set(orbit.members)
-    auts = [
-        sigma
-        for sigma in permutations(range(g.n))
-        if _relabel_rows(g.rows, sigma) in member_set
-    ]
+    members = _orbit_members(g)
+    auts = _lc_automorphisms(g, members)
+    gens = _greedy_generators(auts, g.n)
+    class_size = _orbit_count(members, gens)
     part = foliage_partition(g)
     lower, upper = aut_bounds(part)
     return AutReport(
         order=len(auts),
-        generators=tuple(_greedy_generators(auts, g.n)),
+        generators=tuple(gens),
         aut_in_order=lower,
         aut_out_upper_order=upper // lower,
-        labeled_size=orbit.labeled_size,
-        class_size=orbit.class_size,
-        interplay=Fraction(len(auts) * orbit.class_size, orbit.labeled_size),
+        labeled_size=len(members),
+        class_size=class_size,
+        interplay=Fraction(len(auts) * class_size, len(members)),
     )
 
 

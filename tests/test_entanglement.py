@@ -21,7 +21,7 @@ from lcfoliage.graph import (
     qudit_scale,
     qudit_star,
 )
-from lcfoliage.orbits import nonisomorphic_graphs
+from lcfoliage.orbits import graph_for_partition, nonisomorphic_graphs
 
 
 def complete(n):
@@ -116,6 +116,28 @@ def test_e_matrix_requires_normal_form():
         e_matrix(foliage_representation(p4))
     with pytest.raises(ValueError):
         entropy_via_foliage(p4, 0b0011)
+
+
+def test_entropy_via_foliage_raises_on_every_call():
+    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            entropy_via_foliage(p4, 0b0011)
+    assert entropy_via_foliage(normal_form(p4), 0b0011) == 1
+    with pytest.raises(ValueError):
+        entropy_via_foliage(p4, 0b0011)
+
+
+def test_entropy_via_foliage_on_alternating_graphs():
+    # the kept matrix belongs to one graph: asking about two graphs of the
+    # same order in turn must not answer for the other one
+    rng = random.Random(12)
+    graphs = [normal_form(graph_for_partition(sizes)) for sizes in ((2, 3, 3), (1, 3, 4))]
+    graphs += [normal_form(random_graph(8, p, rng)) for p in (0.2, 0.5, 0.8)]
+    for g, h in zip(graphs, graphs[1:]):
+        for mask in range(1 << 8):
+            assert entropy_via_foliage(g, mask) == entropy(g, mask)
+            assert entropy_via_foliage(h, mask) == entropy(h, mask)
 
 
 def test_entropy_via_foliage_matches_direct_exhaustively():

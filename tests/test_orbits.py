@@ -10,7 +10,14 @@ from conftest import random_graph
 from lcfoliage.canonical import canonical_key
 from lcfoliage.cli import main
 from lcfoliage.foliage import foliage_partition
-from lcfoliage.graph import Graph, SizeGuardError, _relabel_rows, build_graph, local_complement
+from lcfoliage.graph import (
+    Graph,
+    SizeGuardError,
+    _relabel_rows,
+    build_graph,
+    connected_components,
+    local_complement,
+)
 from lcfoliage.orbits import (
     aut_bounds,
     aut_in_group,
@@ -275,11 +282,41 @@ def test_both_pools_start_at_most_cpu_count_workers(monkeypatch):
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
     assert lc_classes(5, workers=10**6) == expected
     assert started and all(w <= 3 for w in started)
-    # one pool per BFS level of at least three types: the first n = 4 level
-    # (5 seeds) and the first two n = 5 levels (14 seeds, then 6 new
-    # types); the seed steps extend one or two representatives, too few
-    # to split
-    assert started == [3, 3, 3]
+    # one pool for the whole call, started by the first level of at least
+    # three types (the 5 seeds at n = 4) and reused by every later level
+    assert started == [3]
+
+
+def test_one_pool_per_call_and_none_when_serial(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    expected_types = [g.rows for g in nonisomorphic_graphs(6)]
+    expected = lc_classes(6)
+    monkeypatch.setattr(orbits_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
+    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
+    assert lc_classes(6, workers=1) == expected
+    assert started == []
+    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
+    # levels 4, 5 and 6 each split their parents over the processes
+    assert [g.rows for g in nonisomorphic_graphs(6, workers=3)] == expected_types
+    assert started == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +416,132 @@ def test_part_permutations_preserve_sizes():
                 target = part.parts[part.part_of(sigma[p[0]])]
                 assert image == set(target)
                 assert len(image) == len(p)
+
+
+# An oracle for the automorphism search that shares no code with orbits.py:
+# its own complementation, relabelling, orbit BFS, n! scan and generator
+# selection (the first permutation, in lexicographic order, outside the
+# group generated so far).
+
+def oracle_relabel(n, rows, perm):
+    out = [0] * n
+    for v in range(n):
+        for w in range(n):
+            if rows[v] >> w & 1:
+                out[perm[v]] |= 1 << perm[w]
+    return tuple(out)
+
+
+def oracle_orbit(n, rows):
+    seen = {tuple(rows)}
+    todo = [tuple(rows)]
+    while todo:
+        cur = todo.pop()
+        for a in range(n):
+            nbrs = [v for v in range(n) if cur[a] >> v & 1]
+            out = list(cur)
+            for v in nbrs:
+                for w in nbrs:
+                    if v != w:
+                        out[v] ^= 1 << w
+            image = tuple(out)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def oracle_group(n, gens):
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for q in gens:
+            r = tuple(q[p[v]] for v in range(n))
+            if r not in group:
+                group.add(r)
+                todo.append(r)
+    return group
+
+
+def oracle_automorphisms(g):
+    """(order, generators) by scanning all n! relabellings against the orbit."""
+    orbit = oracle_orbit(g.n, g.rows)
+    auts = [p for p in permutations(range(g.n)) if oracle_relabel(g.n, g.rows, p) in orbit]
+    gens = []
+    group = {tuple(range(g.n))}
+    for p in auts:
+        if p not in group:
+            gens.append(p)
+            group = oracle_group(g.n, gens)
+    return len(auts), tuple(gens)
+
+
+def random_split_graph(n, rng):
+    """A random graph on two vertex blocks with no edge between them, relabelled."""
+    k = rng.randrange(1, n)
+    a, b = random_graph(k, 0.6, rng), random_graph(n - k, 0.6, rng)
+    rows = list(a.rows) + [row << k for row in b.rows]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, oracle_relabel(n, rows, perm))
+
+
+def oracle_cases():
+    rng = random.Random(2305)
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield f"type{n}", Graph(n, oracle_relabel(n, g.rows, perm))
+    for n, count in ((7, 6), (8, 4)):
+        for i in range(count):
+            g = random_graph(n, 0.5, rng)
+            while len(connected_components(g)) != 1:
+                g = random_graph(n, 0.5, rng)
+            yield f"connected{n}", g
+            yield f"split{n}", random_split_graph(n, rng)
+
+
+def test_aut_search_matches_the_full_scan_oracle():
+    for label, g in oracle_cases():
+        rep = lc_automorphism_group(g)
+        assert (rep.order, rep.generators) == oracle_automorphisms(g), (label, g.rows)
+        assert rep.class_size == lc_orbit(g).class_size, (label, g.rows)
+        assert rep.labeled_size == len(oracle_orbit(g.n, g.rows))
+        # every automorphism maps each foliage part onto a part of the same
+        # size, so Aut_in <= Aut <= Aut_out
+        part = foliage_partition(g)
+        parts = {frozenset(p) for p in part.parts}
+        for sigma in oracle_group(g.n, rep.generators):
+            for p in part.parts:
+                assert frozenset(sigma[v] for v in p) in parts, (label, g.rows, sigma)
+        assert rep.aut_in_order <= rep.order <= rep.aut_in_order * rep.aut_out_upper_order
+
+
+def test_aut_search_checks_few_candidates(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    checks = []
+
+    class CountingSet(set):
+        def __contains__(self, rows):
+            checks.append(rows)
+            return super().__contains__(rows)
+
+    members = orbits_mod._orbit_members
+    monkeypatch.setattr(orbits_mod, "_orbit_members", lambda g: CountingSet(members(g)))
+    rng = random.Random(88)
+    for g in [cycle(8)] + [random_graph(8, 0.5, rng) for _ in range(20)]:
+        checks.clear()
+        rep = lc_automorphism_group(g)
+        assert rep.order <= len(checks) <= 16 * rep.order, g.rows
+        assert len(checks) <= 1000, g.rows  # 8! = 40320
+    # pairs and triples of one cut rank each: nothing prunes, the group is S_8
+    for g in (complete(8), star(8), build_graph(8, [])):
+        checks.clear()
+        assert lc_automorphism_group(g).order == 40320
+        assert len(checks) == 40320
 
 
 def test_aut_guard():
