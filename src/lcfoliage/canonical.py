@@ -14,7 +14,9 @@ from .graph import Graph, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
 
-# cache keyed by (n, rows); graphs handled here are small, so unbounded is fine
+# cache keyed by (n, rows) for direct callers of canonical_form, whose graphs
+# are few and small, so unbounded is fine; the class census calls _search
+# itself and leaves this cache alone
 _cache: dict[tuple[int, tuple[int, ...]], tuple[bytes, tuple[int, ...]]] = {}
 
 # keep at most this many discovered automorphisms per search; pruning with a
@@ -31,8 +33,8 @@ def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     ck = (g.n, g.rows)
     hit = _cache.get(ck)
     if hit is None:
-        hit = _search(g.n, g.rows)
-        _cache[ck] = hit
+        key, perm, _ = _search(g.n, g.rows)
+        hit = _cache[ck] = (key, perm)
     return hit
 
 
@@ -50,9 +52,17 @@ def _pack(n: int, bits: int) -> bytes:
     return n.to_bytes(4, "big") + bits.to_bytes(nbytes, "big")
 
 
-def _search(n: int, rows: tuple[int, ...]) -> tuple[bytes, tuple[int, ...]]:
+def _search(
+    n: int, rows: tuple[int, ...]
+) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+    """``(key, perm, auts)``: the canonical form and the automorphisms of ``rows`` found on the way.
+
+    ``auts`` holds at most ``_MAX_AUTS`` automorphisms (``auts[k][v]`` is the
+    image of vertex ``v``); they generate a subgroup of the automorphism
+    group, often all of it.
+    """
     if n == 0:
-        return _pack(0, 0), ()
+        return _pack(0, 0), (), []
 
     best_bits: list[int | None] = [None]
     best_perm: list[tuple[int, ...]] = [()]
@@ -141,4 +151,4 @@ def _search(n: int, rows: tuple[int, ...]) -> tuple[bytes, tuple[int, ...]]:
 
     descend([(1 << n) - 1], ())
     assert best_bits[0] is not None
-    return _pack(n, best_bits[0]), best_perm[0]
+    return _pack(n, best_bits[0]), best_perm[0], auts

@@ -13,12 +13,22 @@ vertex other than ``v`` commutes with deleting ``v``, so every connected
 class contains a representative of an ``n - 1`` class with one new vertex
 joined to a nonempty set of its vertices.  The census over all graphs is
 seeded with every isomorphism type.
+
+Each type is kept as its canonical rows, with the orbits of the
+automorphisms its canonical search found and a mark on every vertex whose
+move is known to lead to a type already joined to it.  A type moves only
+at the least vertex of each orbit without a mark: an automorphism carries
+one move onto an isomorphic image, and the move at ``a`` that reaches a
+type from type ``i`` is undone by the move at the canonical label of ``a``,
+which leads back to ``i``.  So each edge of the graph of types is crossed
+about once instead of from both ends and once per vertex.  The census runs
+the canonical search itself and leaves the cache of ``canonical_form``
+alone.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +36,8 @@ from functools import partial
 from itertools import chain, combinations, permutations
 from math import factorial
 
-from .canonical import canonical_form, canonical_graph, canonical_key
+from . import canonical
+from .canonical import canonical_key
 from .entanglement import entropy
 from .foliage import FoliagePartition, foliage_partition, saturation
 from .graph import (
@@ -127,23 +138,30 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
 _ATLAS: dict[int, list[Graph]] = {}
 
 
+# what a canonical search leaves of a graph: its rows, its canonical
+# labelling and the automorphisms found on the way
+_Searched = tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]
+
+
 def _extend_chunk(
     low: int, args: tuple[int, list[tuple[int, ...]]]
-) -> dict[bytes, tuple[int, ...]]:
-    """Canonical key -> canonical rows of each parent plus vertex ``n - 1``.
+) -> dict[bytes, _Searched]:
+    """Canonical key -> the first searched extension of that type.
 
-    The new vertex is joined to every neighbourhood mask from ``low`` up.
+    Each parent gets a new vertex ``n - 1`` joined to every neighbourhood
+    mask from ``low`` up.
     """
     n, parents = args
-    found: dict[bytes, tuple[int, ...]] = {}
+    search = canonical._search
+    found: dict[bytes, _Searched] = {}
     for rows in parents:
         for mask in range(low, 1 << (n - 1)):
             ext = tuple(
                 rows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (mask,)
-            key, perm = canonical_form(Graph._wrap(n, ext))
+            key, perm, auts = search(n, ext)
             if key not in found:
-                found[key] = _relabel_rows(ext, perm)
+                found[key] = (ext, perm, auts)
     return found
 
 
@@ -179,6 +197,10 @@ class _Pool:
         if self.size == 1 or len(items) < self.size:
             return [fn((n, items))]
         if self._executor is None:
+            # imported here: it pulls in multiprocessing, which serial
+            # callers never need
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = self._stack.enter_context(
                 ProcessPoolExecutor(max_workers=self.size)
             )
@@ -215,7 +237,9 @@ def _types(n: int, connected: bool, pool: _Pool) -> list[Graph]:
         else:
             parents = [g.rows for g in _types(n - 1, False, pool)]
             found = _merged(pool.map(partial(_extend_chunk, 0), n, parents))
-            _ATLAS[n] = [Graph._wrap(n, found[k]) for k in sorted(found)]
+            _ATLAS[n] = [
+                Graph._wrap(n, _relabel_rows(*found[k][:2])) for k in sorted(found)
+            ]
     level = _ATLAS[n]
     if connected:
         return [g for g in level if len(connected_components(g)) == 1]
@@ -245,22 +269,71 @@ class ClassCensus:
 _CENSUS_CACHE: dict[tuple[int, bool], ClassCensus] = {}
 
 
+def _orbit_masks(
+    n: int, perm: tuple[int, ...], auts: list[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Orbits of the group that ``auts`` generate, as masks of canonical labels.
+
+    ``auts`` are automorphisms of a graph whose canonical labelling is ``perm``.
+    """
+    masks = []
+    left = (1 << n) - 1
+    while left:
+        orbit = left & -left
+        stack = [orbit.bit_length() - 1]
+        while stack:
+            x = stack.pop()
+            for a in auts:
+                y = a[x]
+                if not orbit >> y & 1:
+                    orbit |= 1 << y
+                    stack.append(y)
+        left ^= orbit
+        masks.append(mask_of(perm[v] for v in iter_bits(orbit)))
+    return tuple(masks)
+
+
 def _moves_chunk(
-    args: tuple[int, list[tuple[int, ...]]]
-) -> list[dict[bytes, tuple[int, ...]]]:
-    """Per graph: canonical key -> rows of one image of each type a single move reaches."""
-    n, graphs = args
-    out = []
-    for rows in graphs:
-        images: dict[bytes, tuple[int, ...]] = {}
-        for a in range(n):
+    args: tuple[int, list[tuple[bytes, tuple[int, ...], tuple[int, ...], int]]]
+) -> tuple[list[list[tuple[bytes, int]]], dict[bytes, _Searched]]:
+    """Move each type once per automorphism orbit that may still reach a new edge.
+
+    A type comes as ``(key, canonical rows, orbit masks, marks)``; a marked
+    vertex's move is known to lead to a type already joined to it, and so
+    does every move in its orbit.  Each other orbit of a vertex of degree at
+    least two is moved at its least vertex and the image searched.  Returns,
+    per type, ``(key, back)`` for every move, where the move at ``back`` on
+    the canonical rows of ``key`` leads back to the type, and the searched
+    image of every key first reached here that is not in the chunk.  The
+    marks found for types of the chunk count at once, for later types and
+    for later orbits of the same type.
+    """
+    n, types = args
+    search = canonical._search
+    where = {key: t for t, (key, _, _, _) in enumerate(types)}
+    marks = [mark for _, _, _, mark in types]
+    moves = []
+    reached: dict[bytes, _Searched] = {}
+    for t, (_, rows, orbits, _) in enumerate(types):
+        out = []
+        for orbit in orbits:
+            if orbit & marks[t]:
+                continue
+            a = (orbit & -orbit).bit_length() - 1
             nb = rows[a]
             if nb & (nb - 1) == 0:
                 continue  # degree 0 or 1: complementation is the identity
             image = _lc_rows(rows, a)
-            images.setdefault(canonical_key(Graph._wrap(n, image)), image)
-        out.append(images)
-    return out
+            key, perm, auts = search(n, image)
+            back = perm[a]
+            s = where.get(key)
+            if s is not None:
+                marks[s] |= 1 << back
+            elif key not in reached:
+                reached[key] = (image, perm, auts)
+            out.append((key, back))
+        moves.append(out)
+    return moves, reached
 
 
 def lc_classes(
@@ -276,10 +349,13 @@ def lc_classes(
     for the connected census, and every isomorphism type otherwise.  A
     level-synchronous BFS closes the seeds under single complementation
     moves, joining each type to its images; every class then holds all of
-    its types.  A class is represented by its canonical graph of least key
-    and sized by its type count; classes are ordered by that key.  Censuses
-    are cached per process; seeds and BFS levels are spread over
-    ``workers`` processes, one pool for the whole call.
+    its types.  A type is moved once per orbit of its automorphisms, and not
+    at a vertex whose move leads back to a type it is already joined to.
+    A class is represented by its canonical graph of least key and sized by
+    its type count; classes are ordered by that key.  Censuses are cached
+    per process; seeds and BFS levels are spread over ``workers``
+    processes, one pool for the whole call, and each process's chunk of a
+    level shares its marks only within that chunk.
     """
     if n > _CLASS_GUARD and not force:
         raise SizeGuardError(
@@ -298,11 +374,25 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> ClassCensus:
         reps = [cls.representative.rows for cls in smaller.classes]
         seeds = _merged(pool.map(partial(_extend_chunk, 1), n, reps))
     else:
-        seeds = {canonical_key(g): g.rows for g in _types(n, connected_only, pool)}
-    keys = list(seeds)
-    rows_of = list(seeds.values())
-    index = {k: i for i, k in enumerate(keys)}
-    parent = list(range(len(keys)))
+        seeds = {}
+        for g in _types(n, connected_only, pool):
+            key, perm, auts = canonical._search(n, g.rows)
+            seeds[key] = (g.rows, perm, auts)
+    keys: list[bytes] = []
+    rows_of: list[tuple[int, ...]] = []  # canonical rows
+    orbits_of: list[tuple[int, ...] | None] = []  # dropped once moved
+    marks: list[int] = []
+    index: dict[bytes, int] = {}
+    parent: list[int] = []
+
+    def add(key: bytes, image: tuple[int, ...], perm: tuple[int, ...], auts) -> int:
+        j = index[key] = len(keys)
+        keys.append(key)
+        rows_of.append(_relabel_rows(image, perm))
+        orbits_of.append(_orbit_masks(n, perm, auts))
+        marks.append(0)
+        parent.append(j)
+        return j
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -315,20 +405,20 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> ClassCensus:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    frontier = list(range(len(keys)))
+    frontier = [add(key, *searched) for key, searched in seeds.items()]
     while frontier:
-        batch = [rows_of[i] for i in frontier]
-        images = chain.from_iterable(pool.map(_moves_chunk, n, batch))
+        batch = [(keys[i], rows_of[i], orbits_of[i], marks[i]) for i in frontier]
+        results = pool.map(_moves_chunk, n, batch)
+        reached = _merged([found for _, found in results])
         nxt = []
-        for i, found in zip(frontier, images):
-            for key, rows in found.items():
+        for i, out in zip(frontier, chain.from_iterable(moves for moves, _ in results)):
+            orbits_of[i] = None
+            for key, back in out:
                 j = index.get(key)
                 if j is None:
-                    j = index[key] = len(keys)
-                    keys.append(key)
-                    rows_of.append(rows)
-                    parent.append(j)
+                    j = add(key, *reached[key])
                     nxt.append(j)
+                marks[j] |= 1 << back
                 union(i, j)
         frontier = nxt
 
@@ -339,8 +429,7 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> ClassCensus:
         (min(keys[i] for i in members), len(members)) for members in groups.values()
     )
     classes = tuple(
-        LCClass(canonical_graph(Graph._wrap(n, rows_of[index[key]])), size)
-        for key, size in leads
+        LCClass(Graph._wrap(n, rows_of[index[key]]), size) for key, size in leads
     )
     census = ClassCensus(n, connected_only, classes)
     _CENSUS_CACHE[(n, connected_only)] = census
@@ -489,10 +578,16 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
         raise SizeGuardError(
             f"lc_automorphism_group is limited to n <= {_CLASS_GUARD} (force to override)"
         )
+    return _aut_report(g, None)
+
+
+def _aut_report(g: Graph, class_size: int | None) -> AutReport:
+    """``lc_automorphism_group(g)`` with the class size given, or counted if ``None``."""
     members = _orbit_members(g)
     auts = _lc_automorphisms(g, members)
     gens = _greedy_generators(auts, g.n)
-    class_size = _orbit_count(members, gens)
+    if class_size is None:
+        class_size = _orbit_count(members, gens)
     part = foliage_partition(g)
     lower, upper = aut_bounds(part)
     return AutReport(
@@ -595,12 +690,13 @@ def symmetry_table(
     """Per-class symmetry rows: partition shape, aut orders, orbit sizes.
 
     Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C, I.
+    The class size C is the census's own.
     """
     census = lc_classes(n, connected_only=connected_only, force=force, workers=workers)
     rows = []
     for cid, cls in enumerate(census.classes, start=1):
         rep = cls.representative
-        report = lc_automorphism_group(rep, force=force)
+        report = _aut_report(rep, cls.size)
         shape = "+".join(
             str(s) for s in sorted(foliage_partition(rep).sizes())
         )

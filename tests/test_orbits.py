@@ -1,8 +1,13 @@
+import concurrent.futures
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -276,7 +281,7 @@ def test_both_pools_start_at_most_cpu_count_workers(monkeypatch):
             return map(fn, jobs)
 
     expected = lc_classes(5)
-    monkeypatch.setattr(orbits_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(orbits_mod, "_ATLAS", {})
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
@@ -307,7 +312,7 @@ def test_one_pool_per_call_and_none_when_serial(monkeypatch):
 
     expected_types = [g.rows for g in nonisomorphic_graphs(6)]
     expected = lc_classes(6)
-    monkeypatch.setattr(orbits_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(orbits_mod, "_ATLAS", {})
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
@@ -317,6 +322,129 @@ def test_one_pool_per_call_and_none_when_serial(monkeypatch):
     # levels 4, 5 and 6 each split their parents over the processes
     assert [g.rows for g in nonisomorphic_graphs(6, workers=3)] == expected_types
     assert started == [3]
+
+
+def counted_searches(monkeypatch):
+    """Route every canonical search through a counter; returns the list of searched rows."""
+    import lcfoliage.canonical as canonical_mod
+
+    searched = []
+    real = canonical_mod._search
+
+    def search(n, rows):
+        searched.append(rows)
+        return real(n, rows)
+
+    monkeypatch.setattr(canonical_mod, "_search", search)
+    return searched
+
+
+def census_entry(g):
+    """``(key, canonical rows, orbit masks, no marks)`` of ``g``, as the census stores a type."""
+    import lcfoliage.canonical as canonical_mod
+    import lcfoliage.orbits as orbits_mod
+
+    key, perm, auts = canonical_mod._search(g.n, g.rows)
+    return key, _relabel_rows(g.rows, perm), orbits_mod._orbit_masks(g.n, perm, auts), 0
+
+
+@pytest.mark.slow
+def test_cold_n8_census_work_gate(monkeypatch):
+    import lcfoliage.canonical as canonical_mod
+    import lcfoliage.orbits as orbits_mod
+
+    # cleared rather than swapped out, so later tests reuse this census
+    orbits_mod._CENSUS_CACHE.clear()
+    orbits_mod._ATLAS.clear()
+    searched = counted_searches(monkeypatch)
+    cached = len(canonical_mod._cache)
+    census = lc_classes(8)
+    assert census.count == 101
+    # every move of every type canonicalised 66933 images; one move per
+    # automorphism orbit and none back across a joined edge need 40440
+    assert len(searched) <= 42000
+    assert len(canonical_mod._cache) == cached
+
+
+@pytest.mark.parametrize("g", [complete(6), star(6)], ids=["K6", "S6"])
+def test_moves_chunk_searches_one_image_per_orbit(monkeypatch, g):
+    import lcfoliage.orbits as orbits_mod
+
+    entry = census_entry(g)
+    searched = counted_searches(monkeypatch)
+    moves, reached = orbits_mod._moves_chunk((g.n, [entry]))
+    # K_n is one orbit; the star's leaves have degree one, so only its
+    # centre moves; either way the image is the other graph
+    assert len(searched) == 1
+    (other,) = {complete(6), star(6)} - {g}
+    assert moves == [[(canonical_key(other), moves[0][0][1])]]
+    assert list(reached) == [canonical_key(other)]
+
+
+def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
+    import lcfoliage.orbits as orbits_mod
+
+    for n in range(2, 7):
+        for g in nonisomorphic_graphs(n, connected=True):
+            key, rows, orbits, _ = entry = census_entry(g)
+            canon = Graph(n, rows)
+            assert sorted(v for m in orbits for v in range(n) if m >> v & 1) == list(range(n))
+            for m in orbits:
+                # every vertex of an orbit moves to the same type
+                assert len({canonical_key(local_complement(canon, v)) for v in range(n) if m >> v & 1}) == 1
+            moves, reached = orbits_mod._moves_chunk((n, [entry]))
+            moved = {canonical_key(local_complement(canon, v)) for v in range(n)} - {key}
+            assert {k for k, _ in moves[0]} - {key} == moved
+            for k, back in moves[0]:
+                if k == key:
+                    target = canon
+                else:
+                    image, perm, _ = reached[k]
+                    target = Graph(n, _relabel_rows(image, perm))
+                assert canonical_key(target) == k
+                assert canonical_key(local_complement(target, back)) == key
+
+
+def test_census_is_the_same_when_levels_split_into_chunks(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    chunks = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            chunks.append(len(jobs))
+            return map(fn, jobs)
+
+    expected = lc_classes(7)
+    expected_all = lc_classes(6, connected_only=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
+    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
+    # marks found in one chunk do not reach the others
+    assert lc_classes(7, workers=3) == expected
+    assert lc_classes(6, connected_only=False, workers=3) == expected_all
+    assert chunks and max(chunks) == 3
+
+
+def test_import_leaves_the_process_pool_out():
+    import lcfoliage
+
+    src = str(Path(lcfoliage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lcfoliage; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +714,39 @@ def test_symmetry_table_shape():
         assert len(row) == 9
         assert row[3] <= row[5] <= row[3] * row[4]
         assert isinstance(row[8], str) and len(row[8].split(".")[1]) == 2
+
+
+def test_symmetry_table_takes_class_sizes_from_the_census(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    expected = []
+    for cid, cls in enumerate(lc_classes(6).classes, start=1):
+        rep = cls.representative
+        report = lc_automorphism_group(rep)
+        assert report.class_size == cls.size
+        shape = "+".join(str(s) for s in sorted(foliage_partition(rep).sizes()))
+        expected.append(
+            (
+                cid,
+                6,
+                shape,
+                report.aut_in_order,
+                report.aut_out_upper_order,
+                report.order,
+                report.labeled_size,
+                report.class_size,
+                orbits_mod._fmt2(report.interplay),
+            )
+        )
+    counted = []
+    real = orbits_mod._orbit_count
+    monkeypatch.setattr(
+        orbits_mod, "_orbit_count", lambda *args: counted.append(args) or real(*args)
+    )
+    assert symmetry_table(6) == expected
+    assert counted == []
+    lc_automorphism_group(complete(4))
+    assert len(counted) == 1
 
 
 # ---------------------------------------------------------------------------
