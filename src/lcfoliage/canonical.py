@@ -5,7 +5,8 @@ current cells) followed by individualization of the leftmost non-singleton
 cell.  Every leaf of the search tree yields a labelling; the canonical form
 is the lexicographically least packed adjacency among them.  Automorphisms
 discovered along the way prune sibling branches that provably repeat an
-explored subtree.
+explored subtree.  Nothing is cached: a labelled graph is rarely searched
+twice, and the class census keeps the key of every type it meets itself.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from __future__ import annotations
 from .graph import Graph, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
-
-# cache keyed by (n, rows) for direct callers of canonical_form, whose graphs
-# are few and small, so unbounded is fine; the class census calls _search
-# itself and leaves this cache alone
-_cache: dict[tuple[int, tuple[int, ...]], tuple[bytes, tuple[int, ...]]] = {}
 
 # keep at most this many discovered automorphisms per search; pruning with a
 # partial list is still sound, it just prunes less
@@ -30,12 +26,7 @@ def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     Two graphs are isomorphic iff their keys are equal.  The key packs the
     vertex count and the relabelled upper-triangle adjacency bits.
     """
-    ck = (g.n, g.rows)
-    hit = _cache.get(ck)
-    if hit is None:
-        key, perm, _ = _search(g.n, g.rows)
-        hit = _cache[ck] = (key, perm)
-    return hit
+    return _search(g.n, g.rows)[:2]
 
 
 def canonical_key(g: Graph) -> bytes:

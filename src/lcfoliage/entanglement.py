@@ -116,7 +116,10 @@ def entropy_via_foliage(g: Graph, subset: int) -> int:
     """Entropy from the part-indexed matrix; requires ``g`` in normal form.
 
     The matrix of the last graph is kept, so a run of cuts of one graph
-    builds its foliage representation once.
+    builds its foliage representation once.  Each cut still ranks rows as
+    wide as the adjacency rows when most parts are single vertices, so this
+    pays off only with large parts: on the 4096 cuts of a normal-form
+    G(12, 1/2) it takes about twice as long as ``entropy``.
     """
     full = (1 << g.n) - 1
     if subset & ~full:

@@ -6,13 +6,15 @@ every vertex.  Collapsing the orbit by graph isomorphism gives the LC class.
 A class census closes a set of seed isomorphism types under single
 complementation moves, breadth first over canonical keys, and joins every
 type to its move images in a union-find; the classes are its components.
-The connected census of order ``n`` is seeded from the connected classes of
-order ``n - 1`` (the Danielsen-Parker scheme): deleting a non-cut vertex
-``v`` of a connected graph leaves a connected graph, and complementing at a
-vertex other than ``v`` commutes with deleting ``v``, so every connected
-class contains a representative of an ``n - 1`` class with one new vertex
-joined to a nonempty set of its vertices.  The census over all graphs is
-seeded with every isomorphism type.
+The census of order ``n`` is seeded from the classes of order ``n - 1``
+(the Danielsen-Parker scheme): complementing at a vertex other than ``v``
+commutes with deleting ``v``, so every class contains a representative of
+an ``n - 1`` class with one new vertex ``v`` joined to a set of its
+vertices.  Over all graphs any ``v`` will do and the set may be empty.
+Over connected graphs ``v`` is a non-cut vertex, whose deletion leaves a
+connected graph, and the set is nonempty.  The closure visits every type
+of order ``n`` (every connected one for the connected census), so it is
+also the one enumeration of isomorphism types.
 
 Each type is kept as its canonical rows, with the orbits of the
 automorphisms its canonical search found and a mark on every vertex whose
@@ -21,9 +23,7 @@ at the least vertex of each orbit without a mark: an automorphism carries
 one move onto an isomorphic image, and the move at ``a`` that reaches a
 type from type ``i`` is undone by the move at the canonical label of ``a``,
 which leads back to ``i``.  So each edge of the graph of types is crossed
-about once instead of from both ends and once per vertex.  The census runs
-the canonical search itself and leaves the cache of ``canonical_form``
-alone.
+about once instead of from both ends and once per vertex.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .graph import (
     SizeGuardError,
     _lc_rows,
     _relabel_rows,
-    connected_components,
     iter_bits,
     mask_of,
 )
@@ -133,10 +132,7 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive isomorphism-type enumeration by vertex augmentation
-
-_ATLAS: dict[int, list[Graph]] = {}
-
+# class census
 
 # what a canonical search leaves of a graph: its rows, its canonical
 # labelling and the automorphisms found on the way
@@ -218,37 +214,6 @@ def _merged(parts: list[dict]) -> dict:
     return found
 
 
-def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> list[Graph]:
-    """All isomorphism types of order ``n``, canonical, sorted by key.
-
-    Built level by level: every type on ``n`` vertices arises by attaching a
-    new vertex to some type on ``n - 1``.  Levels are cached per process.
-    """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    with _Pool(workers) as pool:
-        return _types(n, connected, pool)
-
-
-def _types(n: int, connected: bool, pool: _Pool) -> list[Graph]:
-    if n not in _ATLAS:
-        if n == 1:
-            _ATLAS[1] = [Graph._wrap(1, (0,))]
-        else:
-            parents = [g.rows for g in _types(n - 1, False, pool)]
-            found = _merged(pool.map(partial(_extend_chunk, 0), n, parents))
-            _ATLAS[n] = [
-                Graph._wrap(n, _relabel_rows(*found[k][:2])) for k in sorted(found)
-            ]
-    level = _ATLAS[n]
-    if connected:
-        return [g for g in level if len(connected_components(g)) == 1]
-    return list(level)
-
-
-# ---------------------------------------------------------------------------
-# class census
-
 @dataclass(frozen=True)
 class LCClass:
     representative: Graph  # canonical, least key in the class
@@ -266,7 +231,10 @@ class ClassCensus:
         return len(self.classes)
 
 
-_CENSUS_CACHE: dict[tuple[int, bool], ClassCensus] = {}
+# a census with the keys and canonical rows of the types its closure visited
+_Closure = tuple[ClassCensus, list[bytes], list[tuple[int, ...]]]
+
+_CENSUS_CACHE: dict[tuple[int, bool], _Closure] = {}
 
 
 def _orbit_masks(
@@ -344,9 +312,10 @@ def lc_classes(
 ) -> ClassCensus:
     """Partition the isomorphism types of order ``n`` into LC classes.
 
-    The seeds are every one-vertex extension (new vertex joined to a
-    nonempty neighbourhood) of the representatives of ``lc_classes(n - 1)``
-    for the connected census, and every isomorphism type otherwise.  A
+    The seeds are every one-vertex extension of the representatives of the
+    census of order ``n - 1``: the new vertex is joined to every nonempty
+    neighbourhood for the connected census, and to every neighbourhood,
+    the empty one included, for the census over all graphs.  A
     level-synchronous BFS closes the seeds under single complementation
     moves, joining each type to its images; every class then holds all of
     its types.  A type is moved once per orbit of its automorphisms, and not
@@ -355,29 +324,43 @@ def lc_classes(
     its type count; classes are ordered by that key.  Censuses are cached
     per process; seeds and BFS levels are spread over ``workers``
     processes, one pool for the whole call, and each process's chunk of a
-    level shares its marks only within that chunk.
+    level shares its marks only within that chunk.  Raises ``ValueError``
+    for ``n`` below 1.
     """
     if n > _CLASS_GUARD and not force:
         raise SizeGuardError(
             f"lc_classes is limited to n <= {_CLASS_GUARD} (force to override)"
         )
     with _Pool(workers) as pool:
-        return _census(n, connected_only, pool)
+        return _census(n, connected_only, pool)[0]
 
 
-def _census(n: int, connected_only: bool, pool: _Pool) -> ClassCensus:
+def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> list[Graph]:
+    """All isomorphism types of order ``n``, canonical, sorted by key.
+
+    These are the types that the class census of order ``n`` visits (see
+    ``lc_classes``), read from the same per-process cache, so no size guard
+    applies.
+    """
+    with _Pool(workers) as pool:
+        _, keys, rows_of = _census(n, connected, pool)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [Graph._wrap(n, rows_of[i]) for i in order]
+
+
+def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
+    if n < 1:
+        raise ValueError("need at least one vertex")
     cached = _CENSUS_CACHE.get((n, connected_only))
     if cached is not None:
         return cached
-    if connected_only and n > 1:
-        smaller = _census(n - 1, True, pool)
-        reps = [cls.representative.rows for cls in smaller.classes]
-        seeds = _merged(pool.map(partial(_extend_chunk, 1), n, reps))
+    if n == 1:
+        reps, low = [()], 0  # the one extension of the empty graph
     else:
-        seeds = {}
-        for g in _types(n, connected_only, pool):
-            key, perm, auts = canonical._search(n, g.rows)
-            seeds[key] = (g.rows, perm, auts)
+        smaller = _census(n - 1, connected_only, pool)[0]
+        reps = [cls.representative.rows for cls in smaller.classes]
+        low = 1 if connected_only else 0
+    seeds = _merged(pool.map(partial(_extend_chunk, low), n, reps))
     keys: list[bytes] = []
     rows_of: list[tuple[int, ...]] = []  # canonical rows
     orbits_of: list[tuple[int, ...] | None] = []  # dropped once moved
@@ -431,9 +414,10 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> ClassCensus:
     classes = tuple(
         LCClass(Graph._wrap(n, rows_of[index[key]]), size) for key, size in leads
     )
-    census = ClassCensus(n, connected_only, classes)
-    _CENSUS_CACHE[(n, connected_only)] = census
-    return census
+    closure = _CENSUS_CACHE[(n, connected_only)] = (
+        ClassCensus(n, connected_only, classes), keys, rows_of
+    )
+    return closure
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import gc
+import os
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 
+import lcfoliage
 from conftest import random_graph
 from lcfoliage.canonical import canonical_form, canonical_graph, canonical_key
 from lcfoliage.graph import Graph, build_graph
@@ -75,3 +79,21 @@ def test_hard_symmetric_cases():
     assert canonical_graph(k8) == k8
     assert canonical_graph(empty8) == empty8
     assert canonical_key(k8) != canonical_key(empty8)
+
+
+def test_canonical_form_keeps_nothing_after_an_orbit():
+    from lcfoliage.orbits import lc_orbit
+
+    # the 8-cycle with a pendant vertex
+    g = build_graph(9, [(v, (v + 1) % 8) for v in range(8)] + [(0, 8)])
+    package = os.path.join(os.path.dirname(lcfoliage.__file__), "*")
+    tracemalloc.start()
+    try:
+        # each labelled member is given a canonical key
+        assert lc_orbit(g).labeled_size == 3828
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+    assert sum(stat.size for stat in held.statistics("filename")) < 1 << 20

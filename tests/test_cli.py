@@ -253,6 +253,20 @@ def test_unwritable_path_exits_2(capsys, tmp_path, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--n", "0"],
+        ["classes", "--n", "-1", "--csv"],
+        ["classes", "--n", "0", "--all"],
+        ["stats", "--n", "0"],
+    ],
+)
+def test_order_below_one_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: need at least one vertex\n")
+
+
 @pytest.mark.parametrize("command", ["classes", "stats"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_workers_below_one_is_usage_error(capsys, command, value):

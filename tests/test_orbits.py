@@ -6,13 +6,14 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from conftest import random_graph
-from lcfoliage.canonical import canonical_key
+from lcfoliage.canonical import canonical_graph, canonical_key
 from lcfoliage.cli import main
 from lcfoliage.foliage import foliage_partition
 from lcfoliage.graph import (
@@ -123,6 +124,29 @@ def test_orbit_member_budget_exits_3(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # enumeration
 
+A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]  # connected graphs on 1..8 vertices
+
+
+@lru_cache(maxsize=None)
+def atlas_types(n, connected=False):
+    """Every isomorphism type of order ``n`` <= 7, from the networkx graph atlas."""
+    nx = pytest.importorskip("networkx")
+    return tuple(
+        Graph.from_edges(n, list(g.edges()))
+        for g in nx.graph_atlas_g()
+        if g.number_of_nodes() == n and (not connected or nx.is_connected(g))
+    )
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
+def test_enumeration_has_the_types_of_the_networkx_atlas(connected):
+    for n in range(1, 8):
+        expected = {canonical_key(g) for g in atlas_types(n, connected)}
+        found = [canonical_key(g) for g in nonisomorphic_graphs(n, connected=connected)]
+        assert len(found) == len(expected)
+        assert set(found) == expected
+
+
 def test_nonisomorphic_counts_match_the_networkx_atlas():
     nx = pytest.importorskip("networkx")
     atlas = Counter(g.number_of_nodes() for g in nx.graph_atlas_g())
@@ -150,7 +174,7 @@ def test_enumeration_with_workers_matches_serial():
     serial = [g.rows for g in nonisomorphic_graphs(5)]
     import lcfoliage.orbits as orbits_mod
 
-    orbits_mod._ATLAS.pop(5, None)
+    orbits_mod._CENSUS_CACHE.pop((5, False), None)
     parallel = [g.rows for g in nonisomorphic_graphs(5, workers=2)]
     assert parallel == serial
 
@@ -163,11 +187,8 @@ def test_class_counts_small_n():
 
 
 def test_census_sizes_sum_to_type_count():
-    for n in range(2, 7):
-        census = lc_classes(n)
-        assert sum(c.size for c in census.classes) == len(
-            nonisomorphic_graphs(n, connected=True)
-        )
+    for n in range(1, 8):
+        assert sum(c.size for c in lc_classes(n).classes) == A001349[n - 1]
 
 
 def test_census_agrees_with_orbit_route():
@@ -176,7 +197,7 @@ def test_census_agrees_with_orbit_route():
     for n in range(2, 6):
         for connected in (True, False):
             census = lc_classes(n, connected_only=connected)
-            types = nonisomorphic_graphs(n, connected=connected)
+            types = atlas_types(n, connected)
             classes = {}
             for g in types:
                 orbit_types = frozenset(
@@ -193,7 +214,7 @@ def test_census_agrees_with_orbit_route():
 
 def union_find_census(n):
     """(representative rows, size) per class: every connected type joined to its move images."""
-    types = nonisomorphic_graphs(n, connected=True)
+    types = [canonical_graph(g) for g in atlas_types(n, connected=True)]
     keys = [canonical_key(g) for g in types]
     index = {k: i for i, k in enumerate(keys)}
     parent = list(range(len(types)))
@@ -244,6 +265,13 @@ def test_census_guard():
         lc_classes(9)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("enumerate_", [lc_classes, nonisomorphic_graphs])
+def test_order_below_one_is_refused(enumerate_, n):
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        enumerate_(n)
+
+
 def test_census_workers_match_serial():
     import lcfoliage.orbits as orbits_mod
 
@@ -283,7 +311,6 @@ def test_both_pools_start_at_most_cpu_count_workers(monkeypatch):
     expected = lc_classes(5)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
     assert lc_classes(5, workers=10**6) == expected
     assert started and all(w <= 3 for w in started)
@@ -314,12 +341,11 @@ def test_one_pool_per_call_and_none_when_serial(monkeypatch):
     expected = lc_classes(6)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
     assert lc_classes(6, workers=1) == expected
     assert started == []
-    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
-    # levels 4, 5 and 6 each split their parents over the processes
+    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
+    # the censuses over all graphs of orders 1 to 6 share one pool
     assert [g.rows for g in nonisomorphic_graphs(6, workers=3)] == expected_types
     assert started == [3]
 
@@ -350,20 +376,35 @@ def census_entry(g):
 
 @pytest.mark.slow
 def test_cold_n8_census_work_gate(monkeypatch):
-    import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
     # cleared rather than swapped out, so later tests reuse this census
     orbits_mod._CENSUS_CACHE.clear()
-    orbits_mod._ATLAS.clear()
     searched = counted_searches(monkeypatch)
-    cached = len(canonical_mod._cache)
     census = lc_classes(8)
     assert census.count == 101
     # every move of every type canonicalised 66933 images; one move per
     # automorphism orbit and none back across a joined edge need 40440
     assert len(searched) <= 42000
-    assert len(canonical_mod._cache) == cached
+
+
+@pytest.mark.slow
+def test_cold_n8_all_graph_census_gate(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    # the census over all graphs reads only its own smaller orders, so
+    # dropping those makes it cold; connected censuses stay for later tests
+    for n in range(1, 9):
+        orbits_mod._CENSUS_CACHE.pop((n, False), None)
+    searched = counted_searches(monkeypatch)
+    census = lc_classes(8, connected_only=False)
+    # seeding with every type from vertex augmentation, then closing,
+    # made 193868 searches; seeding from the order-7 classes needs 48753
+    assert len(searched) <= 50000
+    # the Euler transform of the connected counts 1, 1, 1, 2, 4, 11, 26, 101
+    assert census.count == 182
+    assert sum(c.size for c in census.classes) == 12346  # A000088
+    assert len(nonisomorphic_graphs(8, connected=True)) == A001349[7]
 
 
 @pytest.mark.parametrize("g", [complete(6), star(6)], ids=["K6", "S6"])
@@ -429,7 +470,6 @@ def test_census_is_the_same_when_levels_split_into_chunks(monkeypatch):
     expected_all = lc_classes(6, connected_only=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(orbits_mod, "_ATLAS", {})
     monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
     # marks found in one chunk do not reach the others
     assert lc_classes(7, workers=3) == expected
