@@ -2,16 +2,24 @@
 
 Ordered-partition refinement (vertices split by neighbour counts against the
 current cells) followed by individualization of the leftmost non-singleton
-cell.  Every leaf of the search tree yields a labelling; the canonical form
-is the lexicographically least packed adjacency among them.  Automorphisms
-discovered along the way prune sibling branches that provably repeat an
-explored subtree.  Nothing is cached: a labelled graph is rarely searched
-twice, and the class census keeps the key of every type it meets itself.
+cell.  Every leaf of the search tree yields a labelling, kept as its list
+of vertices in label order; the canonical form is the lexicographically
+least packed adjacency among them.  A leaf that ties with the least one so
+far gives an automorphism, read off the two lists label by label.  A sibling
+branch is skipped when the found automorphisms that fix the path so far
+carry its vertex onto an explored sibling (McKay and Piperno, *Practical graph
+isomorphism II*, 2014); the orbit comes from ``graph._orbit``.  The search
+recurses through module-level functions, so it leaves no reference cycle
+and its memory goes as soon as it returns.  Nothing is cached: a labelled
+graph is rarely searched twice, and the class census keeps the key of every
+type it meets itself.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, _relabel_rows, iter_bits
+from operator import getitem
+
+from .graph import Graph, _orbit, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
 
@@ -54,92 +62,81 @@ def _search(
     """
     if n == 0:
         return _pack(0, 0), (), []
-
-    best_bits: list[int | None] = [None]
-    best_perm: list[tuple[int, ...]] = [()]
     auts: list[tuple[int, ...]] = []
-    aut_set: set[tuple[int, ...]] = set()
+    bits, inv = _descend(rows, [(1 << n) - 1], (), None, auts)
+    perm = [0] * n
+    for lab, v in enumerate(inv):
+        perm[v] = lab
+    return _pack(n, bits), tuple(perm), auts
 
-    def refine(cells: list[int]) -> list[int]:
-        changed = True
-        while changed:
-            changed = False
-            for idx, cell in enumerate(cells):
-                if not cell & (cell - 1):
-                    continue  # singleton
-                groups: dict[tuple[int, ...], int] = {}
-                for v in iter_bits(cell):
-                    sig = tuple((rows[v] & c).bit_count() for c in cells)
-                    groups[sig] = groups.get(sig, 0) | (1 << v)
-                if len(groups) > 1:
-                    cells[idx : idx + 1] = [groups[k] for k in sorted(groups)]
-                    changed = True
-                    break
-        return cells
 
-    def leaf(cells: list[int]) -> None:
+def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Split cells by neighbour counts against the current cells until stable."""
+    changed = True
+    while changed:
+        changed = False
+        for idx, cell in enumerate(cells):
+            if not cell & (cell - 1):
+                continue  # singleton
+            groups: dict[tuple[int, ...], int] = {}
+            for v in iter_bits(cell):
+                sig = tuple((rows[v] & c).bit_count() for c in cells)
+                groups[sig] = groups.get(sig, 0) | (1 << v)
+            if len(groups) > 1:
+                cells[idx : idx + 1] = [groups[k] for k in sorted(groups)]
+                changed = True
+                break
+    return cells
+
+
+def _descend(
+    rows: tuple[int, ...],
+    cells: list[int],
+    path: tuple[int, ...],
+    best: tuple[int, list[int]] | None,
+    auts: list[tuple[int, ...]],
+) -> tuple[int, list[int]]:
+    """The least leaf ``(bits, label -> vertex)`` of ``best`` and the subtree below ``cells``.
+
+    A leaf that ties with ``best`` gives an automorphism, appended to ``auts``.
+    """
+    cells = _refine(rows, cells)
+    target = next((idx for idx, cell in enumerate(cells) if cell & (cell - 1)), -1)
+    if target < 0:
         inv = [c.bit_length() - 1 for c in cells]  # canonical label -> vertex
+        n = len(inv)
         bits = 0
         for i in range(n):
             ri = rows[inv[i]]
             for j in range(i + 1, n):
                 bits = (bits << 1) | ((ri >> inv[j]) & 1)
-        if best_bits[0] is None or bits < best_bits[0]:
-            perm = [0] * n
-            for lab, v in enumerate(inv):
-                perm[v] = lab
-            best_bits[0] = bits
-            best_perm[0] = tuple(perm)
-        elif bits == best_bits[0]:
-            perm = [0] * n
-            for lab, v in enumerate(inv):
-                perm[v] = lab
-            ref = best_perm[0]
-            # ref and perm relabel to the same graph, so ref^-1 . perm is an
-            # automorphism of the input
-            inv_ref = [0] * n
-            for v, lab in enumerate(ref):
-                inv_ref[lab] = v
-            gamma = tuple(inv_ref[perm[v]] for v in range(n))
-            if gamma not in aut_set and len(auts) < _MAX_AUTS:
-                aut_set.add(gamma)
+        if best is None or bits < best[0]:
+            return bits, inv
+        if bits == best[0]:
+            # both leaves relabel to the same graph, so sending each vertex
+            # to the vertex of the same label in ``best`` is an automorphism
+            gamma = [0] * n
+            for v, w in zip(inv, best[1]):
+                gamma[v] = w
+            gamma = tuple(gamma)
+            if gamma not in auts and len(auts) < _MAX_AUTS:
                 auts.append(gamma)
-
-    def descend(cells: list[int], path: tuple[int, ...]) -> None:
-        cells = refine(cells)
-        target = -1
-        for idx, cell in enumerate(cells):
-            if cell & (cell - 1):
-                target = idx
-                break
-        if target < 0:
-            leaf(cells)
-            return
-        cell = cells[target]
-        stab = [a for a in auts if all(a[p] == p for p in path)]
-        processed = 0
-        for v in iter_bits(cell):
-            if processed and stab:
-                # orbit of v under the group generated by the path stabilizer
-                orb = 1 << v
-                queue = [v]
-                while queue and not orb & processed:
-                    x = queue.pop()
-                    for a in stab:
-                        y = a[x]
-                        if not (orb >> y) & 1:
-                            orb |= 1 << y
-                            queue.append(y)
-                if orb & processed:
-                    processed |= 1 << v
-                    continue
-            descend(
-                cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :],
-                path + (v,),
-            )
-            processed |= 1 << v
+        return best
+    cell = cells[target]
+    processed: set[int] = set()
+    for v in iter_bits(cell):
+        if processed:
+            # skip v if the path stabilizer carries it onto an explored sibling
             stab = [a for a in auts if all(a[p] == p for p in path)]
-
-    descend([(1 << n) - 1], ())
-    assert best_bits[0] is not None
-    return _pack(n, best_bits[0]), best_perm[0], auts
+            if not processed.isdisjoint(_orbit(v, stab, getitem)):
+                processed.add(v)
+                continue
+        best = _descend(
+            rows,
+            cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :],
+            path + (v,),
+            best,
+            auts,
+        )
+        processed.add(v)
+    return best

@@ -4,7 +4,7 @@ Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
 on success, 2 on bad input or an output path that cannot be written, 3 when
 a size guard trips (``--force`` lifts the guards on n, not the orbit member
-budget).
+budget or the order limit of the weighted text format).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import isqrt
 from numbers import Integral
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -310,6 +310,26 @@ def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]
             image |= 1 << perm[w]
         out[perm[v]] = image
     return tuple(out)
+
+
+def _orbit(start: Hashable, gens: Sequence, act: Callable) -> set:
+    """Every point reached from ``start`` by repeatedly applying ``act(gen, point)``.
+
+    For permutations ``gens`` this is the orbit of ``start`` under the group
+    they generate: of a vertex under ``operator.getitem``, of relabelled
+    rows under relabelling, and the group itself from the identity under
+    composition.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for gen in gens:
+            y = act(gen, x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def local_complement(g: Graph, a: int) -> Graph:

@@ -10,7 +10,9 @@ The weighted format is line based::
     0 1 2
     1 2 1
 
-with a ``u v weight`` line per edge, weights in ``1..d-1``.
+with a ``u v weight`` line per edge, weights in ``1..d-1``.  The decoder
+builds the full weight matrix, so it refuses ``n`` above ``_MAX_WEIGHTED_N``
+with ``SizeGuardError`` before allocating anything.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 
 import numpy as np
 
-from .graph import Graph, WeightedGraph, _pack_rows, _unpack_rows
+from .graph import Graph, SizeGuardError, WeightedGraph, _pack_rows, _unpack_rows
 
 __all__ = ["encode_graph6", "decode_graph6", "encode_weighted", "decode_weighted"]
 
@@ -33,6 +35,9 @@ _G6_DIGITS = bytes(range(63, 127))
 _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
+# largest n a weighted text may declare: the decoder sizes its n * n weight
+# matrix (64 MiB at this bound) from the header line alone
+_MAX_WEIGHTED_N = 8192
 
 
 def _lower(n: int) -> np.ndarray:
@@ -116,6 +121,10 @@ def decode_weighted(text: str) -> WeightedGraph:
         n = int(head[3])
     except ValueError as exc:
         raise ValueError(f"bad weighted header {lines[0]!r}") from exc
+    if n > _MAX_WEIGHTED_N:
+        raise SizeGuardError(
+            f"weighted graph text is limited to n <= {_MAX_WEIGHTED_N}, header says n = {n}"
+        )
     # byte-string rows when every weight fits a byte: the graph then skips
     # its per-cell type check
     mat = [bytearray(n) if d <= 256 else [0] * n for _ in range(n)]

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, permutations
 from math import factorial
+from operator import getitem
 
 from . import canonical
 from .canonical import canonical_key
@@ -44,6 +45,7 @@ from .graph import (
     Graph,
     SizeGuardError,
     _lc_rows,
+    _orbit,
     _relabel_rows,
     iter_bits,
     mask_of,
@@ -247,17 +249,9 @@ def _orbit_masks(
     masks = []
     left = (1 << n) - 1
     while left:
-        orbit = left & -left
-        stack = [orbit.bit_length() - 1]
-        while stack:
-            x = stack.pop()
-            for a in auts:
-                y = a[x]
-                if not orbit >> y & 1:
-                    orbit |= 1 << y
-                    stack.append(y)
-        left ^= orbit
-        masks.append(mask_of(perm[v] for v in iter_bits(orbit)))
+        orbit = _orbit((left & -left).bit_length() - 1, auts, getitem)
+        left ^= mask_of(orbit)
+        masks.append(mask_of(perm[v] for v in orbit))
     return tuple(masks)
 
 
@@ -434,29 +428,14 @@ class AutReport:
     interplay: Fraction  # order * class_size / labeled_size
 
 
-def _closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    ident = tuple(range(n))
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = tuple(q[p[v]] for v in range(n))
-                if r not in group:
-                    group.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return group
-
-
 def _greedy_generators(elements: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    ident = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    group: set[tuple[int, ...]] = {tuple(range(n))}
+    group: set[tuple[int, ...]] = {ident}
     for p in elements:
         if p not in group:
             gens.append(p)
-            group = _closure(gens, n)
+            group = _orbit(ident, gens, lambda q, r: tuple(map(q.__getitem__, r)))
     return gens
 
 
@@ -535,15 +514,8 @@ def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> 
     left = set(members)
     count = 0
     while left:
+        left -= _orbit(left.pop(), gens, lambda sigma, rows: _relabel_rows(rows, sigma))
         count += 1
-        stack = [left.pop()]
-        while stack:
-            rows = stack.pop()
-            for sigma in gens:
-                image = _relabel_rows(rows, sigma)
-                if image in left:
-                    left.remove(image)
-                    stack.append(image)
     return count
 
 
@@ -653,7 +625,7 @@ def saturation_stats(n: int, force: bool = False, workers: int = 1) -> Saturatio
         sat = saturation(rep)
         times.append(sat.time)
         sizes.append(sat.size)
-        if not foliage_partition(rep).is_trivial:
+        if sat.time > 0:  # the first partition is not trivial
             reducible += 1
         if sat.size == 1:
             fully += 1

@@ -97,3 +97,17 @@ def test_canonical_form_keeps_nothing_after_an_orbit():
         tracemalloc.stop()
     held = snapshot.filter_traces([tracemalloc.Filter(True, package)])
     assert sum(stat.size for stat in held.statistics("filename")) < 1 << 20
+
+
+def test_canonical_search_leaves_no_reference_cycle():
+    rng = random.Random(9)
+    graphs = [random_graph(9, 0.5, rng) for _ in range(200)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            canonical_form(g)
+        # everything a search built was freed by reference counting alone
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +305,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "p=22 bound=19\n"
+
+
+def test_weighted_header_above_the_bound_exits_3():
+    resource = pytest.importorskip("resource")
+    import lcfoliage
+
+    def one_gib_address_space():
+        # a decoder that sized its matrix from the header would fail here
+        # with a MemoryError instead of asking for 10 GB
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(lcfoliage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcfoliage", "foliage", "--weighted", "-"],
+        input="d 3 n 100000\n",
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=one_gib_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: weighted graph text is limited to n <= 8192, header says n = 100000\n"

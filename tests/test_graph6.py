@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_graph, random_weighted
-from lcfoliage.graph import build_graph
+from lcfoliage.graph import SizeGuardError, build_graph
 from lcfoliage.graph6 import (
     decode_graph6,
     decode_weighted,
@@ -112,3 +112,10 @@ def test_weighted_accepts_comments_and_blank_lines():
 def test_weighted_rejects_malformed(bad):
     with pytest.raises(ValueError):
         decode_weighted(bad)
+
+
+def test_weighted_header_above_the_bound_is_refused():
+    # the CLI test feeds n = 100000 under a memory limit; just past the
+    # bound a decoder without the guard would still finish
+    with pytest.raises(SizeGuardError, match="n <= 8192, header says n = 8193"):
+        decode_weighted("d 3 n 8193\n")

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from lcfoliage.foliage import foliage_partition
 from lcfoliage.graph import (
     Graph,
     SizeGuardError,
+    _orbit,
     _relabel_rows,
     build_graph,
     connected_components,
@@ -504,11 +506,9 @@ def test_aut_interplay_for_k5():
 
 
 def test_aut_generators_generate_the_group():
-    from lcfoliage.orbits import _closure
-
     for g in (K23, path(4), cycle(5)):
         rep = lc_automorphism_group(g)
-        assert len(_closure(list(rep.generators), g.n)) == rep.order
+        assert len(oracle_group(g.n, rep.generators)) == rep.order
         orbit = set(lc_orbit(g).members)
         for sigma in rep.generators:
             assert _relabel_rows(g.rows, sigma) in orbit
@@ -545,18 +545,16 @@ def test_aut_in_group_generators():
 
 
 def test_aut_in_is_inside_aut_and_normal():
-    from lcfoliage.orbits import _closure
-
     rng = random.Random(77)
     for g in (K23, path(4), star(5)):
         part = foliage_partition(g)
         gens = aut_in_group(part)
-        inner = _closure(gens, g.n)
+        inner = oracle_group(g.n, gens)
         orbit = set(lc_orbit(g).members)
         for sigma in gens:
             assert _relabel_rows(g.rows, sigma) in orbit
         report = lc_automorphism_group(g)
-        full = _closure(list(report.generators), g.n)
+        full = oracle_group(g.n, report.generators)
         for _ in range(30):
             sigma = rng.choice(sorted(full))
             pi = rng.choice(sorted(inner))
@@ -630,6 +628,25 @@ def oracle_group(n, gens):
                 group.add(r)
                 todo.append(r)
     return group
+
+
+def test_orbit_matches_the_oracle_group():
+    rng = random.Random(622)
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        gens = []
+        for _ in range(rng.randrange(0, 4)):
+            p = list(range(n))
+            rng.shuffle(p)
+            gens.append(tuple(p))
+        group = oracle_group(n, gens)
+        for v in range(n):
+            assert _orbit(v, gens, getitem) == {sigma[v] for sigma in group}, (n, gens)
+        ident = tuple(range(n))
+        assert _orbit(ident, gens, lambda q, p: tuple(q[x] for x in p)) == group
+        rows = random_graph(n, 0.5, rng).rows
+        images = {oracle_relabel(n, rows, sigma) for sigma in group}
+        assert _orbit(rows, gens, lambda sigma, r: oracle_relabel(n, r, sigma)) == images
 
 
 def oracle_automorphisms(g):
