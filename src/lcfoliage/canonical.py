@@ -8,7 +8,9 @@ least packed adjacency among them.  A leaf that ties with the least one so
 far gives an automorphism, read off the two lists label by label.  A sibling
 branch is skipped when the found automorphisms that fix the path so far
 carry its vertex onto an explored sibling (McKay and Piperno, *Practical graph
-isomorphism II*, 2014); the orbit comes from ``graph._orbit``.  The search
+isomorphism II*, 2014); the orbit comes from ``graph._orbit``.  Every found
+automorphism is kept, and together they generate the automorphism group,
+which the LC-automorphism report builds on.  The search
 recurses through module-level functions, so it leaves no reference cycle
 and its memory goes as soon as it returns.  Nothing is cached: a labelled
 graph is rarely searched twice, and the class census keeps the key of every
@@ -22,10 +24,6 @@ from operator import getitem
 from .graph import Graph, _orbit, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
-
-# keep at most this many discovered automorphisms per search; pruning with a
-# partial list is still sound, it just prunes less
-_MAX_AUTS = 64
 
 
 def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
@@ -56,9 +54,10 @@ def _search(
 ) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """``(key, perm, auts)``: the canonical form and the automorphisms of ``rows`` found on the way.
 
-    ``auts`` holds at most ``_MAX_AUTS`` automorphisms (``auts[k][v]`` is the
-    image of vertex ``v``); they generate a subgroup of the automorphism
-    group, often all of it.
+    ``auts[k][v]`` is the image of vertex ``v``.  The ``auts`` generate the
+    whole automorphism group: a skipped branch is the image of an explored
+    one under automorphisms already found, and every explored leaf that
+    ties with the least one gives an automorphism onto it.
     """
     if n == 0:
         return _pack(0, 0), (), []
@@ -119,7 +118,7 @@ def _descend(
             for v, w in zip(inv, best[1]):
                 gamma[v] = w
             gamma = tuple(gamma)
-            if gamma not in auts and len(auts) < _MAX_AUTS:
+            if gamma not in auts:
                 auts.append(gamma)
         return best
     cell = cells[target]

@@ -33,13 +33,12 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, permutations
+from itertools import chain
 from math import factorial
 from operator import getitem
 
 from . import canonical
 from .canonical import canonical_key
-from .entanglement import entropy
 from .foliage import FoliagePartition, foliage_partition, saturation
 from .graph import (
     Graph,
@@ -47,7 +46,6 @@ from .graph import (
     _lc_rows,
     _orbit,
     _relabel_rows,
-    iter_bits,
     mask_of,
 )
 
@@ -428,85 +426,60 @@ class AutReport:
     interplay: Fraction  # order * class_size / labeled_size
 
 
-def _greedy_generators(elements: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+def _greedy_generators(
+    elements: list[tuple[int, ...]], n: int
+) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """``(gens, group)``: every element outside the group of the earlier ``gens``, and the group of all.
+
+    The group grows one right coset at a time (Dimino's algorithm).  It is
+    closed when a new generator comes, so the larger group is the union of
+    the cosets reached from the identity coset by multiplying on the right
+    with generators.  Each element costs one composition, and each coset
+    one more per generator to find its neighbours.
+    """
     ident = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    group: set[tuple[int, ...]] = {ident}
+    group = [ident]  # cosets of the previous group in turn, identity first
+    known = {ident}
     for p in elements:
-        if p not in group:
-            gens.append(p)
-            group = _orbit(ident, gens, lambda q, r: tuple(map(q.__getitem__, r)))
-    return gens
+        if p in known:
+            continue
+        gens.append(p)
+        sub = group[:]
+        start = 0
+        while start < len(group):
+            rep = group[start]
+            for s in gens:
+                r = tuple(map(rep.__getitem__, s))
+                if r not in known:
+                    coset = [tuple(map(h.__getitem__, r)) for h in sub]
+                    group += coset
+                    known.update(coset)
+            start += len(sub)
+    return gens, known
 
 
 def _lc_automorphisms(g: Graph, members: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every permutation ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``members``.
+    """Every permutation ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``members``, sorted.
 
-    Cut rank (the entropy of a vertex set) is invariant under local
-    complementation, so an LC automorphism maps every pair and every triple
-    of vertices onto a set of the same cut rank.  A depth-first search
-    assigns ``sigma[0], sigma[1], ...`` in increasing order, which yields
-    the permutations in lexicographic order, and drops a prefix as soon as
-    an assigned pair or triple has an image of another cut rank.  A check
-    on which every pair (or every triple) agrees cannot prune and is
-    skipped; with neither check left every permutation is a candidate.
-    Only complete candidates are relabelled and looked up.
+    Such a ``sigma`` carries ``g`` onto an orbit member of its own type,
+    and these permutations form a group.  It is generated by the
+    automorphisms of ``g``, which its canonical search finds, and one
+    isomorphism onto each member of the type: ``g``'s canonical labelling
+    followed by the inverse of the member's.  Only members with ``g``'s
+    sorted degrees are searched.
     """
     n = g.n
-    rank = {
-        m: entropy(g, m)
-        for size in (2, 3)
-        for m in map(mask_of, combinations(range(n), size))
-    }
-    check_pairs = len({rank[m] for m in rank if m.bit_count() == 2}) > 1
-    check_triples = len({rank[m] for m in rank if m.bit_count() == 3}) > 1
-    rows = g.rows
-    relabel = _relabel_rows
-    if not (check_pairs or check_triples):
-        return [p for p in permutations(range(n)) if relabel(rows, p) in members]
-    # per position k, the cut ranks of {j, k} for j < k and of {i, j, k}
-    # for i < j < k, pairs (i, j) ordered by j and then i
-    pair_want = [
-        [rank[1 << j | 1 << k] for j in range(k)] if check_pairs else []
-        for k in range(n)
-    ]
-    triple_want = [
-        [rank[1 << i | 1 << j | 1 << k] for j in range(k) for i in range(j)]
-        if check_triples
-        else []
-        for k in range(n)
-    ]
-    sigma = [0] * n
-    bits = [0] * n  # 1 << sigma[j]
-    pair_bits = [0] * (n * (n - 1) // 2)  # images of the pairs, in triple_want order
-    found: list[tuple[int, ...]] = []
-
-    def extend(k: int, free: int) -> None:
-        if k == n:
-            if relabel(rows, sigma) in members:
-                found.append(tuple(sigma))
-            return
-        pairs, triples = pair_want[k], triple_want[k]
-        start = k * (k - 1) // 2
-        for x in iter_bits(free):
-            bx = 1 << x
-            for b, want in zip(bits, pairs):
-                if rank[b | bx] != want:
-                    break
-            else:
-                for m, want in zip(pair_bits, triples):
-                    if rank[m | bx] != want:
-                        break
-                else:
-                    sigma[k] = x
-                    bits[k] = bx
-                    if check_triples:
-                        for j in range(k):
-                            pair_bits[start + j] = bits[j] | bx
-                    extend(k + 1, free ^ bx)
-
-    extend(0, (1 << n) - 1)
-    return found
+    key, perm, gens = canonical._search(n, g.rows)
+    degrees = sorted(map(int.bit_count, g.rows))
+    for rows in members:
+        if sorted(map(int.bit_count, rows)) != degrees:
+            continue
+        member_key, member_perm, _ = canonical._search(n, rows)
+        if member_key == key:
+            inv = sorted(range(n), key=member_perm.__getitem__)  # label -> vertex
+            gens.append(tuple(inv[lab] for lab in perm))
+    return sorted(_greedy_generators(gens, n)[1])
 
 
 def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> int:
@@ -522,13 +495,14 @@ def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> 
 def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     """Permutations whose relabelling of ``g`` stays inside its LC orbit.
 
-    The labelled orbit is enumerated once.  Candidate permutations come
-    from a backtracking search that keeps the cut rank of every vertex pair
-    and triple, and each survivor is checked against the orbit.  Two orbit
-    members are isomorphic exactly when an LC automorphism maps one onto
-    the other, so ``class_size`` is the number of orbits of the group on the
-    members.  Kept to small orders: the orbit and the search both grow
-    quickly with ``n``.
+    The labelled orbit is enumerated once.  The group is generated by the
+    automorphisms of ``g`` that its canonical search finds, which generate
+    all of them, and one isomorphism from ``g`` onto each orbit member of
+    its type; only members with ``g``'s sorted degrees are searched.  Two
+    orbit members are isomorphic exactly when an LC automorphism maps one
+    onto the other, so ``class_size`` is the number of orbits of the group
+    on the members.  Kept to small orders: the orbit grows quickly with
+    ``n``, and the report lists the group, up to ``n!`` permutations.
     """
     if g.n > _CLASS_GUARD and not force:
         raise SizeGuardError(
@@ -541,7 +515,7 @@ def _aut_report(g: Graph, class_size: int | None) -> AutReport:
     """``lc_automorphism_group(g)`` with the class size given, or counted if ``None``."""
     members = _orbit_members(g)
     auts = _lc_automorphisms(g, members)
-    gens = _greedy_generators(auts, g.n)
+    gens = _greedy_generators(auts, g.n)[0]
     if class_size is None:
         class_size = _orbit_count(members, gens)
     part = foliage_partition(g)

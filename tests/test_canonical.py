@@ -10,6 +10,7 @@ import lcfoliage
 from conftest import random_graph
 from lcfoliage.canonical import canonical_form, canonical_graph, canonical_key
 from lcfoliage.graph import Graph, build_graph
+from lcfoliage.orbits import lc_automorphism_group
 
 
 def relabel(g, perm):
@@ -108,6 +109,19 @@ def test_canonical_search_leaves_no_reference_cycle():
         for g in graphs:
             canonical_form(g)
         # everything a search built was freed by reference counting alone
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_lc_automorphism_report_leaves_no_reference_cycle():
+    rng = random.Random(7)
+    graphs = [random_graph(7, 0.5, rng) for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            lc_automorphism_group(g)
         assert gc.collect() == 0
     finally:
         gc.enable()

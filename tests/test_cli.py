@@ -53,6 +53,35 @@ def test_foliage_weighted(capsys, tmp_path):
     assert out == "parts=[{0,1,2}]\n"
 
 
+def run_child(argv, stdin, **kwargs):
+    """The CLI in a child process that imports this checkout's package."""
+    import lcfoliage
+
+    src = str(Path(lcfoliage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lcfoliage", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
+def test_weighted_header_with_an_18_digit_prime_modulus_is_quick():
+    # trial division up to the square root needs 5 * 10**8 divisions for this modulus
+    proc = run_child(["foliage", "--weighted", "-"], "d 1000000000000000003 n 2\n", timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout == "parts=[{0},{1}]\n"
+
+
+def test_weighted_modulus_from_2_to_the_64_exits_2():
+    proc = run_child(["foliage", "--weighted", "-"], f"d {(1 << 64) + 13} n 2\n", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: modulus 18446744073709551629 is not below 2**64\n"
+
+
 def test_lc(capsys):
     rc, out, _ = run(capsys, "lc", "0", "--g6", S5)
     assert (rc, out) == (0, "D~{\n")
@@ -309,22 +338,14 @@ def test_module_entry_point():
 
 def test_weighted_header_above_the_bound_exits_3():
     resource = pytest.importorskip("resource")
-    import lcfoliage
 
     def one_gib_address_space():
         # a decoder that sized its matrix from the header would fail here
         # with a MemoryError instead of asking for 10 GB
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(lcfoliage.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lcfoliage", "foliage", "--weighted", "-"],
-        input="d 3 n 100000\n",
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=one_gib_address_space,
+    proc = run_child(
+        ["foliage", "--weighted", "-"], "d 3 n 100000\n", preexec_fn=one_gib_address_space
     )
     assert proc.returncode == 3
     assert proc.stderr == "error: weighted graph text is limited to n <= 8192, header says n = 100000\n"

@@ -129,6 +129,26 @@ def test_weighted_validation():
 
 
 @pytest.mark.parametrize(
+    "d",
+    [
+        561,  # a Carmichael number
+        3825123056546413051,  # a strong pseudoprime to every base from 2 to 23
+        1000000007 * 998244353,  # two large prime factors
+    ],
+)
+def test_weighted_refuses_composite_moduli(d):
+    with pytest.raises(ValueError, match="is not prime"):
+        WeightedGraph(0, d, [])
+
+
+def test_weighted_takes_large_prime_moduli_and_refuses_from_2_to_the_64():
+    for d in (1000000000000000003, (1 << 61) - 1, (1 << 64) - 59):
+        assert WeightedGraph(0, d, []).d == d
+    with pytest.raises(ValueError, match="not below 2\\*\\*64"):
+        WeightedGraph(0, (1 << 64) + 13, [])
+
+
+@pytest.mark.parametrize(
     "weights, message",
     [
         ([1, 2], "weight row 0 is not a sequence"),

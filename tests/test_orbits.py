@@ -704,29 +704,48 @@ def test_aut_search_matches_the_full_scan_oracle():
         assert rep.aut_in_order <= rep.order <= rep.aut_in_order * rep.aut_out_upper_order
 
 
-def test_aut_search_checks_few_candidates(monkeypatch):
-    import lcfoliage.orbits as orbits_mod
-
-    checks = []
-
-    class CountingSet(set):
-        def __contains__(self, rows):
-            checks.append(rows)
-            return super().__contains__(rows)
-
-    members = orbits_mod._orbit_members
-    monkeypatch.setattr(orbits_mod, "_orbit_members", lambda g: CountingSet(members(g)))
+def test_aut_report_searches_only_members_with_the_degrees_of_g(monkeypatch):
+    searched = counted_searches(monkeypatch)
     rng = random.Random(88)
     for g in [cycle(8)] + [random_graph(8, 0.5, rng) for _ in range(20)]:
-        checks.clear()
-        rep = lc_automorphism_group(g)
-        assert rep.order <= len(checks) <= 16 * rep.order, g.rows
-        assert len(checks) <= 1000, g.rows  # 8! = 40320
-    # pairs and triples of one cut rank each: nothing prunes, the group is S_8
-    for g in (complete(8), star(8), build_graph(8, [])):
-        checks.clear()
+        degrees = sorted(row.bit_count() for row in g.rows)
+        same_degrees = sum(
+            sorted(row.bit_count() for row in rows) == degrees
+            for rows in oracle_orbit(g.n, g.rows)
+        )
+        searched.clear()
+        lc_automorphism_group(g)
+        # g itself, then the orbit members that may have its type
+        assert len(searched) <= 1 + same_degrees, g.rows
+        assert len(searched) <= 200, g.rows  # 8! = 40320
+    # K_8 and the empty graph are alone with their degrees in their orbits;
+    # the star's orbit holds the eight stars
+    for g, searches in ((complete(8), 2), (build_graph(8, []), 2), (star(8), 9)):
+        searched.clear()
         assert lc_automorphism_group(g).order == 40320
-        assert len(checks) == 40320
+        assert len(searched) == searches, g.rows
+
+
+def test_canonical_search_automorphisms_generate_the_automorphism_group():
+    import lcfoliage.canonical as canonical_mod
+
+    def cases():
+        rng = random.Random(1981)
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield Graph(n, oracle_relabel(n, g.rows, perm))
+        for n in range(1, 8):
+            yield from (complete(n), star(n), build_graph(n, []))
+            if n >= 3:
+                yield cycle(n)
+
+    for g in cases():
+        n, rows = g.n, g.rows
+        auts = canonical_mod._search(n, rows)[2]
+        fixing = {p for p in permutations(range(n)) if oracle_relabel(n, rows, p) == rows}
+        assert oracle_group(n, auts) == fixing, rows
 
 
 def test_aut_guard():
