@@ -5,16 +5,20 @@ current cells) followed by individualization of the leftmost non-singleton
 cell.  Every leaf of the search tree yields a labelling, kept as its list
 of vertices in label order; the canonical form is the lexicographically
 least packed adjacency among them.  A leaf that ties with the least one so
-far gives an automorphism, read off the two lists label by label.  A sibling
-branch is skipped when the found automorphisms that fix the path so far
-carry its vertex onto an explored sibling (McKay and Piperno, *Practical graph
-isomorphism II*, 2014); the orbit comes from ``graph._orbit``.  Every found
-automorphism is kept, and together they generate the automorphism group,
-which the LC-automorphism report builds on.  The search
-recurses through module-level functions, so it leaves no reference cycle
-and its memory goes as soon as it returns.  Nothing is cached: a labelled
-graph is rarely searched twice, and the class census keeps the key of every
-type it meets itself.
+far gives an automorphism, read off the two lists label by label.  That
+automorphism fixes the two paths up to where they part and carries the rest
+of this path onto the least leaf's, so the subtree below the parting node
+is the image of one already explored: the search jumps straight back to
+that node (McKay and Piperno's first-path backjump, *Practical graph
+isomorphism II*, 2014).  A sibling branch is skipped when the found
+automorphisms that fix the path so far carry its vertex onto an explored
+sibling; the orbit comes from ``graph._orbit``.  Every found automorphism is
+kept, at most one per level on K_n, S_n and the empty graph, and together
+they generate the automorphism group, which the LC automorphisms build on.
+The search recurses through module-level functions, so it leaves no
+reference cycle and its memory goes as soon as it returns.  Nothing is
+cached: a labelled graph is rarely searched twice, and the class census
+keeps the key of every type it meets itself.
 """
 
 from __future__ import annotations
@@ -55,14 +59,16 @@ def _search(
     """``(key, perm, auts)``: the canonical form and the automorphisms of ``rows`` found on the way.
 
     ``auts[k][v]`` is the image of vertex ``v``.  The ``auts`` generate the
-    whole automorphism group: a skipped branch is the image of an explored
-    one under automorphisms already found, and every explored leaf that
-    ties with the least one gives an automorphism onto it.
+    whole automorphism group: a skipped branch, or the rest of a subtree
+    left by a backjump, is the image of an explored one under automorphisms
+    already found, and every explored leaf that ties with the least one
+    gives an automorphism onto it.  The backjump leaves the least leaf, so
+    ``(key, perm)`` is the same as without it.
     """
     if n == 0:
         return _pack(0, 0), (), []
     auts: list[tuple[int, ...]] = []
-    bits, inv = _descend(rows, [(1 << n) - 1], (), None, auts)
+    (bits, inv, _), _ = _descend(rows, [(1 << n) - 1], (), None, auts)
     perm = [0] * n
     for lab, v in enumerate(inv):
         perm[v] = lab
@@ -92,12 +98,15 @@ def _descend(
     rows: tuple[int, ...],
     cells: list[int],
     path: tuple[int, ...],
-    best: tuple[int, list[int]] | None,
+    best: tuple[int, list[int], tuple[int, ...]] | None,
     auts: list[tuple[int, ...]],
-) -> tuple[int, list[int]]:
-    """The least leaf ``(bits, label -> vertex)`` of ``best`` and the subtree below ``cells``.
+) -> tuple[tuple[int, list[int], tuple[int, ...]], int]:
+    """``(best, depth)``: the least leaf ``(bits, label -> vertex, path)`` of ``best`` and the subtree below ``cells``.
 
-    A leaf that ties with ``best`` gives an automorphism, appended to ``auts``.
+    A leaf that ties with ``best`` gives an automorphism, appended to
+    ``auts``, and ``depth`` is then where its path parts from ``best``'s:
+    every node deeper than that returns at once.  Otherwise ``depth`` is
+    ``len(path)``.
     """
     cells = _refine(rows, cells)
     target = next((idx for idx, cell in enumerate(cells) if cell & (cell - 1)), -1)
@@ -110,7 +119,7 @@ def _descend(
             for j in range(i + 1, n):
                 bits = (bits << 1) | ((ri >> inv[j]) & 1)
         if best is None or bits < best[0]:
-            return bits, inv
+            return (bits, inv, path), len(path)
         if bits == best[0]:
             # both leaves relabel to the same graph, so sending each vertex
             # to the vertex of the same label in ``best`` is an automorphism
@@ -120,7 +129,10 @@ def _descend(
             gamma = tuple(gamma)
             if gamma not in auts:
                 auts.append(gamma)
-        return best
+            # gamma maps this path onto best's, so the subtree below their
+            # parting node maps onto one already explored
+            return best, next(d for d, (a, b) in enumerate(zip(path, best[2])) if a != b)
+        return best, len(path)
     cell = cells[target]
     processed: set[int] = set()
     for v in iter_bits(cell):
@@ -130,12 +142,14 @@ def _descend(
             if not processed.isdisjoint(_orbit(v, stab, getitem)):
                 processed.add(v)
                 continue
-        best = _descend(
+        best, depth = _descend(
             rows,
             cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :],
             path + (v,),
             best,
             auts,
         )
+        if depth < len(path):
+            return best, depth
         processed.add(v)
-    return best
+    return best, len(path)

@@ -38,7 +38,6 @@ from math import factorial
 from operator import getitem
 
 from . import canonical
-from .canonical import canonical_key
 from .foliage import FoliagePartition, foliage_partition, saturation
 from .graph import (
     Graph,
@@ -117,18 +116,18 @@ def _orbit_members(g: Graph) -> set[tuple[int, ...]]:
 def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     """Breadth-first closure of ``g`` under single local complementations.
 
-    ``class_size`` counts isomorphism types inside the orbit, which is the
-    size of the whole LC class of ``g``.  Raises ``SizeGuardError`` for
-    ``n`` above the guard unless forced, and in any case once the orbit
-    passes ``_ORBIT_MEMBERS`` labelled members.
+    ``class_size`` counts isomorphism types inside the orbit, the size of
+    the whole LC class of ``g``, as orbits of its LC automorphisms.  Raises
+    ``SizeGuardError`` for ``n`` above the guard unless forced, and in any
+    case once the orbit passes ``_ORBIT_MEMBERS`` labelled members.
     """
     if g.n > _ORBIT_GUARD and not force:
         raise SizeGuardError(
             f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
         )
-    members = tuple(sorted(_orbit_members(g)))
-    types = {canonical_key(Graph._wrap(g.n, rows)) for rows in members}
-    return OrbitReport(g, len(members), len(types), members)
+    members = _orbit_members(g)
+    class_size = _orbit_count(members, _lc_generators(g, members))
+    return OrbitReport(g, len(members), class_size, tuple(sorted(members)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,27 +458,31 @@ def _greedy_generators(
     return gens, known
 
 
-def _lc_automorphisms(g: Graph, members: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every permutation ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``members``, sorted.
+def _relabelled(sigma: tuple[int, ...], rows: tuple[int, ...]) -> tuple[int, ...]:
+    return _relabel_rows(rows, sigma)
 
-    Such a ``sigma`` carries ``g`` onto an orbit member of its own type,
-    and these permutations form a group.  It is generated by the
-    automorphisms of ``g``, which its canonical search finds, and one
-    isomorphism onto each member of the type: ``g``'s canonical labelling
-    followed by the inverse of the member's.  Only members with ``g``'s
-    sorted degrees are searched.
+
+def _lc_generators(g: Graph, members: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of the permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``members``.
+
+    They form a group that maps two members onto each other exactly when
+    they are isomorphic, generated by the automorphisms of ``g`` that its
+    canonical search finds and one isomorphism onto each member of ``g``'s
+    type (``g``'s canonical labelling, then the inverse of the member's).
+    Only members with ``g``'s sorted degrees not yet reached are searched.
     """
-    n = g.n
-    key, perm, gens = canonical._search(n, g.rows)
+    key, perm, gens = canonical._search(g.n, g.rows)
     degrees = sorted(map(int.bit_count, g.rows))
+    reached = {g.rows}  # its orbit under the automorphisms of g
     for rows in members:
-        if sorted(map(int.bit_count, rows)) != degrees:
+        if rows in reached or sorted(map(int.bit_count, rows)) != degrees:
             continue
-        member_key, member_perm, _ = canonical._search(n, rows)
+        member_key, member_perm, _ = canonical._search(g.n, rows)
         if member_key == key:
-            inv = sorted(range(n), key=member_perm.__getitem__)  # label -> vertex
+            inv = sorted(range(g.n), key=member_perm.__getitem__)  # label -> vertex
             gens.append(tuple(inv[lab] for lab in perm))
-    return sorted(_greedy_generators(gens, n)[1])
+            reached = _orbit(g.rows, gens, _relabelled)
+    return gens
 
 
 def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> int:
@@ -487,7 +490,7 @@ def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> 
     left = set(members)
     count = 0
     while left:
-        left -= _orbit(left.pop(), gens, lambda sigma, rows: _relabel_rows(rows, sigma))
+        left -= _orbit(left.pop(), gens, _relabelled)
         count += 1
     return count
 
@@ -495,14 +498,11 @@ def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> 
 def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     """Permutations whose relabelling of ``g`` stays inside its LC orbit.
 
-    The labelled orbit is enumerated once.  The group is generated by the
-    automorphisms of ``g`` that its canonical search finds, which generate
-    all of them, and one isomorphism from ``g`` onto each orbit member of
-    its type; only members with ``g``'s sorted degrees are searched.  Two
-    orbit members are isomorphic exactly when an LC automorphism maps one
-    onto the other, so ``class_size`` is the number of orbits of the group
-    on the members.  Kept to small orders: the orbit grows quickly with
-    ``n``, and the report lists the group, up to ``n!`` permutations.
+    The labelled orbit is enumerated once and the group generated by
+    ``_lc_generators``; ``class_size`` is the number of its orbits on the
+    members, as in ``lc_orbit``.  Kept to small orders: the orbit grows
+    quickly with ``n``, and the report lists the group, up to ``n!``
+    permutations.
     """
     if g.n > _CLASS_GUARD and not force:
         raise SizeGuardError(
@@ -514,7 +514,7 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
 def _aut_report(g: Graph, class_size: int | None) -> AutReport:
     """``lc_automorphism_group(g)`` with the class size given, or counted if ``None``."""
     members = _orbit_members(g)
-    auts = _lc_automorphisms(g, members)
+    auts = sorted(_greedy_generators(_lc_generators(g, members), g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
     if class_size is None:
         class_size = _orbit_count(members, gens)

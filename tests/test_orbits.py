@@ -692,8 +692,10 @@ def test_aut_search_matches_the_full_scan_oracle():
     for label, g in oracle_cases():
         rep = lc_automorphism_group(g)
         assert (rep.order, rep.generators) == oracle_automorphisms(g), (label, g.rows)
-        assert rep.class_size == lc_orbit(g).class_size, (label, g.rows)
-        assert rep.labeled_size == len(oracle_orbit(g.n, g.rows))
+        orbit = oracle_orbit(g.n, g.rows)
+        types = {canonical_key(Graph(g.n, rows)) for rows in orbit}
+        assert rep.class_size == len(types), (label, g.rows)
+        assert rep.labeled_size == len(orbit)
         # every automorphism maps each foliage part onto a part of the same
         # size, so Aut_in <= Aut <= Aut_out
         part = foliage_partition(g)
@@ -704,26 +706,78 @@ def test_aut_search_matches_the_full_scan_oracle():
         assert rep.aut_in_order <= rep.order <= rep.aut_in_order * rep.aut_out_upper_order
 
 
+def same_degree_members(g):
+    """Members of the oracle orbit of ``g`` with the sorted degrees of ``g``."""
+    degrees = sorted(row.bit_count() for row in g.rows)
+    return sum(
+        sorted(row.bit_count() for row in rows) == degrees
+        for rows in oracle_orbit(g.n, g.rows)
+    )
+
+
 def test_aut_report_searches_only_members_with_the_degrees_of_g(monkeypatch):
     searched = counted_searches(monkeypatch)
     rng = random.Random(88)
     for g in [cycle(8)] + [random_graph(8, 0.5, rng) for _ in range(20)]:
-        degrees = sorted(row.bit_count() for row in g.rows)
-        same_degrees = sum(
-            sorted(row.bit_count() for row in rows) == degrees
-            for rows in oracle_orbit(g.n, g.rows)
-        )
+        same_degrees = same_degree_members(g)
         searched.clear()
         lc_automorphism_group(g)
         # g itself, then the orbit members that may have its type
         assert len(searched) <= 1 + same_degrees, g.rows
         assert len(searched) <= 200, g.rows  # 8! = 40320
-    # K_8 and the empty graph are alone with their degrees in their orbits;
-    # the star's orbit holds the eight stars
-    for g, searches in ((complete(8), 2), (build_graph(8, []), 2), (star(8), 9)):
+    # K_8 and the empty graph are alone with their degrees in their orbits,
+    # so only g is searched; the star's orbit holds the eight stars, and the
+    # first isomorphism onto another one, with Aut(S_8), reaches them all
+    for g, searches in ((complete(8), 1), (build_graph(8, []), 1), (star(8), 2)):
         searched.clear()
         assert lc_automorphism_group(g).order == 40320
         assert len(searched) == searches, g.rows
+
+
+def test_lc_orbit_searches_only_members_with_the_degrees_of_g(monkeypatch):
+    searched = counted_searches(monkeypatch)
+    rng = random.Random(89)
+    for g in [cycle(8)] + [random_graph(8, 0.5, rng) for _ in range(20)]:
+        searched.clear()
+        lc_orbit(g)
+        # g itself, then the orbit members that may have its type
+        assert len(searched) <= 1 + same_degree_members(g), g.rows
+    # the orbit of K_16 and S_16 holds K_16 and the sixteen stars: one
+    # isomorphism onto another star, with Aut(S_16), reaches them all
+    for g in (complete(16), star(16)):
+        searched.clear()
+        assert lc_orbit(g).class_size == 2
+        assert len(searched) <= 2, g.rows
+
+
+def test_lc_orbit_class_size_matches_the_canonical_keys_of_the_oracle_orbit():
+    def cases():
+        rng = random.Random(1994)
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield Graph(n, oracle_relabel(n, g.rows, perm))
+        for n in (7, 7, 8, 8, 9):
+            g = random_graph(n, 0.5, rng)
+            while len(connected_components(g)) != 1:
+                g = random_graph(n, 0.5, rng)
+            yield g
+
+    for g in cases():
+        types = {canonical_key(Graph(g.n, rows)) for rows in oracle_orbit(g.n, g.rows)}
+        assert lc_orbit(g).class_size == len(types), g.rows
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_canonical_search_keeps_one_automorphism_per_level_on_symmetric_graphs(n):
+    import lcfoliage.canonical as canonical_mod
+
+    # backjumping to where a tie leaf parts from the least leaf's path finds
+    # one transposition per level; without it the search keeps about n^2/2
+    for g in (complete(n), star(n), build_graph(n, [])):
+        auts = canonical_mod._search(n, g.rows)[2]
+        assert len(auts) <= n - 1, g.rows
 
 
 def test_canonical_search_automorphisms_generate_the_automorphism_group():
