@@ -29,6 +29,7 @@ about once instead of from both ends and once per vertex.
 from __future__ import annotations
 
 import os
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,48 +86,50 @@ class OrbitReport:
         return [Graph._wrap(self.representative.n, rows) for rows in self.members]
 
 
-def _orbit_members(g: Graph) -> set[tuple[int, ...]]:
-    """Rows of every labelled graph reachable from ``g`` by local complementations.
+def _orbit_members(g: Graph) -> tuple[dict, list, array, array]:
+    """The BFS tree of the labelled graphs reachable from ``g`` by local complementations.
 
-    Breadth first; raises ``SizeGuardError`` once the orbit passes
-    ``_ORBIT_MEMBERS`` labelled members.
+    ``(index, members, parent, move)``: ``members[0]`` is ``g.rows`` and each
+    later member ``h`` is ``_lc_rows(members[parent[h]], move[h])``, with
+    ``parent[h] < h``; ``index`` numbers the members by their rows.  Raises
+    ``SizeGuardError`` once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
-    start = g.rows
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            for a in range(g.n):
-                nb = rows[a]
-                if nb & (nb - 1) == 0:
-                    continue  # degree 0 or 1: complementation is the identity
-                image = _lc_rows(rows, a)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-                    if len(seen) > _ORBIT_MEMBERS:
-                        raise SizeGuardError(
-                            f"lc_orbit passed {_ORBIT_MEMBERS} labelled members"
-                        )
-        frontier = nxt
-    return seen
+    index = {g.rows: 0}
+    members = [g.rows]
+    parent, move = array("I", [0]), array("I", [0])
+    for i, rows in enumerate(members):  # the list grows while it is read
+        back = move[i] if i else -1  # complementing twice at a vertex is the identity
+        for a in range(g.n):
+            nb = rows[a]
+            if nb & (nb - 1) == 0 or a == back:
+                continue  # degree 0 or 1, or back to the parent
+            image = _lc_rows(rows, a)
+            if image not in index:
+                index[image] = len(members)
+                members.append(image)
+                parent.append(i)
+                move.append(a)
+                if len(members) > _ORBIT_MEMBERS:
+                    raise SizeGuardError(
+                        f"lc_orbit passed {_ORBIT_MEMBERS} labelled members"
+                    )
+    return index, members, parent, move
 
 
 def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     """Breadth-first closure of ``g`` under single local complementations.
 
     ``class_size`` counts isomorphism types inside the orbit, the size of
-    the whole LC class of ``g``, as orbits of its LC automorphisms.  Raises
-    ``SizeGuardError`` for ``n`` above the guard unless forced, and in any
-    case once the orbit passes ``_ORBIT_MEMBERS`` labelled members.
+    the LC class of ``g``, as orbits of its LC automorphisms on the orbit's
+    BFS tree.  Raises ``SizeGuardError`` for ``n`` above the guard unless
+    forced, and in any case once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
     if g.n > _ORBIT_GUARD and not force:
         raise SizeGuardError(
             f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
         )
-    members = _orbit_members(g)
-    class_size = _orbit_count(members, _lc_generators(g, members))
+    index, members, _, _ = tree = _orbit_members(g)
+    class_size = _orbit_count(tree, _lc_generators(g, index))
     return OrbitReport(g, len(members), class_size, tuple(sorted(members)))
 
 
@@ -339,6 +342,14 @@ def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> l
     return [Graph._wrap(n, rows_of[i]) for i in order]
 
 
+def _find(up: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``up``, halving the path."""
+    while up[x] != x:
+        up[x] = up[up[x]]
+        x = up[x]
+    return x
+
+
 def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -368,17 +379,6 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
         parent.append(j)
         return j
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     frontier = [add(key, *searched) for key, searched in seeds.items()]
     while frontier:
         batch = [(keys[i], rows_of[i], orbits_of[i], marks[i]) for i in frontier]
@@ -393,12 +393,12 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
                     j = add(key, *reached[key])
                     nxt.append(j)
                 marks[j] |= 1 << back
-                union(i, j)
+                parent[_find(parent, i)] = _find(parent, j)
         frontier = nxt
 
     groups: dict[int, list[int]] = {}
     for i in range(len(keys)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     leads = sorted(
         (min(keys[i] for i in members), len(members)) for members in groups.values()
     )
@@ -462,19 +462,20 @@ def _relabelled(sigma: tuple[int, ...], rows: tuple[int, ...]) -> tuple[int, ...
     return _relabel_rows(rows, sigma)
 
 
-def _lc_generators(g: Graph, members: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Generators of the permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``members``.
+def _lc_generators(g: Graph, index: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+    """Generators of the permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``index``.
 
-    They form a group that maps two members onto each other exactly when
-    they are isomorphic, generated by the automorphisms of ``g`` that its
-    canonical search finds and one isomorphism onto each member of ``g``'s
-    type (``g``'s canonical labelling, then the inverse of the member's).
-    Only members with ``g``'s sorted degrees not yet reached are searched.
+    ``index`` is the orbit's, from ``_orbit_members``.  The permutations
+    form a group that maps two members onto each other exactly when they are
+    isomorphic, generated by the automorphisms of ``g`` that its canonical
+    search finds and one isomorphism onto each member of ``g``'s type
+    (``g``'s canonical labelling, then the inverse of the member's).  Only
+    members with ``g``'s sorted degrees not yet reached are searched.
     """
     key, perm, gens = canonical._search(g.n, g.rows)
     degrees = sorted(map(int.bit_count, g.rows))
-    reached = {g.rows}  # its orbit under the automorphisms of g
-    for rows in members:
+    reached = {g.rows}  # its orbit under the generators so far
+    for rows in index:
         if rows in reached or sorted(map(int.bit_count, rows)) != degrees:
             continue
         member_key, member_perm, _ = canonical._search(g.n, rows)
@@ -485,14 +486,24 @@ def _lc_generators(g: Graph, members: set[tuple[int, ...]]) -> list[tuple[int, .
     return gens
 
 
-def _orbit_count(members: set[tuple[int, ...]], gens: list[tuple[int, ...]]) -> int:
-    """Orbits of the group generated by ``gens`` on ``members`` (relabelled rows)."""
-    left = set(members)
-    count = 0
-    while left:
-        left -= _orbit(left.pop(), gens, _relabelled)
-        count += 1
-    return count
+def _orbit_count(tree: tuple[dict, list, array, array], gens: list[tuple[int, ...]]) -> int:
+    """Orbits of the group generated by ``gens`` on the members of an orbit's BFS ``tree``.
+
+    Relabelling commutes with local complementation: sigma.LC_a(h) =
+    LC_sigma(a)(sigma.h).  So only the root is relabelled, and each later
+    member ``h`` maps to the complementation of its parent's image at
+    ``sigma[move[h]]``.  Members join their images in a union-find over
+    member numbers; the orbits are its roots.
+    """
+    index, members, parent, move = tree
+    up = list(range(len(members)))
+    for sigma in gens:
+        image = [index[_relabel_rows(members[0], sigma)]]
+        for h in range(1, len(members)):
+            image.append(index[_lc_rows(members[image[parent[h]]], sigma[move[h]])])
+        for h, j in enumerate(image):
+            up[_find(up, h)] = _find(up, j)
+    return sum(h == root for h, root in enumerate(up))
 
 
 def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
@@ -513,11 +524,12 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
 
 def _aut_report(g: Graph, class_size: int | None) -> AutReport:
     """``lc_automorphism_group(g)`` with the class size given, or counted if ``None``."""
-    members = _orbit_members(g)
-    auts = sorted(_greedy_generators(_lc_generators(g, members), g.n)[1])
+    index, members, _, _ = tree = _orbit_members(g)
+    lc_gens = _lc_generators(g, index)
+    auts = sorted(_greedy_generators(lc_gens, g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
     if class_size is None:
-        class_size = _orbit_count(members, gens)
+        class_size = _orbit_count(tree, lc_gens)
     part = foliage_partition(g)
     lower, upper = aut_bounds(part)
     return AutReport(

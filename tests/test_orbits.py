@@ -20,6 +20,7 @@ from lcfoliage.foliage import foliage_partition
 from lcfoliage.graph import (
     Graph,
     SizeGuardError,
+    _lc_rows,
     _orbit,
     _relabel_rows,
     build_graph,
@@ -767,6 +768,114 @@ def test_lc_orbit_class_size_matches_the_canonical_keys_of_the_oracle_orbit():
     for g in cases():
         types = {canonical_key(Graph(g.n, rows)) for rows in oracle_orbit(g.n, g.rows)}
         assert lc_orbit(g).class_size == len(types), g.rows
+
+
+def test_orbit_members_is_a_bfs_tree_of_the_oracle_orbit():
+    import lcfoliage.orbits as orbits_mod
+
+    rng = random.Random(1107)
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        g = random_graph(n, 0.5, rng)
+        index, members, parent, move = orbits_mod._orbit_members(g)
+        assert set(members) == oracle_orbit(n, g.rows), g.rows
+        assert members[0] == g.rows
+        assert list(index) == members
+        assert all(index[rows] == h for h, rows in enumerate(members))
+        assert len(parent) == len(move) == len(members)
+        for h in range(1, len(members)):
+            assert parent[h] < h, (g.rows, h)
+            assert _lc_rows(members[parent[h]], move[h]) == members[h], (g.rows, h)
+
+
+def test_orbit_count_relabels_once_per_generator(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    relabelled = []
+    real = orbits_mod._relabel_rows
+    monkeypatch.setattr(
+        orbits_mod,
+        "_relabel_rows",
+        lambda rows, perm: relabelled.append(perm) or real(rows, perm),
+    )
+    rng = random.Random(1108)
+    graphs = [complete(5), cycle(6)] + [random_graph(8, 0.5, rng) for _ in range(3)]
+    for g in graphs:
+        tree = orbits_mod._orbit_members(g)
+        gens = orbits_mod._lc_generators(g, tree[0])
+        assert gens, g.rows  # every one of these graphs has a nontrivial group
+        relabelled.clear()
+        count = orbits_mod._orbit_count(tree, gens)
+        # only the root is relabelled, once per generator, for sigma . g
+        assert len(relabelled) <= len(gens), g.rows
+        types = {canonical_key(Graph(g.n, rows)) for rows in oracle_orbit(g.n, g.rows)}
+        assert count == len(types), g.rows
+
+
+# Reports frozen from the earlier class-size count, which relabelled every
+# orbit member by every generator: seeded connected G(n, 1/2), then the
+# edgeless graph on 5 vertices and the single vertex.  An orbit report is
+# (n, rows, labeled_size, class_size, sha256 of repr(members) cut to 16
+# hex digits); an automorphism report is (n, rows, then every field).
+ORBIT_GOLDENS = [
+    (6, (54, 41, 17, 34, 37, 27), 372, 16, "829bc2762ff43823"),
+    (6, (62, 1, 41, 21, 9, 5), 176, 21, "b53c3c73bf400493"),
+    (7, (30, 17, 49, 113, 111, 92, 56), 1052, 92, "77ce89bd1914be9d"),
+    (7, (120, 100, 114, 113, 109, 95, 63), 236, 72, "48043b91f52cf5d2"),
+    (8, (30, 213, 19, 97, 135, 8, 138, 82), 1404, 542, "48ef8dfa2fc40f68"),
+    (8, (38, 245, 243, 176, 14, 143, 134, 110), 1492, 46, "2e3207f1547028d4"),
+    (9, (158, 129, 177, 417, 485, 284, 272, 287, 248), 8404, 4246, "171c13e3f26fdef7"),
+    (9, (68, 240, 25, 372, 174, 410, 11, 50, 40), 8836, 8836, "222593e3455251ec"),
+    (5, (0, 0, 0, 0, 0), 1, 1, "555fce3b542ce540"),
+    (1, (0,), 1, 1, "efd70b49446e8be6"),
+]
+AUT_GOLDENS = [
+    (6, (46, 53, 35, 33, 34, 31), 48,
+     ((0, 1, 2, 4, 3, 5), (0, 1, 3, 2, 5, 4), (1, 0, 2, 3, 4, 5), (2, 5, 0, 3, 4, 1)),
+     1, 720, 372, 16, "64/31"),
+    (6, (38, 37, 27, 52, 12, 11), 16,
+     ((0, 1, 2, 3, 5, 4), (0, 1, 3, 2, 4, 5), (0, 1, 4, 5, 2, 3), (1, 0, 2, 3, 4, 5)),
+     2, 24, 176, 21, "21/11"),
+    (7, (26, 33, 80, 81, 45, 82, 44), 48,
+     ((0, 1, 2, 3, 6, 5, 4), (0, 1, 3, 2, 4, 5, 6), (0, 4, 2, 3, 1, 6, 5),
+      (2, 1, 0, 3, 4, 5, 6)),
+     1, 5040, 1056, 33, "3/2"),
+    (7, (4, 48, 105, 4, 34, 86, 36), 12,
+     ((0, 1, 3, 2, 4, 5, 6), (0, 4, 2, 3, 1, 5, 6), (2, 1, 0, 3, 4, 5, 6)),
+     12, 2, 104, 44, "66/13"),
+    (8, (190, 65, 65, 113, 105, 153, 158, 97), 8,
+     ((0, 1, 2, 4, 3, 5, 6, 7), (0, 2, 1, 3, 4, 5, 6, 7), (6, 1, 2, 3, 4, 5, 0, 7)),
+     4, 48, 640, 176, "11/5"),
+    (8, (56, 80, 224, 161, 99, 93, 54, 12), 12,
+     ((0, 2, 4, 1, 7, 5, 3, 6), (5, 1, 3, 2, 6, 0, 4, 7)),
+     1, 40320, 3156, 298, "298/263"),
+    (5, (0, 0, 0, 0, 0), 120,
+     ((0, 1, 2, 4, 3), (0, 1, 3, 2, 4), (0, 2, 1, 3, 4), (1, 0, 2, 3, 4)),
+     1, 120, 1, 1, "120"),
+    (1, (0,), 1, (), 1, 1, 1, 1, "1"),
+]
+
+
+def test_orbit_reports_are_frozen():
+    for n, rows, labeled_size, class_size, digest in ORBIT_GOLDENS:
+        rep = lc_orbit(Graph(n, rows))
+        assert rep.representative == Graph(n, rows)
+        assert (rep.labeled_size, rep.class_size) == (labeled_size, class_size), rows
+        assert hashlib.sha256(repr(rep.members).encode()).hexdigest()[:16] == digest, rows
+
+
+def test_aut_reports_are_frozen():
+    for n, rows, *fields, interplay in AUT_GOLDENS:
+        rep = lc_automorphism_group(Graph(n, rows))
+        assert [
+            rep.order,
+            rep.generators,
+            rep.aut_in_order,
+            rep.aut_out_upper_order,
+            rep.labeled_size,
+            rep.class_size,
+        ] == fields, rows
+        assert rep.interplay == Fraction(interplay), rows
 
 
 @pytest.mark.parametrize("n", [16, 24])
