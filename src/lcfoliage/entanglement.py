@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .foliage import FoliageRepresentation, PartType, foliage_partition, foliage_representation
 from .gf2 import rank_of_rows
 from .graph import Graph, SizeGuardError, WeightedGraph, connected_components, iter_bits, mask_of
@@ -192,6 +190,8 @@ def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: boo
     full = (1 << n) - 1
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")
+    import numpy as np
+
     size = d**n
     idx = np.arange(size)
     digits = [(idx // d ** (n - 1 - v)) % d for v in range(n)]

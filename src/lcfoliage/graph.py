@@ -3,14 +3,18 @@
 Qubit graphs store one int bitmask per vertex (bit ``w`` of ``rows[v]`` is
 the edge ``vw``).  Qudit graphs carry a symmetric weight matrix over Z_d for
 prime d.  Both are immutable; every operator returns a new object.
+
+numpy is imported inside the validators that use it, so that importing the
+package, the census and the cut-rank queries do not pay for loading it.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -49,6 +53,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def _pack_rows(rows: Sequence[int]) -> np.ndarray:
     """Rows as an ``(n, ceil(n / 8))`` uint8 array, bit ``w`` at byte ``w // 8``, bit ``w % 8``."""
+    import numpy as np
+
     n = len(rows)
     nb = (n + 7) // 8
     raw = b"".join(int(row).to_bytes(nb, "little") for row in rows)
@@ -64,6 +70,8 @@ def _unpack_rows(packed: np.ndarray) -> tuple[int, ...]:
 
 def _first_asymmetry(packed: np.ndarray) -> tuple[int, int] | None:
     """First ``(v, w)`` in row-major order with arc ``v -> w`` but not ``w -> v``."""
+    import numpy as np
+
     n = packed.shape[0]
     cells = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     bad = cells > cells.T
@@ -73,18 +81,20 @@ def _first_asymmetry(packed: np.ndarray) -> tuple[int, int] | None:
     return k // n, k % n
 
 
-def _byte_cells(rows: tuple[tuple[int, ...], ...], n: int, d: int) -> np.ndarray | None:
-    """Weights as an ``(n, n)`` uint8 array if they are valid and each fits a byte, else None."""
+def _byte_supports(rows: tuple[tuple[int, ...], ...], n: int, d: int) -> tuple[int, ...] | None:
+    """Support masks of the weights if they are valid and each fits a byte, else None."""
     if any(len(row) != n for row in rows):
         return None
     try:
         raw = b"".join(map(bytes, rows))
     except (TypeError, ValueError):
         return None
+    import numpy as np
+
     cells = np.frombuffer(raw, dtype=np.uint8).reshape(n, n)
     if n and (cells.max() >= d or cells.diagonal().any() or not np.array_equal(cells, cells.T)):
         return None
-    return cells
+    return _unpack_rows(np.packbits(cells != 0, axis=1, bitorder="little"))
 
 
 class Graph:
@@ -226,8 +236,8 @@ class WeightedGraph:
             for row, given in zip(rows, weights)
             if not isinstance(given, (bytes, bytearray))
         )
-        cells = None if has_bool else _byte_cells(rows, n, d)
-        if cells is None:
+        supports = None if has_bool else _byte_supports(rows, n, d)
+        if supports is None:
             # weights that do not fit a byte, or bad input: the cell-by-cell
             # pass names the first offending cell in row-major order
             for v, row in enumerate(rows):
@@ -245,8 +255,6 @@ class WeightedGraph:
                     if x != rows[w][v]:
                         raise ValueError(f"weights not symmetric at ({v}, {w})")
             supports = tuple(mask_of(w for w, x in enumerate(row) if x) for row in rows)
-        else:
-            supports = _unpack_rows(np.packbits(cells != 0, axis=1, bitorder="little"))
         self.n = n
         self.d = d
         self.weights = rows

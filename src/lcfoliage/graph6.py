@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import binascii
 import re
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import Graph, SizeGuardError, WeightedGraph, _pack_rows, _unpack_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["encode_graph6", "decode_graph6", "encode_weighted", "decode_weighted"]
 
@@ -36,7 +38,9 @@ _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/
 _TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
 # largest n a weighted text may declare: the decoder sizes its n * n weight
-# matrix (64 MiB at this bound) from the header line alone
+# matrix from the header line alone.  The byte rows are 64 MiB at this bound,
+# but WeightedGraph keeps the weights as tuples of Python ints, 8 bytes a
+# cell, so decoding the bare header "d 3 n 8192" peaks near 740 MB
 _MAX_WEIGHTED_N = 8192
 
 
@@ -47,10 +51,14 @@ def _lower(n: int) -> np.ndarray:
     ``j`` of the lower one, so the set cells, read row by row, are the body
     bits in order.
     """
+    import numpy as np
+
     return np.tri(n, k=-1, dtype=bool)
 
 
 def encode_graph6(g: Graph) -> str:
+    import numpy as np
+
     n = g.n
     if n > 258047:
         raise ValueError("graph6 size header supports at most n = 258047 here")
@@ -66,6 +74,8 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(text: str) -> Graph:
+    import numpy as np
+
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]

@@ -1,7 +1,13 @@
-"""Every exported name must resolve, so a deletion cannot leave a stale export."""
+"""The public surface: every exported name resolves, and importing the
+package, the census commands and the cut-rank queries stay free of numpy
+and of the process pool."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +27,63 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     assert [attr for attr in exported if not hasattr(mod, attr)] == []
 
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(lcfoliage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("module", ["numpy", "concurrent.futures.process"])
+def test_import_leaves_module_out(module):
+    code = "import sys, lcfoliage; print(sys.argv[1] in sys.modules)"
+    proc = run_python(code, module)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+# Runs the census commands through the CLI and the orbit, automorphism and
+# cut-rank queries through the library, printing everything to stdout.  With
+# argument "block", every import of numpy raises ImportError.  The graphs come
+# from edge lists, so no graph6 text is decoded.
+NUMPY_FREE_PATHS = """
+import runpy, sys
+
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+
+for argv in (["classes", "--n", "7"], ["classes", "--n", "7", "--csv"], ["stats", "--n", "6", "--csv"]):
+    sys.argv = ["lcfoliage", *argv]
+    try:
+        runpy.run_module("lcfoliage", run_name="__main__")
+    except SystemExit as exc:
+        print("exit", exc.code)
+
+from lcfoliage import (
+    build_graph, entropy_via_foliage, lc_automorphism_group, lc_orbit, normal_form,
+    schmidt_vector, uniformity,
+)
+
+path7 = build_graph(7, [(v, v + 1) for v in range(6)])
+wheel = build_graph(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
+k23 = build_graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+chords = build_graph(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7), (3, 8)])
+for g in (path7, wheel, k23):
+    print(lc_orbit(g))
+    print(lc_automorphism_group(g))
+for g in (wheel, chords):
+    print(schmidt_vector(g))
+    print(uniformity(g))
+nf = normal_form(chords)
+print([entropy_via_foliage(nf, s) for s in range(1 << nf.n)])
+"""
+
+
+def test_census_and_queries_run_with_numpy_blocked():
+    free = run_python(NUMPY_FREE_PATHS, "free")
+    blocked = run_python(NUMPY_FREE_PATHS, "block")
+    assert (free.returncode, free.stderr) == (0, "")
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert blocked.stdout == free.stdout

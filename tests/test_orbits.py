@@ -1,15 +1,11 @@
 import concurrent.futures
 import hashlib
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from operator import getitem
-from pathlib import Path
 
 import pytest
 
@@ -478,16 +474,6 @@ def test_census_is_the_same_when_levels_split_into_chunks(monkeypatch):
     assert lc_classes(7, workers=3) == expected
     assert lc_classes(6, connected_only=False, workers=3) == expected_all
     assert chunks and max(chunks) == 3
-
-
-def test_import_leaves_the_process_pool_out():
-    import lcfoliage
-
-    src = str(Path(lcfoliage.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, lcfoliage; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # ---------------------------------------------------------------------------
