@@ -2,9 +2,9 @@
 
 Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
-on success, 2 on bad input or an output path that cannot be written, 3 when
-a size guard trips (``--force`` lifts the guards on n, not the orbit member
-budget or the order limit of the weighted text format).
+on success, 2 on a usage error, bad input or an output path that cannot be
+written, 3 when a size guard trips (``--force`` lifts the guards on n, not
+the orbit member budget or the order limit of the weighted text format).
 """
 
 from __future__ import annotations
@@ -212,16 +212,12 @@ def _cmd_aut(args: argparse.Namespace) -> str:
 def _cmd_classes(args: argparse.Namespace) -> str:
     connected = not args.all
     if args.csv:
-        rows = symmetry_table(
-            args.n, connected_only=connected, force=args.force, workers=args.workers
-        )
+        rows = symmetry_table(args.n, connected_only=connected, force=args.force)
         lines = [_CSV_HEADER]
         for row in rows:
             lines.append(",".join(str(x) for x in row))
         return "\n".join(lines) + "\n"
-    census = lc_classes(
-        args.n, connected_only=connected, force=args.force, workers=args.workers
-    )
+    census = lc_classes(args.n, connected_only=connected, force=args.force)
     if args.reps is not None:
         lines = "".join(
             encode_graph6(cls.representative) + "\n" for cls in census.classes
@@ -233,7 +229,7 @@ def _cmd_classes(args: argparse.Namespace) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> str:
-    row = saturation_stats(args.n, force=args.force, workers=args.workers)
+    row = saturation_stats(args.n, force=args.force)
     t, s, r, f = row.two_decimals()
     if args.csv:
         return f"{t},{s},{r},{f}\n"
@@ -250,16 +246,6 @@ def _cmd_construct(args: argparse.Namespace) -> str:
     except ValueError as exc:
         raise ValueError(f"bad partition {args.partition!r}") from exc
     return encode_graph6(graph_for_partition(sizes)) + "\n"
-
-
-def _worker_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
 
 
 def _add_graph_input(sub: argparse.ArgumentParser) -> None:
@@ -334,14 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="include disconnected graphs")
     p.add_argument("--csv", action="store_true", help="per-class symmetry table")
     p.add_argument("--reps", help="write class representatives as graph6 to this path")
-    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("stats", help="average saturation statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_stats)
 

@@ -47,12 +47,8 @@ def entropy(g: Graph, subset: int) -> int:
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")
     comp = full & ~subset
-    return rank_of_rows(rows_restricted(g, subset, comp))
-
-
-def rows_restricted(g: Graph, row_mask: int, col_mask: int) -> list[int]:
-    """Adjacency rows of ``row_mask`` vertices, masked to ``col_mask`` columns."""
-    return [g.rows[v] & col_mask for v in iter_bits(row_mask)]
+    rows = g.rows
+    return rank_of_rows([rows[v] & comp for v in iter_bits(subset)])
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,10 @@ about once instead of from both ends and once per vertex.
 
 from __future__ import annotations
 
-import os
 from array import array
-from contextlib import ExitStack
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain
 from math import factorial
 from operator import getitem
 
@@ -136,86 +133,6 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
 # ---------------------------------------------------------------------------
 # class census
 
-# what a canonical search leaves of a graph: its rows, its canonical
-# labelling and the automorphisms found on the way
-_Searched = tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]
-
-
-def _extend_chunk(
-    low: int, args: tuple[int, list[tuple[int, ...]]]
-) -> dict[bytes, _Searched]:
-    """Canonical key -> the first searched extension of that type.
-
-    Each parent gets a new vertex ``n - 1`` joined to every neighbourhood
-    mask from ``low`` up.
-    """
-    n, parents = args
-    search = canonical._search
-    found: dict[bytes, _Searched] = {}
-    for rows in parents:
-        for mask in range(low, 1 << (n - 1)):
-            ext = tuple(
-                rows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
-            ) + (mask,)
-            key, perm, auts = search(n, ext)
-            if key not in found:
-                found[key] = (ext, perm, auts)
-    return found
-
-
-def _pool_size(workers: int) -> int:
-    """Worker processes to start for a request of ``workers``: 1 up to the CPU count."""
-    return max(1, min(workers, os.cpu_count() or 1))
-
-
-class _Pool:
-    """One process pool of ``_pool_size(workers)`` processes, started on first need.
-
-    A top-level census or enumeration and all of its recursive levels share
-    one ``_Pool``; leaving its ``with`` block shuts the processes down.
-    """
-
-    def __init__(self, workers: int):
-        self.size = _pool_size(workers)
-        self._stack = ExitStack()
-        self._executor = None
-
-    def __enter__(self) -> "_Pool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stack.close()
-
-    def map(self, fn, n: int, items: list) -> list:
-        """``fn((n, chunk))`` for consecutive chunks of ``items``, results in chunk order.
-
-        The chunks go to the processes when there are at least as many items
-        as processes, else ``items`` is one chunk run here.
-        """
-        if self.size == 1 or len(items) < self.size:
-            return [fn((n, items))]
-        if self._executor is None:
-            # imported here: it pulls in multiprocessing, which serial
-            # callers never need
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = self._stack.enter_context(
-                ProcessPoolExecutor(max_workers=self.size)
-            )
-        chunk = (len(items) + self.size - 1) // self.size
-        jobs = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
-        return list(self._executor.map(fn, jobs))
-
-
-def _merged(parts: list[dict]) -> dict:
-    """The chunk dicts in order, earlier chunks winning on a shared key."""
-    found, *rest = parts
-    for part in rest:
-        for key, value in part.items():
-            found.setdefault(key, value)
-    return found
-
-
 @dataclass(frozen=True)
 class LCClass:
     representative: Graph  # canonical, least key in the class
@@ -255,55 +172,34 @@ def _orbit_masks(
     return tuple(masks)
 
 
-def _moves_chunk(
-    args: tuple[int, list[tuple[bytes, tuple[int, ...], tuple[int, ...], int]]]
-) -> tuple[list[list[tuple[bytes, int]]], dict[bytes, _Searched]]:
-    """Move each type once per automorphism orbit that may still reach a new edge.
+def _moves(
+    n: int, rows: tuple[int, ...], orbits: tuple[int, ...], marks: list[int], t: int
+) -> Iterator[tuple]:
+    """Move a type once per automorphism orbit that may still reach a new edge.
 
-    A type comes as ``(key, canonical rows, orbit masks, marks)``; a marked
-    vertex's move is known to lead to a type already joined to it, and so
-    does every move in its orbit.  Each other orbit of a vertex of degree at
-    least two is moved at its least vertex and the image searched.  Returns,
-    per type, ``(key, back)`` for every move, where the move at ``back`` on
-    the canonical rows of ``key`` leads back to the type, and the searched
-    image of every key first reached here that is not in the chunk.  The
-    marks found for types of the chunk count at once, for later types and
-    for later orbits of the same type.
+    The type has canonical rows ``rows``, orbit masks ``orbits`` and marks
+    ``marks[t]``: a marked vertex's move is known to lead to a type already
+    joined to it, and so does every move in its orbit.  Each other orbit of
+    a vertex of degree at least two is moved at its least vertex, and
+    ``(key, back, image, perm, auts)`` is yielded with the search of the
+    image, where the move at ``back`` on the canonical rows of ``key`` leads
+    back to the type.  ``marks[t]`` is read again before each orbit, so a
+    mark the caller sets between yields holds for the later orbits.
     """
-    n, types = args
     search = canonical._search
-    where = {key: t for t, (key, _, _, _) in enumerate(types)}
-    marks = [mark for _, _, _, mark in types]
-    moves = []
-    reached: dict[bytes, _Searched] = {}
-    for t, (_, rows, orbits, _) in enumerate(types):
-        out = []
-        for orbit in orbits:
-            if orbit & marks[t]:
-                continue
-            a = (orbit & -orbit).bit_length() - 1
-            nb = rows[a]
-            if nb & (nb - 1) == 0:
-                continue  # degree 0 or 1: complementation is the identity
-            image = _lc_rows(rows, a)
-            key, perm, auts = search(n, image)
-            back = perm[a]
-            s = where.get(key)
-            if s is not None:
-                marks[s] |= 1 << back
-            elif key not in reached:
-                reached[key] = (image, perm, auts)
-            out.append((key, back))
-        moves.append(out)
-    return moves, reached
+    for orbit in orbits:
+        if orbit & marks[t]:
+            continue
+        a = (orbit & -orbit).bit_length() - 1
+        nb = rows[a]
+        if nb & (nb - 1) == 0:
+            continue  # degree 0 or 1: complementation is the identity
+        image = _lc_rows(rows, a)
+        key, perm, auts = search(n, image)
+        yield key, perm[a], image, perm, auts
 
 
-def lc_classes(
-    n: int,
-    connected_only: bool = True,
-    force: bool = False,
-    workers: int = 1,
-) -> ClassCensus:
+def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> ClassCensus:
     """Partition the isomorphism types of order ``n`` into LC classes.
 
     The seeds are every one-vertex extension of the representatives of the
@@ -316,28 +212,23 @@ def lc_classes(
     at a vertex whose move leads back to a type it is already joined to.
     A class is represented by its canonical graph of least key and sized by
     its type count; classes are ordered by that key.  Censuses are cached
-    per process; seeds and BFS levels are spread over ``workers``
-    processes, one pool for the whole call, and each process's chunk of a
-    level shares its marks only within that chunk.  Raises ``ValueError``
-    for ``n`` below 1.
+    per process.  Raises ``ValueError`` for ``n`` below 1.
     """
     if n > _CLASS_GUARD and not force:
         raise SizeGuardError(
             f"lc_classes is limited to n <= {_CLASS_GUARD} (force to override)"
         )
-    with _Pool(workers) as pool:
-        return _census(n, connected_only, pool)[0]
+    return _census(n, connected_only)[0]
 
 
-def nonisomorphic_graphs(n: int, connected: bool = False, workers: int = 1) -> list[Graph]:
+def nonisomorphic_graphs(n: int, connected: bool = False) -> list[Graph]:
     """All isomorphism types of order ``n``, canonical, sorted by key.
 
     These are the types that the class census of order ``n`` visits (see
     ``lc_classes``), read from the same per-process cache, so no size guard
     applies.
     """
-    with _Pool(workers) as pool:
-        _, keys, rows_of = _census(n, connected, pool)
+    _, keys, rows_of = _census(n, connected)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return [Graph._wrap(n, rows_of[i]) for i in order]
 
@@ -350,7 +241,7 @@ def _find(up: list[int], x: int) -> int:
     return x
 
 
-def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
+def _census(n: int, connected_only: bool) -> _Closure:
     if n < 1:
         raise ValueError("need at least one vertex")
     cached = _CENSUS_CACHE.get((n, connected_only))
@@ -359,10 +250,10 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
     if n == 1:
         reps, low = [()], 0  # the one extension of the empty graph
     else:
-        smaller = _census(n - 1, connected_only, pool)[0]
+        smaller = _census(n - 1, connected_only)[0]
         reps = [cls.representative.rows for cls in smaller.classes]
         low = 1 if connected_only else 0
-    seeds = _merged(pool.map(partial(_extend_chunk, low), n, reps))
+    search = canonical._search
     keys: list[bytes] = []
     rows_of: list[tuple[int, ...]] = []  # canonical rows
     orbits_of: list[tuple[int, ...] | None] = []  # dropped once moved
@@ -379,21 +270,26 @@ def _census(n: int, connected_only: bool, pool: _Pool) -> _Closure:
         parent.append(j)
         return j
 
-    frontier = [add(key, *searched) for key, searched in seeds.items()]
+    for rows in reps:  # the new vertex n - 1 joins every mask from low up
+        for mask in range(low, 1 << (n - 1)):
+            ext = tuple(
+                rows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
+            ) + (mask,)
+            key, perm, auts = search(n, ext)
+            if key not in index:
+                add(key, ext, perm, auts)
+    frontier = list(range(len(keys)))
     while frontier:
-        batch = [(keys[i], rows_of[i], orbits_of[i], marks[i]) for i in frontier]
-        results = pool.map(_moves_chunk, n, batch)
-        reached = _merged([found for _, found in results])
         nxt = []
-        for i, out in zip(frontier, chain.from_iterable(moves for moves, _ in results)):
-            orbits_of[i] = None
-            for key, back in out:
+        for i in frontier:
+            for key, back, *searched in _moves(n, rows_of[i], orbits_of[i], marks, i):
                 j = index.get(key)
                 if j is None:
-                    j = add(key, *reached[key])
+                    j = add(key, *searched)
                     nxt.append(j)
                 marks[j] |= 1 << back
                 parent[_find(parent, i)] = _find(parent, j)
+            orbits_of[i] = None
         frontier = nxt
 
     groups: dict[int, list[int]] = {}
@@ -599,9 +495,9 @@ def _fmt2(x: Fraction) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def saturation_stats(n: int, force: bool = False, workers: int = 1) -> SaturationStatsRow:
+def saturation_stats(n: int, force: bool = False) -> SaturationStatsRow:
     """Average saturation behaviour over the connected LC classes of order ``n``."""
-    census = lc_classes(n, connected_only=True, force=force, workers=workers)
+    census = lc_classes(n, connected_only=True, force=force)
     times = []
     sizes = []
     reducible = 0
@@ -626,15 +522,13 @@ def saturation_stats(n: int, force: bool = False, workers: int = 1) -> Saturatio
     )
 
 
-def symmetry_table(
-    n: int, connected_only: bool = True, force: bool = False, workers: int = 1
-) -> list[tuple]:
+def symmetry_table(n: int, connected_only: bool = True, force: bool = False) -> list[tuple]:
     """Per-class symmetry rows: partition shape, aut orders, orbit sizes.
 
     Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C, I.
     The class size C is the census's own.
     """
-    census = lc_classes(n, connected_only=connected_only, force=force, workers=workers)
+    census = lc_classes(n, connected_only=connected_only, force=force)
     rows = []
     for cid, cls in enumerate(census.classes, start=1):
         rep = cls.representative

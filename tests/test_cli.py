@@ -298,15 +298,6 @@ def test_order_below_one_exits_2(capsys, argv):
     assert (rc, out, err) == (2, "", "error: need at least one vertex\n")
 
 
-@pytest.mark.parametrize("command", ["classes", "stats"])
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_workers_below_one_is_usage_error(capsys, command, value):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--n", "4", "--workers", value])
-    assert exc.value.code == 2
-    assert "--workers: must be at least 1" in capsys.readouterr().err
-
-
 def test_guard_exits_3_and_force_overrides(capsys):
     big_empty = "P" + "?" * 23  # 17 isolated vertices
     rc, _, err = run(capsys, "orbit", "--g6", big_empty)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import random
 from collections import Counter
@@ -169,15 +168,6 @@ def test_enumeration_is_canonical_and_sorted():
     assert len(set(keys)) == len(keys)
 
 
-def test_enumeration_with_workers_matches_serial():
-    serial = [g.rows for g in nonisomorphic_graphs(5)]
-    import lcfoliage.orbits as orbits_mod
-
-    orbits_mod._CENSUS_CACHE.pop((5, False), None)
-    parallel = [g.rows for g in nonisomorphic_graphs(5, workers=2)]
-    assert parallel == serial
-
-
 # ---------------------------------------------------------------------------
 # class census
 
@@ -271,84 +261,6 @@ def test_order_below_one_is_refused(enumerate_, n):
         enumerate_(n)
 
 
-def test_census_workers_match_serial():
-    import lcfoliage.orbits as orbits_mod
-
-    serial = lc_classes(5)
-    orbits_mod._CENSUS_CACHE.pop((5, True), None)
-    parallel = lc_classes(5, workers=2)
-    assert parallel == serial
-
-
-def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
-    import lcfoliage.orbits as orbits_mod
-
-    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 4)
-    assert [orbits_mod._pool_size(w) for w in (-1, 0, 1, 3, 4, 5, 10**6)] == [1, 1, 1, 3, 4, 4, 4]
-    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: None)
-    assert orbits_mod._pool_size(8) == 1
-
-
-def test_both_pools_start_at_most_cpu_count_workers(monkeypatch):
-    import lcfoliage.orbits as orbits_mod
-
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    expected = lc_classes(5)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
-    assert lc_classes(5, workers=10**6) == expected
-    assert started and all(w <= 3 for w in started)
-    # one pool for the whole call, started by the first level of at least
-    # three types (the 5 seeds at n = 4) and reused by every later level
-    assert started == [3]
-
-
-def test_one_pool_per_call_and_none_when_serial(monkeypatch):
-    import lcfoliage.orbits as orbits_mod
-
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    expected_types = [g.rows for g in nonisomorphic_graphs(6)]
-    expected = lc_classes(6)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
-    assert lc_classes(6, workers=1) == expected
-    assert started == []
-    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
-    # the censuses over all graphs of orders 1 to 6 share one pool
-    assert [g.rows for g in nonisomorphic_graphs(6, workers=3)] == expected_types
-    assert started == [3]
-
-
 def counted_searches(monkeypatch):
     """Route every canonical search through a counter; returns the list of searched rows."""
     import lcfoliage.canonical as canonical_mod
@@ -384,7 +296,7 @@ def test_cold_n8_census_work_gate(monkeypatch):
     assert census.count == 101
     # every move of every type canonicalised 66933 images; one move per
     # automorphism orbit and none back across a joined edge need 40440
-    assert len(searched) <= 42000
+    assert len(searched) == 40440
 
 
 @pytest.mark.slow
@@ -399,7 +311,7 @@ def test_cold_n8_all_graph_census_gate(monkeypatch):
     census = lc_classes(8, connected_only=False)
     # seeding with every type from vertex augmentation, then closing,
     # made 193868 searches; seeding from the order-7 classes needs 48753
-    assert len(searched) <= 50000
+    assert len(searched) == 48753
     # the Euler transform of the connected counts 1, 1, 1, 2, 4, 11, 26, 101
     assert census.count == 182
     assert sum(c.size for c in census.classes) == 12346  # A000088
@@ -410,15 +322,16 @@ def test_cold_n8_all_graph_census_gate(monkeypatch):
 def test_moves_chunk_searches_one_image_per_orbit(monkeypatch, g):
     import lcfoliage.orbits as orbits_mod
 
-    entry = census_entry(g)
+    _, rows, orbits, mark = census_entry(g)
     searched = counted_searches(monkeypatch)
-    moves, reached = orbits_mod._moves_chunk((g.n, [entry]))
+    moves = list(orbits_mod._moves(g.n, rows, orbits, [mark], 0))
     # K_n is one orbit; the star's leaves have degree one, so only its
     # centre moves; either way the image is the other graph
     assert len(searched) == 1
     (other,) = {complete(6), star(6)} - {g}
-    assert moves == [[(canonical_key(other), moves[0][0][1])]]
-    assert list(reached) == [canonical_key(other)]
+    ((key, _, image, _, _),) = moves
+    assert key == canonical_key(other)
+    assert canonical_key(Graph(g.n, image)) == canonical_key(other)
 
 
 def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
@@ -426,54 +339,19 @@ def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
 
     for n in range(2, 7):
         for g in nonisomorphic_graphs(n, connected=True):
-            key, rows, orbits, _ = entry = census_entry(g)
+            key, rows, orbits, mark = census_entry(g)
             canon = Graph(n, rows)
             assert sorted(v for m in orbits for v in range(n) if m >> v & 1) == list(range(n))
             for m in orbits:
                 # every vertex of an orbit moves to the same type
                 assert len({canonical_key(local_complement(canon, v)) for v in range(n) if m >> v & 1}) == 1
-            moves, reached = orbits_mod._moves_chunk((n, [entry]))
+            moves = list(orbits_mod._moves(n, rows, orbits, [mark], 0))
             moved = {canonical_key(local_complement(canon, v)) for v in range(n)} - {key}
-            assert {k for k, _ in moves[0]} - {key} == moved
-            for k, back in moves[0]:
-                if k == key:
-                    target = canon
-                else:
-                    image, perm, _ = reached[k]
-                    target = Graph(n, _relabel_rows(image, perm))
+            assert {k for k, *_ in moves} - {key} == moved
+            for k, back, image, perm, _ in moves:
+                target = Graph(n, _relabel_rows(image, perm))
                 assert canonical_key(target) == k
                 assert canonical_key(local_complement(target, back)) == key
-
-
-def test_census_is_the_same_when_levels_split_into_chunks(monkeypatch):
-    import lcfoliage.orbits as orbits_mod
-
-    chunks = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            chunks.append(len(jobs))
-            return map(fn, jobs)
-
-    expected = lc_classes(7)
-    expected_all = lc_classes(6, connected_only=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(orbits_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(orbits_mod, "_CENSUS_CACHE", {})
-    # marks found in one chunk do not reach the others
-    assert lc_classes(7, workers=3) == expected
-    assert lc_classes(6, connected_only=False, workers=3) == expected_all
-    assert chunks and max(chunks) == 3
 
 
 # ---------------------------------------------------------------------------
