@@ -53,6 +53,31 @@ def _pack(n: int, bits: int) -> bytes:
     return n.to_bytes(4, "big") + bits.to_bytes(nbytes, "big")
 
 
+def _unpack(key: bytes) -> tuple[int, ...]:
+    """The canonical rows that ``key`` packs: the inverse of ``_pack``.
+
+    ``_descend`` writes the pairs ``(i, j)``, ``i < j``, row by row, the
+    first pair in the highest bit.  So row ``i`` is the next ``n - 1 - i``
+    bits from the top, and a bit ``p`` places up from the segment's lowest
+    is the pair with ``j = n - 1 - p``.
+    """
+    n = int.from_bytes(key[:4], "big")
+    bits = int.from_bytes(key[4:], "big")
+    rows = [0] * n
+    shift = n * (n - 1) // 2
+    for i in range(n - 1):
+        shift -= n - 1 - i
+        seg = bits >> shift
+        bits ^= seg << shift
+        while seg:
+            low = seg & -seg
+            j = n - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            seg ^= low
+    return tuple(rows)
+
+
 def _search(
     n: int, rows: tuple[int, ...]
 ) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:

@@ -16,7 +16,8 @@ connected graph, and the set is nonempty.  The closure visits every type
 of order ``n`` (every connected one for the connected census), so it is
 also the one enumeration of isomorphism types.
 
-Each type is kept as its canonical rows, with the orbits of the
+Each type is kept as its canonical key, which packs its canonical rows
+(``canonical._unpack`` reads them back), with the orbits of the
 automorphisms its canonical search found and a mark on every vertex whose
 move is known to lead to a type already joined to it.  A type moves only
 at the least vertex of each orbit without a mark: an automorphism carries
@@ -150,8 +151,8 @@ class ClassCensus:
         return len(self.classes)
 
 
-# a census with the keys and canonical rows of the types its closure visited
-_Closure = tuple[ClassCensus, list[bytes], list[tuple[int, ...]]]
+# a census with the canonical keys of the types its closure visited
+_Closure = tuple[ClassCensus, list[bytes]]
 
 _CENSUS_CACHE: dict[tuple[int, bool], _Closure] = {}
 
@@ -173,7 +174,7 @@ def _orbit_masks(
 
 
 def _moves(
-    n: int, rows: tuple[int, ...], orbits: tuple[int, ...], marks: list[int], t: int
+    n: int, rows: tuple[int, ...], orbits: tuple[int, ...], marks: array, t: int
 ) -> Iterator[tuple]:
     """Move a type once per automorphism orbit that may still reach a new edge.
 
@@ -181,9 +182,9 @@ def _moves(
     ``marks[t]``: a marked vertex's move is known to lead to a type already
     joined to it, and so does every move in its orbit.  Each other orbit of
     a vertex of degree at least two is moved at its least vertex, and
-    ``(key, back, image, perm, auts)`` is yielded with the search of the
-    image, where the move at ``back`` on the canonical rows of ``key`` leads
-    back to the type.  ``marks[t]`` is read again before each orbit, so a
+    ``(key, back, perm, auts)`` is yielded from the search of the image,
+    where the move at ``back`` on the canonical rows of ``key`` leads back
+    to the type.  ``marks[t]`` is read again before each orbit, so a
     mark the caller sets between yields holds for the later orbits.
     """
     search = canonical._search
@@ -194,9 +195,8 @@ def _moves(
         nb = rows[a]
         if nb & (nb - 1) == 0:
             continue  # degree 0 or 1: complementation is the identity
-        image = _lc_rows(rows, a)
-        key, perm, auts = search(n, image)
-        yield key, perm[a], image, perm, auts
+        key, perm, auts = search(n, _lc_rows(rows, a))
+        yield key, perm[a], perm, auts
 
 
 def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> ClassCensus:
@@ -228,12 +228,11 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> list[Graph]:
     ``lc_classes``), read from the same per-process cache, so no size guard
     applies.
     """
-    _, keys, rows_of = _census(n, connected)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [Graph._wrap(n, rows_of[i]) for i in order]
+    _, keys = _census(n, connected)
+    return [Graph._wrap(n, canonical._unpack(key)) for key in sorted(keys)]
 
 
-def _find(up: list[int], x: int) -> int:
+def _find(up: array | list[int], x: int) -> int:
     """The root of ``x`` in the union-find forest ``up``, halving the path."""
     while up[x] != x:
         up[x] = up[up[x]]
@@ -253,18 +252,16 @@ def _census(n: int, connected_only: bool) -> _Closure:
         smaller = _census(n - 1, connected_only)[0]
         reps = [cls.representative.rows for cls in smaller.classes]
         low = 1 if connected_only else 0
-    search = canonical._search
+    search, unpack = canonical._search, canonical._unpack
     keys: list[bytes] = []
-    rows_of: list[tuple[int, ...]] = []  # canonical rows
     orbits_of: list[tuple[int, ...] | None] = []  # dropped once moved
-    marks: list[int] = []
+    marks = array("I")
     index: dict[bytes, int] = {}
-    parent: list[int] = []
+    parent = array("I")
 
-    def add(key: bytes, image: tuple[int, ...], perm: tuple[int, ...], auts) -> int:
+    def add(key: bytes, perm: tuple[int, ...], auts) -> int:
         j = index[key] = len(keys)
         keys.append(key)
-        rows_of.append(_relabel_rows(image, perm))
         orbits_of.append(_orbit_masks(n, perm, auts))
         marks.append(0)
         parent.append(j)
@@ -277,12 +274,12 @@ def _census(n: int, connected_only: bool) -> _Closure:
             ) + (mask,)
             key, perm, auts = search(n, ext)
             if key not in index:
-                add(key, ext, perm, auts)
+                add(key, perm, auts)
     frontier = list(range(len(keys)))
     while frontier:
         nxt = []
         for i in frontier:
-            for key, back, *searched in _moves(n, rows_of[i], orbits_of[i], marks, i):
+            for key, back, *searched in _moves(n, unpack(keys[i]), orbits_of[i], marks, i):
                 j = index.get(key)
                 if j is None:
                     j = add(key, *searched)
@@ -298,11 +295,9 @@ def _census(n: int, connected_only: bool) -> _Closure:
     leads = sorted(
         (min(keys[i] for i in members), len(members)) for members in groups.values()
     )
-    classes = tuple(
-        LCClass(Graph._wrap(n, rows_of[index[key]]), size) for key, size in leads
-    )
+    classes = tuple(LCClass(Graph._wrap(n, unpack(key)), size) for key, size in leads)
     closure = _CENSUS_CACHE[(n, connected_only)] = (
-        ClassCensus(n, connected_only, classes), keys, rows_of
+        ClassCensus(n, connected_only, classes), keys
     )
     return closure
 
@@ -407,9 +402,10 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
 
     The labelled orbit is enumerated once and the group generated by
     ``_lc_generators``; ``class_size`` is the number of its orbits on the
-    members, as in ``lc_orbit``.  Kept to small orders: the orbit grows
-    quickly with ``n``, and the report lists the group, up to ``n!``
-    permutations.
+    members, as in ``lc_orbit``.  The report holds only the group's order
+    and generators, but the group itself, up to ``n!`` permutations, is
+    listed to pick those generators.  So this is kept to small orders, as
+    the orbit grows quickly with ``n``.
     """
     if g.n > _CLASS_GUARD and not force:
         raise SizeGuardError(

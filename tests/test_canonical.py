@@ -8,9 +8,9 @@ import pytest
 
 import lcfoliage
 from conftest import random_graph
-from lcfoliage.canonical import canonical_form, canonical_graph, canonical_key
+from lcfoliage.canonical import _unpack, canonical_form, canonical_graph, canonical_key
 from lcfoliage.graph import Graph, build_graph
-from lcfoliage.orbits import lc_automorphism_group
+from lcfoliage.orbits import lc_automorphism_group, nonisomorphic_graphs
 
 
 def relabel(g, perm):
@@ -72,6 +72,21 @@ def test_perm_produces_the_canonical_graph(seed):
     # canonical graphs are fixed points with the same key
     key2, _ = canonical_form(cg)
     assert key2 == key
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
+def test_unpack_reads_the_canonical_rows_of_every_small_type(connected):
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n, connected=connected):
+            assert _unpack(canonical_key(g)) == canonical_graph(g).rows
+
+
+def test_unpack_reads_the_canonical_rows_of_random_graphs():
+    rng = random.Random(3000)
+    sizes = [0, 1] + [rng.randrange(0, 13) for _ in range(2998)]
+    for n in sizes:
+        g = random_graph(n, rng.random(), rng)
+        assert _unpack(canonical_key(g)) == canonical_graph(g).rows, (n, g.rows)
 
 
 def test_hard_symmetric_cases():

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -8,6 +11,7 @@ from operator import getitem
 
 import pytest
 
+import lcfoliage
 from conftest import random_graph
 from lcfoliage.canonical import canonical_graph, canonical_key
 from lcfoliage.cli import main
@@ -282,7 +286,7 @@ def census_entry(g):
     import lcfoliage.orbits as orbits_mod
 
     key, perm, auts = canonical_mod._search(g.n, g.rows)
-    return key, _relabel_rows(g.rows, perm), orbits_mod._orbit_masks(g.n, perm, auts), 0
+    return key, canonical_mod._unpack(key), orbits_mod._orbit_masks(g.n, perm, auts), 0
 
 
 @pytest.mark.slow
@@ -318,8 +322,54 @@ def test_cold_n8_all_graph_census_gate(monkeypatch):
     assert len(nonisomorphic_graphs(8, connected=True)) == A001349[7]
 
 
+def test_cold_census_relabels_no_type(monkeypatch):
+    import lcfoliage.canonical as canonical_mod
+    import lcfoliage.orbits as orbits_mod
+
+    # a type is its key: its canonical rows are unpacked, never relabelled
+    relabelled = []
+    for module in (orbits_mod, canonical_mod):
+        real = module._relabel_rows
+        monkeypatch.setattr(
+            module,
+            "_relabel_rows",
+            lambda rows, perm, real=real: relabelled.append(perm) or real(rows, perm),
+        )
+    for order, connected in ((7, True), (6, False)):
+        for n in range(1, order + 1):
+            orbits_mod._CENSUS_CACHE.pop((n, connected), None)
+        census = lc_classes(order, connected_only=connected)
+        assert sum(c.size for c in census.classes) == (853 if connected else 156)
+    assert relabelled == []
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("LCFOLIAGE_N9") != "1", reason="set LCFOLIAGE_N9=1 to run (about 2 minutes)"
+)
+def test_n9_census_gate():
+    code = (
+        "import resource\n"
+        "from lcfoliage.orbits import lc_classes\n"
+        "census = lc_classes(9, force=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"  # KiB on Linux
+        "print(census.count, sum(c.size for c in census.classes), peak)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, types, peak_kib = map(int, proc.stdout.split())
+    assert count == 440
+    assert types == 261080  # connected graphs on 9 vertices, OEIS A001349
+    assert peak_kib < 100 * 1024
+
+
 @pytest.mark.parametrize("g", [complete(6), star(6)], ids=["K6", "S6"])
 def test_moves_chunk_searches_one_image_per_orbit(monkeypatch, g):
+    import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
     _, rows, orbits, mark = census_entry(g)
@@ -329,12 +379,13 @@ def test_moves_chunk_searches_one_image_per_orbit(monkeypatch, g):
     # centre moves; either way the image is the other graph
     assert len(searched) == 1
     (other,) = {complete(6), star(6)} - {g}
-    ((key, _, image, _, _),) = moves
+    ((key, _, _, _),) = moves
     assert key == canonical_key(other)
-    assert canonical_key(Graph(g.n, image)) == canonical_key(other)
+    assert canonical_key(Graph(g.n, canonical_mod._unpack(key))) == canonical_key(other)
 
 
 def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
+    import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
     for n in range(2, 7):
@@ -348,8 +399,8 @@ def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
             moves = list(orbits_mod._moves(n, rows, orbits, [mark], 0))
             moved = {canonical_key(local_complement(canon, v)) for v in range(n)} - {key}
             assert {k for k, *_ in moves} - {key} == moved
-            for k, back, image, perm, _ in moves:
-                target = Graph(n, _relabel_rows(image, perm))
+            for k, back, _, _ in moves:
+                target = Graph(n, canonical_mod._unpack(k))
                 assert canonical_key(target) == k
                 assert canonical_key(local_complement(target, back)) == key
 
