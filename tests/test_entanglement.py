@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,76 @@ def test_schmidt_vector_is_lc_invariant(seed):
     for _ in range(5):
         h = local_complement(h, rng.randrange(h.n))
     assert schmidt_vector(h).values == vec
+
+
+def assert_vector_matches_entropy(g):
+    assert schmidt_vector(g).values == bytes(entropy(g, mask) for mask in range(1 << g.n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_schmidt_vector_matches_entropy_on_every_type(n):
+    for g in nonisomorphic_graphs(n):
+        assert_vector_matches_entropy(g)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_schmidt_vector_matches_entropy_on_complete_star_and_empty_graphs(n):
+    for g in (complete(n), star(n), build_graph(n, [])):
+        assert_vector_matches_entropy(g)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", range(7, 13))
+def test_schmidt_vector_matches_entropy_on_random_graphs(n, p):
+    assert_vector_matches_entropy(random_graph(n, p, random.Random(100 * n + int(10 * p))))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_schmidt_vector_at_the_lane_width_boundary(n):
+    # N[V] = 2^n first needs 17 bits at n = 16; from n = 15 the lanes span
+    # more than one int of 2^14 lanes
+    rng = random.Random(1500 + n)
+    masks = [0, (1 << n) - 1, *(1 << v for v in range(n))]
+    masks += [rng.randrange(1 << n) for _ in range(200)]
+    for g in (random_graph(n, 0.5, rng), build_graph(n, [])):
+        vec = schmidt_vector(g)
+        assert [vec[mask] for mask in masks] == [entropy(g, mask) for mask in masks]
+
+
+@pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 40])
+def test_entropy_vector_rejects_masks_outside_the_vertex_range(mask):
+    vec = schmidt_vector(build_graph(3, [(0, 1), (1, 2)]))
+    with pytest.raises(ValueError, match="subset has bits outside the vertex range"):
+        vec[mask]
+
+
+# Peak RSS is read from VmHWM, which starts afresh at exec: getrusage's
+# ru_maxrss in a child keeps the peak of the process that started it, and
+# under the full suite that is the test runner's own peak (above 200 MB).
+SCHMIDT_PEAK_RSS = """
+import random
+from lcfoliage.entanglement import schmidt_vector
+from lcfoliage.graph import build_graph
+
+rng = random.Random(20)
+g = build_graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.5])
+vec = schmidt_vector(g)
+assert vec[0] == vec[(1 << 20) - 1] == 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_schmidt_vector_peak_rss_at_n_20():
+    # the lanes live in arrays and in ints of 2^14 lanes, never in a list of 2^n ints
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCHMIDT_PEAK_RSS], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert float(proc.stdout) < 96
 
 
 def test_e_matrix_anchors():
