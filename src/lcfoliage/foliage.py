@@ -127,16 +127,10 @@ def _weighted_rows_dependent(g: WeightedGraph, v: int, w: int, excl: int) -> boo
         return True
     if sv != sw:
         return False
-    wv = g.weights[v]
-    ww = g.weights[w]
-    d = g.d
-    ratio = -1
-    for u in iter_bits(sv):
-        if ratio < 0:
-            ratio = (wv[u] * pow(ww[u], -1, d)) % d
-        elif wv[u] != (ratio * ww[u]) % d:
-            return False
-    return True
+    wv, ww, d = g._nbrs[v], g._nbrs[w], g.d
+    u = sv.bit_length() - 1
+    ratio = wv[u] * pow(ww[u], -1, d) % d
+    return all(wv[u] == ratio * ww[u] % d for u in iter_bits(sv))
 
 
 def vertices_related(g: Graph | WeightedGraph, v: int, w: int) -> bool:

@@ -1,11 +1,11 @@
 """Graph data model and local-complementation operators.
 
 Qubit graphs store one int bitmask per vertex (bit ``w`` of ``rows[v]`` is
-the edge ``vw``).  Qudit graphs carry a symmetric weight matrix over Z_d for
-prime d.  Both are immutable; every operator returns a new object.
+the edge ``vw``).  Qudit graphs over Z_d, d prime, add a map per vertex from
+neighbour to nonzero weight.  Both are immutable; operators return new ones.
 
-numpy is imported inside the validators that use it, so that importing the
-package, the census and the cut-rank queries do not pay for loading it.
+numpy is imported inside the qubit validator, so that importing the package,
+the census, the cut-rank queries and the weighted path do not load it.
 """
 
 from __future__ import annotations
@@ -79,22 +79,6 @@ def _first_asymmetry(packed: np.ndarray) -> tuple[int, int] | None:
         return None
     k = int(np.argmax(bad))
     return k // n, k % n
-
-
-def _byte_supports(rows: tuple[tuple[int, ...], ...], n: int, d: int) -> tuple[int, ...] | None:
-    """Support masks of the weights if they are valid and each fits a byte, else None."""
-    if any(len(row) != n for row in rows):
-        return None
-    try:
-        raw = b"".join(map(bytes, rows))
-    except (TypeError, ValueError):
-        return None
-    import numpy as np
-
-    cells = np.frombuffer(raw, dtype=np.uint8).reshape(n, n)
-    if n and (cells.max() >= d or cells.diagonal().any() or not np.array_equal(cells, cells.T)):
-        return None
-    return _unpack_rows(np.packbits(cells != 0, axis=1, bitorder="little"))
 
 
 class Graph:
@@ -207,20 +191,25 @@ def _is_prime(d: int) -> bool:
     return True
 
 
+def _check_n_and_d(n: int, d: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if not _is_prime(d):
+        raise ValueError(f"modulus {d} is not prime")
+
+
 class WeightedGraph:
     """A d-weighted graph over Z_d, d prime.
 
-    ``weights[v][w]`` is the edge weight in ``0..d-1``; 0 means no edge.
-    ``supports[v]`` caches the bitmask of neighbours of ``v``.
+    ``supports[v]`` is the bitmask of neighbours of ``v``, and a private map
+    per vertex holds each neighbour's weight in ``1..d-1``.  ``from_edges``
+    builds one in O(n + m); the dense constructor checks all n * n cells.
     """
 
-    __slots__ = ("n", "d", "weights", "supports")
+    __slots__ = ("n", "d", "supports", "_nbrs")
 
     def __init__(self, n: int, d: int, weights: Sequence[Sequence[int]]):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if not _is_prime(d):
-            raise ValueError(f"modulus {d} is not prime")
+        _check_n_and_d(n, d)
         if len(weights) != n:
             raise ValueError("need one weight row per vertex")
         rows = []
@@ -229,76 +218,92 @@ class WeightedGraph:
                 rows.append(tuple(row))
             except TypeError:
                 raise ValueError(f"weight row {v} is not a sequence") from None
-        rows = tuple(rows)
-        # a bool passes bytes() as 0 or 1; byte-string rows cannot hold one
-        has_bool = any(
-            bool in set(map(type, row))
-            for row, given in zip(rows, weights)
-            if not isinstance(given, (bytes, bytearray))
-        )
-        supports = None if has_bool else _byte_supports(rows, n, d)
-        if supports is None:
-            # weights that do not fit a byte, or bad input: the cell-by-cell
-            # pass names the first offending cell in row-major order
-            for v, row in enumerate(rows):
-                if len(row) != n:
-                    raise ValueError(f"weight row {v} has wrong length")
-                for w, x in enumerate(row):
-                    if isinstance(x, bool) or not isinstance(x, Integral):
-                        raise ValueError(f"weight at ({v}, {w}) is not an integer")
-                    if not (0 <= x < d):
-                        raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")
-                    if v == w and x != 0:
-                        raise ValueError(f"self-loop at vertex {v}")
-                    if len(rows[w]) <= v:  # a later row, too short to hold (w, v)
-                        raise ValueError(f"weight row {w} has wrong length")
-                    if x != rows[w][v]:
-                        raise ValueError(f"weights not symmetric at ({v}, {w})")
-            supports = tuple(mask_of(w for w, x in enumerate(row) if x) for row in rows)
+        # the first offending cell in row-major order is the one named
+        for v, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"weight row {v} has wrong length")
+            for w, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, Integral):
+                    raise ValueError(f"weight at ({v}, {w}) is not an integer")
+                if not (0 <= x < d):
+                    raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")
+                if v == w and x != 0:
+                    raise ValueError(f"self-loop at vertex {v}")
+                if len(rows[w]) <= v:  # a later row, too short to hold (w, v)
+                    raise ValueError(f"weight row {w} has wrong length")
+                if x != rows[w][v]:
+                    raise ValueError(f"weights not symmetric at ({v}, {w})")
         self.n = n
         self.d = d
-        self.weights = rows
-        self.supports = supports
+        self._nbrs = tuple({w: int(x) for w, x in enumerate(row) if x} for row in rows)
+        self.supports = tuple(map(mask_of, self._nbrs))
+
+    @classmethod
+    def _wrap(cls, n: int, d: int, nbrs: list, sup: Iterable[int] | None = None) -> WeightedGraph:
+        """Internal constructor for neighbour maps already known to be valid.
+
+        ``nbrs[v]`` maps each neighbour of ``v`` to its weight in ``1..d-1``,
+        symmetrically; the graph takes the maps over and never changes them.
+        ``sup`` gives the support masks when the caller has them.
+        """
+        g = object.__new__(cls)
+        g.n = n
+        g.d = d
+        g._nbrs = tuple(nbrs)
+        g.supports = tuple(map(mask_of, nbrs) if sup is None else sup)
+        return g
 
     @classmethod
     def from_edges(
         cls, n: int, d: int, edges: Iterable[tuple[int, int, int]]
     ) -> "WeightedGraph":
-        mat = [[0] * n for _ in range(n)]
+        """Weights are reduced mod d; the last one given for a pair wins, and 0 leaves it out."""
+        nbrs: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, x in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            mat[u][v] = x % d
-            mat[v][u] = x % d
-        return cls(n, d, mat)
+            nbrs[u][v] = nbrs[v][u] = x % d
+        _check_n_and_d(n, d)
+        bad = [
+            (v, w)
+            for v, row in enumerate(nbrs)
+            for w, x in row.items()
+            if isinstance(x, bool) or not isinstance(x, Integral)
+        ]
+        if bad:
+            raise ValueError(f"weight at {min(bad)} is not an integer")
+        return cls._wrap(n, d, [{w: int(x) for w, x in row.items() if x} for row in nbrs])
+
+    @property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """Dense weight matrix, 0 for no edge; O(n^2) on each access, for oracles and tests."""
+        return tuple(tuple(row.get(w, 0) for w in range(self.n)) for row in self._nbrs)
 
     def weight(self, u: int, v: int) -> int:
-        return self.weights[u][v]
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise IndexError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
+        return self._nbrs[u].get(v, 0)
 
     def degree(self, v: int) -> int:
         return self.supports[v].bit_count()
 
     def edges(self) -> list[tuple[int, int, int]]:
-        out = []
-        for v in range(self.n):
-            for w in range(v + 1, self.n):
-                x = self.weights[v][w]
-                if x:
-                    out.append((v, w, x))
-        return out
+        return [
+            (v, w, row[w]) for v, row in enumerate(self._nbrs) for w in sorted(row) if w > v
+        ]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, WeightedGraph)
             and self.n == other.n
             and self.d == other.d
-            and self.weights == other.weights
+            and self._nbrs == other._nbrs
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.d, self.weights))
+        return hash((self.n, self.d, tuple(self.edges())))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, d={self.d}, edges={self.edges()!r})"
@@ -307,7 +312,7 @@ class WeightedGraph:
 def build_weighted_graph(
     n: int, d: int, edges: Iterable[tuple[int, int, int]]
 ) -> WeightedGraph:
-    """Build a validated d-weighted graph from ``(u, v, weight)`` triples."""
+    """Build a validated d-weighted graph from ``(u, v, weight)`` triples in O(n + m)."""
     return WeightedGraph.from_edges(n, d, edges)
 
 
@@ -376,6 +381,8 @@ def qudit_star(g: WeightedGraph, w: int, a: int) -> WeightedGraph:
     """Apply the qudit local-complementation step ``*_a`` at vertex ``w``.
 
     Off-diagonal weights pick up ``a * weight(w, j) * weight(w, k)`` mod d.
+    Only the rows of the neighbours of ``w`` are copied and changed, with
+    deg(w)^2 weight updates.
     """
     if not (0 <= w < g.n):
         raise ValueError(f"vertex {w} out of range")
@@ -383,26 +390,25 @@ def qudit_star(g: WeightedGraph, w: int, a: int) -> WeightedGraph:
     a = a % d
     if a == 0:
         return g
-    wrow = g.weights[w]
-    mat = [list(r) for r in g.weights]
-    for j in range(g.n):
-        wj = wrow[j]
-        if not wj or j == w:
-            continue
-        for k in range(j + 1, g.n):
-            if k == w:
-                continue
-            wk = wrow[k]
-            if not wk:
-                continue
-            x = (mat[j][k] + a * wj * wk) % d
-            mat[j][k] = x
-            mat[k][j] = x
-    return WeightedGraph(g.n, d, mat)
+    wrow = g._nbrs[w]
+    nbrs = list(g._nbrs)
+    sup = list(g.supports)
+    for j, wj in wrow.items():
+        row = nbrs[j] = dict(nbrs[j])
+        for k, wk in wrow.items():
+            if k != j:
+                # a * wj * wk is nonzero mod d: edge jk comes or goes iff old or x is 0
+                old = row.pop(k, 0)
+                x = (old + a * wj * wk) % d
+                if x:
+                    row[k] = x
+                if not (old and x):
+                    sup[j] ^= 1 << k
+    return WeightedGraph._wrap(g.n, d, nbrs, sup)
 
 
 def qudit_scale(g: WeightedGraph, v: int, b: int) -> WeightedGraph:
-    """Apply the qudit rescaling step ``o_b`` at vertex ``v`` (b nonzero)."""
+    """Apply the qudit rescaling step ``o_b`` at vertex ``v`` (b nonzero); no edge comes or goes."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     d = g.d
@@ -411,14 +417,11 @@ def qudit_scale(g: WeightedGraph, v: int, b: int) -> WeightedGraph:
         raise ValueError("scale factor must be nonzero mod d")
     if b == 1:
         return g
-    mat = [list(r) for r in g.weights]
-    for u in range(g.n):
-        if u == v:
-            continue
-        x = (mat[v][u] * b) % d
-        mat[v][u] = x
-        mat[u][v] = x
-    return WeightedGraph(g.n, d, mat)
+    nbrs = list(g._nbrs)
+    nbrs[v] = {u: x * b % d for u, x in nbrs[v].items()}
+    for u, x in nbrs[v].items():
+        nbrs[u] = {**nbrs[u], v: x}
+    return WeightedGraph._wrap(g.n, d, nbrs, g.supports)
 
 
 def _support_rows(g: Graph | WeightedGraph) -> tuple[int, ...]:

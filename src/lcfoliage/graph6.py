@@ -11,8 +11,8 @@ The weighted format is line based::
     1 2 1
 
 with a ``u v weight`` line per edge, weights in ``1..d-1``.  The decoder
-builds the full weight matrix, so it refuses ``n`` above ``_MAX_WEIGHTED_N``
-with ``SizeGuardError`` before allocating anything.
+builds the graph's neighbour maps straight from the edge lines, in O(n + m),
+and refuses ``n`` above ``_MAX_WEIGHTED_N`` with ``SizeGuardError``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import binascii
 import re
 from typing import TYPE_CHECKING
 
-from .graph import Graph, SizeGuardError, WeightedGraph, _pack_rows, _unpack_rows
+from .graph import Graph, SizeGuardError, WeightedGraph, _check_n_and_d, _pack_rows, _unpack_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,10 +37,9 @@ _G6_DIGITS = bytes(range(63, 127))
 _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
-# largest n a weighted text may declare: the decoder sizes its n * n weight
-# matrix from the header line alone.  The byte rows are 64 MiB at this bound,
-# but WeightedGraph keeps the weights as tuples of Python ints, 8 bytes a
-# cell, so decoding the bare header "d 3 n 8192" peaks near 740 MB
+# largest n a weighted text may declare; the CLI exits 3 above it.  The
+# decoder stores O(n + m): decoding the bare header "d 3 n 8192" peaks near
+# 17 MB, interpreter included
 _MAX_WEIGHTED_N = 8192
 
 
@@ -135,9 +134,7 @@ def decode_weighted(text: str) -> WeightedGraph:
         raise SizeGuardError(
             f"weighted graph text is limited to n <= {_MAX_WEIGHTED_N}, header says n = {n}"
         )
-    # byte-string rows when every weight fits a byte: the graph then skips
-    # its per-cell type check
-    mat = [bytearray(n) if d <= 256 else [0] * n for _ in range(n)]
+    nbrs: list[dict[int, int]] = [{} for _ in range(n)]
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -152,8 +149,9 @@ def decode_weighted(text: str) -> WeightedGraph:
             raise ValueError(f"self-loop at vertex {u}")
         if not (1 <= x < d):
             raise ValueError(f"weight {x} outside 1..{d - 1}")
-        if mat[u][v]:
+        if v in nbrs[u]:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        mat[u][v] = x
-        mat[v][u] = x
-    return WeightedGraph(n, d, mat)
+        nbrs[u][v] = nbrs[v][u] = x
+    # edge lines are checked first, so a bad line wins over a bad header value
+    _check_n_and_d(n, d)
+    return WeightedGraph._wrap(n, d, nbrs)

@@ -7,7 +7,11 @@ definition directly, so agreement is meaningful.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from lcfoliage.graph import Graph, WeightedGraph
 
@@ -124,3 +128,33 @@ def partition_by_definition(g: Graph | WeightedGraph) -> set[frozenset[int]]:
 
 def parts_as_sets(parts: tuple[tuple[int, ...], ...]) -> set[frozenset[int]]:
     return {frozenset(p) for p in parts}
+
+
+def peak_rss_mb_under_1_gib(code: str) -> float:
+    """Peak RSS in MB of ``code`` run by a fresh interpreter on this checkout.
+
+    The child's address space is capped at 1 GiB, so code that would need
+    more fails fast with a ``MemoryError``.  Peak RSS is read from VmHWM,
+    which starts afresh at exec: getrusage's ru_maxrss in a child keeps the
+    peak of the process that started it.
+    """
+    import resource
+
+    def one_gib_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code += (
+        "\nwith open('/proc/self/status') as fh:\n"
+        "    print(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) / 1024)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=one_gib_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return float(proc.stdout)

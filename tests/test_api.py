@@ -44,17 +44,25 @@ def test_import_leaves_module_out(module):
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
-# Runs the census commands through the CLI and the orbit, automorphism and
-# cut-rank queries through the library, printing everything to stdout.  With
-# argument "block", every import of numpy raises ImportError.  The graphs come
-# from edge lists, so no graph6 text is decoded.
+# Runs the census commands and the weighted foliage command through the CLI
+# and the orbit, automorphism, cut-rank and weighted queries through the
+# library, printing everything to stdout.  With argument "block", every
+# import of numpy raises ImportError.  The qubit graphs come from edge lists,
+# so no graph6 text is decoded.
 NUMPY_FREE_PATHS = """
-import runpy, sys
+import io, runpy, sys
 
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 
-for argv in (["classes", "--n", "7"], ["classes", "--n", "7", "--csv"], ["stats", "--n", "6", "--csv"]):
+WEIGHTED = "d 5 n 6\\n0 1 1\\n0 2 2\\n1 2 3\\n2 3 4\\n3 4 1\\n3 5 2\\n"
+sys.stdin = io.StringIO(WEIGHTED)
+for argv in (
+    ["classes", "--n", "7"],
+    ["classes", "--n", "7", "--csv"],
+    ["stats", "--n", "6", "--csv"],
+    ["foliage", "--weighted", "-"],
+):
     sys.argv = ["lcfoliage", *argv]
     try:
         runpy.run_module("lcfoliage", run_name="__main__")
@@ -78,6 +86,12 @@ for g in (wheel, chords):
     print(uniformity(g))
 nf = normal_form(chords)
 print([entropy_via_foliage(nf, s) for s in range(1 << nf.n)])
+
+from lcfoliage import decode_weighted, encode_weighted, foliage_partition, qudit_scale, qudit_star
+
+wg = decode_weighted(WEIGHTED)
+print(foliage_partition(wg))
+print(encode_weighted(qudit_scale(qudit_star(wg, 2, 3), 3, 2)))
 """
 
 

@@ -102,6 +102,34 @@ def test_qlc(capsys, tmp_path):
     assert round_trip.d == 3 and round_trip.n == 3
 
 
+# two weighted graphs given by formulas; the d = 7 star move at vertex 2
+# adds, changes and cancels weights
+WEIGHTED_D5 = "d 5 n 12\n" + "".join(
+    f"{u} {v} {(u + 2 * v) % 4 + 1}\n" for u in range(12) for v in range(u + 1, 12) if (u * u + v) % 3 == 1
+)
+WEIGHTED_D7 = "d 7 n 15\n" + "".join(
+    f"{u} {v} {(u * v) % 6 + 1}\n" for u in range(15) for v in range(u + 1, 15) if (u + v) % 4 != 1 and (u ^ v) % 5
+)
+
+
+@pytest.mark.parametrize(
+    "text, argv, digest",
+    [
+        (WEIGHTED_D5, ["star", "2", "3"], "d35b5b6bde0f56e6aabc308c1d0e9287244bab5785226d4a7864e29a27e9fa0d"),
+        (WEIGHTED_D5, ["scale", "2", "3"], "2b0d2728b22cac5dcd12d736fec6a1e18409e26e87d073a9998da3c6c2c0ed6e"),
+        (WEIGHTED_D7, ["star", "2", "2"], "0b0d5ac57b57a52b5ca2a08525a9ba8b774f07111e7772d22cdf2dd486ad8bc3"),
+        (WEIGHTED_D7, ["scale", "5", "6"], "606e95706809431d63adc2a37ec5b138e97cdb04495ec91675d01f4bdbf76d7b"),
+    ],
+    ids=["d5-star", "d5-scale", "d7-star", "d7-scale"],
+)
+def test_qlc_output_is_frozen(capsys, tmp_path, text, argv, digest):
+    src = tmp_path / "weighted.txt"
+    src.write_text(text)
+    rc, out, _ = run(capsys, "qlc", *argv, str(src))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_normal_form(capsys):
     rc, out, _ = run(capsys, "normal-form", "--g6", S5)
     assert (rc, out) == (0, "D~{\n")

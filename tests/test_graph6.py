@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from conftest import random_graph, random_weighted
+from conftest import peak_rss_mb_under_1_gib, random_graph, random_weighted
 from lcfoliage.graph import SizeGuardError, build_graph
 from lcfoliage.graph6 import (
     decode_graph6,
@@ -119,3 +120,42 @@ def test_weighted_header_above_the_bound_is_refused():
     # bound a decoder without the guard would still finish
     with pytest.raises(SizeGuardError, match="n <= 8192, header says n = 8193"):
         decode_weighted("d 3 n 8193\n")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("d 3 n 3\n0 1 1\n1 0 2\n", ValueError, "duplicate edge (1, 0)"),
+        ("d 3 n 3\n0 1 1\n0 1 1\n", ValueError, "duplicate edge (0, 1)"),
+        ("d 3 n 3\n0 1 x\n", ValueError, "bad edge line '0 1 x'"),
+        ("d 3 n 3\n0 1\n", ValueError, "bad edge line '0 1', expected 'u v weight'"),
+        ("d x n 3\n", ValueError, "bad weighted header 'd x n 3'"),
+        ("d 3 n 3 x\n", ValueError, "bad weighted header 'd 3 n 3 x', expected 'd <d> n <n>'"),
+        ("d 3 n 8193\n0 1 x\n", SizeGuardError, "weighted graph text is limited to n <= 8192, header says n = 8193"),
+        ("d 3 n 3\n5 1 1\n", ValueError, "edge (5, 1) out of range for n=3"),
+        ("d 3 n 3\n1 1 9\n", ValueError, "self-loop at vertex 1"),
+        ("d 3 n 3\n0 2 1\n1 2 0\n", ValueError, "weight 0 outside 1..2"),
+        # edge lines are checked before the order and the modulus
+        ("d 4 n 3\n0 1 5\n", ValueError, "weight 5 outside 1..3"),
+        ("d 1 n 2\n0 1 1\n", ValueError, "weight 1 outside 1..0"),
+        ("d 3 n -1\n0 1 1\n", ValueError, "edge (0, 1) out of range for n=-1"),
+        ("d 4 n -1\n", ValueError, "vertex count must be nonnegative"),
+        ("d -3 n 2\n", ValueError, "modulus -3 is not prime"),
+        ("d 4 n 3\n0 1 1\n", ValueError, "modulus 4 is not prime"),
+        ("d 18446744073709551629 n 2\n0 1 1\n", ValueError, "modulus 18446744073709551629 is not below 2**64"),
+    ],
+)
+def test_weighted_text_error_messages(text, error, message):
+    with pytest.raises(error) as exc:
+        decode_weighted(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_weighted_header_at_the_bound_decodes_small():
+    code = (
+        "from lcfoliage.graph6 import decode_weighted\n"
+        "g = decode_weighted('d 3 n 8192\\n')\n"
+        "assert (g.n, g.d, g.edges()) == (8192, 3, [])\n"
+    )
+    assert peak_rss_mb_under_1_gib(code) < 64

@@ -1,8 +1,10 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, random_weighted
+from conftest import peak_rss_mb_under_1_gib, random_graph, random_weighted
 from lcfoliage.graph import (
     Graph,
     WeightedGraph,
@@ -172,6 +174,52 @@ def test_weighted_ctor_takes_byte_string_rows():
     assert g == build_weighted_graph(3, 5, [(0, 1, 4), (1, 2, 2)])
 
 
+def test_weighted_from_edges_last_weight_wins_either_way_round():
+    g = WeightedGraph.from_edges(3, 5, [(1, 0, 2), (0, 1, 3), (2, 1, 4), (1, 2, 1)])
+    assert g.edges() == [(0, 1, 3), (1, 2, 1)]
+    assert g.weights == ((0, 3, 0), (3, 0, 1), (0, 1, 0))
+
+
+def test_weighted_from_edges_zero_weight_removes_the_pair():
+    g = WeightedGraph.from_edges(3, 5, [(0, 1, 2), (1, 0, 10), (0, 2, 5), (1, 2, 3)])
+    assert g.edges() == [(1, 2, 3)]
+    assert g.supports == (0b000, 0b100, 0b010)
+    assert g == WeightedGraph(3, 5, [[0, 0, 0], [0, 0, 3], [0, 3, 0]])
+    assert WeightedGraph.from_edges(2, 3, [(0, 1, 1), (0, 1, -3)]) == WeightedGraph(2, 3, [[0, 0], [0, 0]])
+
+
+def test_weighted_from_edges_reduces_negative_weights_and_true():
+    g = WeightedGraph.from_edges(3, 5, [(0, 1, -1), (1, 2, True), (2, 0, -7)])
+    assert g.edges() == [(0, 1, 4), (0, 2, 3), (1, 2, 1)]
+    assert all(type(x) is int for row in g.weights for x in row)
+
+
+@pytest.mark.parametrize(
+    "n, d, edges, message",
+    [
+        (3, 5, [(2, 1, 2.5), (1, 0, 1.5)], "weight at (0, 1) is not an integer"),
+        (3, 5, [(0, 2, 0.5), (0, 1, 1.5)], "weight at (0, 1) is not an integer"),
+        (3, 5, [(0, 2, 0.5), (2, 0, 1), (1, 2, 5.0)], "weight at (1, 2) is not an integer"),
+        (3, 5, [(0, 1, Fraction(7, 2))], "weight at (0, 1) is not an integer"),
+        # range and loop errors come first, in edge order, then the order
+        # and the modulus, then the first bad cell in row-major order
+        (3, 5, [(0, 1, 1.5), (1, 1, 1)], "self-loop at vertex 1"),
+        (3, 5, [(0, 1, 1.5), (0, 3, 1)], "edge (0, 3) out of range for n=3"),
+        (3, 4, [(0, 1, 1.5)], "modulus 4 is not prime"),
+        (-1, 4, [], "vertex count must be nonnegative"),
+    ],
+)
+def test_weighted_from_edges_names_the_first_error(n, d, edges, message):
+    with pytest.raises(ValueError) as exc:
+        WeightedGraph.from_edges(n, d, edges)
+    assert str(exc.value) == message
+
+
+def test_weighted_from_edges_takes_an_overwritten_non_integer():
+    g = WeightedGraph.from_edges(3, 5, [(0, 1, 2.5), (1, 0, 4), (0, 2, Fraction(1, 2)), (0, 2, 0)])
+    assert g.edges() == [(0, 1, 4)]
+
+
 def test_qudit_star_example_d3():
     # path 0-1-2 with weights 1 and 2, complement at the middle vertex
     g = build_weighted_graph(3, 3, [(0, 1, 1), (1, 2, 2)])
@@ -217,6 +265,81 @@ def test_qudit_star_matches_qubit_lc_for_d2(seed):
     lhs = qudit_star(wg, a, 1)
     rhs = local_complement(g, a)
     assert lhs.supports == rhs.rows
+
+
+def dense_star(mat, d, w, a):
+    n = len(mat)
+    return [
+        [
+            (mat[j][k] + a * mat[w][j] * mat[w][k]) % d if w not in (j, k) and j != k else mat[j][k]
+            for k in range(n)
+        ]
+        for j in range(n)
+    ]
+
+
+def dense_scale(mat, d, v, b):
+    n = len(mat)
+    return [[mat[j][k] * (b if v in (j, k) else 1) % d for k in range(n)] for j in range(n)]
+
+
+def from_dense(mat, d):
+    n = len(mat)
+    return WeightedGraph.from_edges(n, d, [(j, k, mat[j][k]) for j in range(n) for k in range(j + 1, n)])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_qudit_moves_match_dense_formulas(d):
+    # from_edges drops zero weights, so equality also checks that a move
+    # stores no weight that cancelled to 0
+    rng = random.Random(400 + d)
+    cancelled = 0
+    for _ in range(80):
+        n = rng.randrange(1, 9)
+        g = random_weighted(n, d, rng.random(), rng)
+        mat = [list(row) for row in g.weights]
+        w = rng.randrange(n)
+        scalars = [0, d, -2 * d, rng.randrange(-2 * d, 2 * d)]
+        nbrs = [j for j in range(n) if mat[w][j]]
+        if len(nbrs) >= 2:
+            j, k = rng.sample(nbrs, 2)
+            scalars.append(-mat[j][k] * pow(mat[w][j] * mat[w][k], -1, d))
+        for a in scalars:
+            expect = dense_star(mat, d, w, a)
+            out = qudit_star(g, w, a)
+            assert out == from_dense(expect, d)
+            assert out.weights == tuple(map(tuple, expect))
+            assert out.supports == from_dense(expect, d).supports
+            cancelled += len(g.edges()) > len(out.edges())
+        for b in (1, d + 1, -1, rng.randrange(1, d)):
+            expect = dense_scale(mat, d, w, b)
+            out = qudit_scale(g, w, b)
+            assert out == from_dense(expect, d)
+            assert out.weights == tuple(map(tuple, expect))
+            assert out.supports == g.supports
+        for b in (0, d, -d):
+            with pytest.raises(ValueError, match="scale factor must be nonzero mod d"):
+                qudit_scale(g, w, b)
+    assert cancelled > 0
+
+
+WEIGHTED_CYCLE_MOVES = """
+from lcfoliage.graph import build_weighted_graph, qudit_scale, qudit_star
+from lcfoliage.graph6 import decode_weighted, encode_weighted
+
+n = 8192
+g = build_weighted_graph(n, 3, [(v, (v + 1) % n, 1 + v % 2) for v in range(n)])
+h = qudit_scale(qudit_star(g, 0, 1), 1, 2)
+assert (h.weight(0, 1), h.weight(1, 2), h.weight(1, n - 1)) == (2, 1, 1)
+assert len(h.edges()) == n + 1
+assert decode_weighted(encode_weighted(h)) == h
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_weighted_cycle_moves_and_round_trip_stay_small():
+    # the moves touch the neighbourhood of one vertex; no n x n matrix is built
+    assert peak_rss_mb_under_1_gib(WEIGHTED_CYCLE_MOVES) < 64
 
 
 def test_connected_components():

@@ -348,11 +348,13 @@ def test_cold_census_relabels_no_type(monkeypatch):
     os.environ.get("LCFOLIAGE_N9") != "1", reason="set LCFOLIAGE_N9=1 to run (about 2 minutes)"
 )
 def test_n9_census_gate():
+    # peak RSS is VmHWM, which starts afresh at exec; ru_maxrss in a child
+    # keeps the peak of the process that started it, the test runner's
     code = (
-        "import resource\n"
         "from lcfoliage.orbits import lc_classes\n"
         "census = lc_classes(9, force=True)\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"  # KiB on Linux
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
         "print(census.count, sum(c.size for c in census.classes), peak)\n"
     )
     src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
