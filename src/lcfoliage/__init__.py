@@ -1,130 +1,22 @@
-"""Foliage partitions and local-complementation invariants of graph states."""
+"""Foliage partitions and local-complementation invariants of graph states.
 
-from .canonical import canonical_form, canonical_graph, canonical_key
-from .entanglement import (
-    EntropyVector,
-    UniformityReport,
-    e_matrix,
-    entropy,
-    entropy_via_foliage,
-    marginal_maximally_mixed,
-    schmidt_vector,
-    statevector_entropy_oracle,
-    uniformity,
-)
-from .foliage import (
-    FoliagePartition,
-    FoliageRepresentation,
-    PartType,
-    SaturationReport,
-    foliage_graph,
-    foliage_partition,
-    foliage_representation,
-    foliage_set,
-    lifted_local_complement,
-    normal_form,
-    partition_text,
-    reconstruct_graph,
-    representation_json,
-    representation_text,
-    saturation,
-    vertices_related,
-)
-from .gf2 import rank_of_rows
-from .graph import (
-    Graph,
-    SizeGuardError,
-    WeightedGraph,
-    build_graph,
-    build_weighted_graph,
-    connected_components,
-    induced_subgraph,
-    local_complement,
-    qudit_scale,
-    qudit_star,
-)
-from .graph6 import decode_graph6, decode_weighted, encode_graph6, encode_weighted
-from .orbits import (
-    AutReport,
-    ClassCensus,
-    LCClass,
-    OrbitReport,
-    SaturationStatsRow,
-    aut_bounds,
-    aut_in_group,
-    class_lower_bound,
-    graph_for_partition,
-    integer_partitions,
-    lc_automorphism_group,
-    lc_classes,
-    lc_orbit,
-    nonisomorphic_graphs,
-    partition_number,
-    saturation_stats,
-    symmetry_table,
-)
+Each public name is declared once, in its module's ``__all__``; the package
+re-exports those names, and its ``__all__`` is their sorted union.
+"""
+
+from . import canonical, entanglement, foliage, gf2, graph, graph6, orbits
+from .canonical import *
+from .entanglement import *
+from .foliage import *
+from .gf2 import *
+from .graph import *
+from .graph6 import *
+from .orbits import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutReport",
-    "ClassCensus",
-    "EntropyVector",
-    "FoliagePartition",
-    "FoliageRepresentation",
-    "Graph",
-    "LCClass",
-    "OrbitReport",
-    "PartType",
-    "SaturationReport",
-    "SaturationStatsRow",
-    "SizeGuardError",
-    "UniformityReport",
-    "WeightedGraph",
-    "aut_bounds",
-    "aut_in_group",
-    "build_graph",
-    "build_weighted_graph",
-    "canonical_form",
-    "canonical_graph",
-    "canonical_key",
-    "class_lower_bound",
-    "connected_components",
-    "decode_graph6",
-    "decode_weighted",
-    "e_matrix",
-    "encode_graph6",
-    "encode_weighted",
-    "entropy",
-    "entropy_via_foliage",
-    "foliage_graph",
-    "foliage_partition",
-    "foliage_representation",
-    "foliage_set",
-    "graph_for_partition",
-    "induced_subgraph",
-    "integer_partitions",
-    "lc_automorphism_group",
-    "lc_classes",
-    "lc_orbit",
-    "lifted_local_complement",
-    "local_complement",
-    "marginal_maximally_mixed",
-    "nonisomorphic_graphs",
-    "normal_form",
-    "partition_number",
-    "partition_text",
-    "qudit_scale",
-    "qudit_star",
-    "rank_of_rows",
-    "reconstruct_graph",
-    "representation_json",
-    "representation_text",
-    "saturation",
-    "saturation_stats",
-    "schmidt_vector",
-    "statevector_entropy_oracle",
-    "symmetry_table",
-    "uniformity",
-    "vertices_related",
-]
+__all__ = sorted(
+    name
+    for module in (canonical, entanglement, foliage, gf2, graph, graph6, orbits)
+    for name in module.__all__
+)

@@ -16,7 +16,9 @@ sibling; the orbit comes from ``graph._orbit``.  Every found automorphism is
 kept, at most one per level on K_n, S_n and the empty graph, and together
 they generate the automorphism group, which the LC automorphisms build on.
 The search recurses through module-level functions, so it leaves no
-reference cycle and its memory goes as soon as it returns.  Nothing is
+reference cycle and its memory goes as soon as it returns.  It recurses
+once per individualised vertex, up to n - 1 deep, so it refuses n above
+``_MAX_ORDER`` with ``SizeGuardError``, forced or not.  Nothing is
 cached: a labelled graph is rarely searched twice, and the class census
 keeps the key of every type it meets itself.
 """
@@ -25,9 +27,13 @@ from __future__ import annotations
 
 from operator import getitem
 
-from .graph import Graph, _orbit, _relabel_rows, iter_bits
+from .graph import Graph, SizeGuardError, _orbit, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
+
+# the search takes about n + 10 frames, and Python's default recursion limit
+# is 1000 frames; this bound leaves the caller about 190 of them
+_MAX_ORDER = 800
 
 
 def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
@@ -92,6 +98,8 @@ def _search(
     """
     if n == 0:
         return _pack(0, 0), (), []
+    if n > _MAX_ORDER:
+        raise SizeGuardError(f"canonical search is limited to n <= {_MAX_ORDER} by its recursion depth")
     auts: list[tuple[int, ...]] = []
     (bits, inv, _), _ = _descend(rows, [(1 << n) - 1], (), None, auts)
     perm = [0] * n

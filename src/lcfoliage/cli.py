@@ -4,7 +4,9 @@ Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
 on success, 2 on a usage error, bad input or an output path that cannot be
 written, 3 when a size guard trips (``--force`` lifts the guards on n, not
-the orbit member budget or the order limit of the weighted text format).
+the orbit member budget, the order limit of the weighted text format or the
+bound n <= 800 on the recursion depth of the canonical search that ``orbit``
+and ``aut`` run).
 """
 
 from __future__ import annotations

@@ -27,8 +27,6 @@ __all__ = [
     "qudit_star",
     "qudit_scale",
     "connected_components",
-    "iter_bits",
-    "mask_of",
 ]
 
 
@@ -264,17 +262,17 @@ class WeightedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u][v] = nbrs[v][u] = x % d
+            nbrs[u][v] = nbrs[v][u] = x
         _check_n_and_d(n, d)
         bad = [
             (v, w)
             for v, row in enumerate(nbrs)
             for w, x in row.items()
-            if isinstance(x, bool) or not isinstance(x, Integral)
+            if not isinstance(x, Integral)
         ]
         if bad:
             raise ValueError(f"weight at {min(bad)} is not an integer")
-        return cls._wrap(n, d, [{w: int(x) for w, x in row.items() if x} for row in nbrs])
+        return cls._wrap(n, d, [{w: r for w, x in row.items() if (r := int(x) % d)} for row in nbrs])
 
     @property
     def weights(self) -> tuple[tuple[int, ...], ...]:

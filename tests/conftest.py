@@ -16,6 +16,22 @@ from pathlib import Path
 from lcfoliage.graph import Graph, WeightedGraph
 
 
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def star(n: int) -> Graph:
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [
         (u, v)

@@ -287,13 +287,10 @@ def test_criterion_11_sparse_performance():
 
     def body():
         sizes = (2500, 5000, 10000, 20000)
-        # the weight matrix is dense, n^2 cells, so the qudit family stops at
-        # the size of the big-graph benchmark
-        qudit_sizes = (500, 1000, 2000)
         families = {
             "path": {n: build_graph(n, [(v, v + 1) for v in range(n - 1)]) for n in sizes},
             "cycle+chords": {n: build_graph(n, _cycle_with_chords(n, seed=n)) for n in sizes},
-            "qudit cycle+chords": {n: qudit(n) for n in qudit_sizes},
+            "qudit cycle+chords": {n: qudit(n) for n in sizes},
         }
         best = {(name, n): math.inf for name, graphs in families.items() for n in graphs}
         # each round visits every size, so a burst of host noise hits them all
@@ -313,6 +310,6 @@ def test_criterion_11_sparse_performance():
 
     _check(
         "11",
-        "sparse partition+representation under 1 s at n=20000 (qudit: n=2000), slope < 1.5",
+        "sparse partition+representation under 1 s at n=20000, slope < 1.5",
         body,
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lcfoliage
+from lcfoliage import canonical, entanglement, foliage, gf2, graph, graph6, orbits
 
 MODULES = ["lcfoliage"] + [
     f"lcfoliage.{info.name}"
@@ -26,6 +27,15 @@ def test_every_exported_name_resolves(name):
     exported = getattr(mod, "__all__", [])
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     assert [attr for attr in exported if not hasattr(mod, attr)] == []
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    owner = {}
+    for module in (canonical, entanglement, foliage, gf2, graph, graph6, orbits):
+        for name in module.__all__:
+            assert owner.setdefault(name, module) is module, f"{name} is declared twice"
+    assert lcfoliage.__all__ == sorted(owner)
+    assert [name for name in owner if getattr(lcfoliage, name) is not getattr(owner[name], name)] == []
 
 
 def run_python(code, *args):

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from lcfoliage.cli import main
-from lcfoliage.graph6 import decode_graph6, decode_weighted
+from lcfoliage.graph import build_graph
+from lcfoliage.graph6 import decode_graph6, decode_weighted, encode_graph6
 from lcfoliage.orbits import graph_for_partition
 
 P4 = "Ch"
@@ -379,3 +382,41 @@ def test_weighted_header_above_the_bound_exits_3():
     )
     assert proc.returncode == 3
     assert proc.stderr == "error: weighted graph text is limited to n <= 8192, header says n = 100000\n"
+
+
+@pytest.mark.parametrize("command", ["orbit", "aut"])
+def test_forced_canonical_search_above_the_depth_bound_exits_3(command):
+    # the search recurses once per individualised vertex, so this graph
+    # would otherwise end in a RecursionError traceback
+    empty = encode_graph6(build_graph(1200, []))
+    proc = run_child([command, "--force", "-"], empty + "\n", timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: canonical search is limited to n <= 800 by its recursion depth\n"
+
+
+def readme_cli_examples():
+    """Each ``$ lcfoliage`` line of the README's Command line block, with the output shown under it.
+
+    A ``|`` pipe becomes one argv per stage; the README elides the end of an
+    output line with ``...``.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        line, *shown = chunk.splitlines()
+        command = line.removeprefix("$ ").split("#", 1)[0]
+        stages = [shlex.split(stage.strip().removeprefix("lcfoliage ")) for stage in command.split("|")]
+        examples.append(pytest.param(stages, "\n".join(shown) + "\n", id=line))
+    return examples
+
+
+@pytest.mark.parametrize("stages, shown", readme_cli_examples())
+def test_readme_cli_example(capsys, monkeypatch, stages, shown):
+    out = ""
+    for argv in stages:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+    head, elided, _ = shown.partition("...")
+    assert out.startswith(head) if elided else out == shown

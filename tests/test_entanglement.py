@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_graph, random_weighted
+from conftest import complete, cycle, random_graph, random_weighted, star
 from lcfoliage.entanglement import (
     e_matrix,
     entropy,
@@ -26,18 +26,6 @@ from lcfoliage.graph import (
     qudit_star,
 )
 from lcfoliage.orbits import graph_for_partition, nonisomorphic_graphs
-
-
-def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(n):
-    return build_graph(n, [(0, i) for i in range(1, n)])
-
-
-def cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])

@@ -3,11 +3,15 @@ import random
 import pytest
 
 from conftest import (
-    parts_as_sets,
+    complete,
+    cycle,
     partition_by_definition,
+    parts_as_sets,
+    path,
     random_graph,
     random_weighted,
     related_by_definition,
+    star,
     weight_matrix,
 )
 from lcfoliage.foliage import (
@@ -27,22 +31,6 @@ from lcfoliage.foliage import (
 )
 from lcfoliage.graph import build_graph, build_weighted_graph, local_complement, mask_of
 from lcfoliage.orbits import nonisomorphic_graphs
-
-
-def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(n):
-    return build_graph(n, [(0, i) for i in range(1, n)])
-
-
-def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import peak_rss_mb_under_1_gib, random_graph, random_weighted
+from conftest import complete, peak_rss_mb_under_1_gib, random_graph, random_weighted, star
 from lcfoliage.graph import (
     Graph,
     WeightedGraph,
@@ -18,14 +18,6 @@ from lcfoliage.graph import (
     qudit_scale,
     qudit_star,
 )
-
-
-def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(n):
-    return build_graph(n, [(0, i) for i in range(1, n)])
 
 
 def test_build_and_accessors():
@@ -207,6 +199,8 @@ def test_weighted_from_edges_reduces_negative_weights_and_true():
         (3, 5, [(0, 1, 1.5), (0, 3, 1)], "edge (0, 3) out of range for n=3"),
         (3, 4, [(0, 1, 1.5)], "modulus 4 is not prime"),
         (-1, 4, [], "vertex count must be nonnegative"),
+        (3, 0, [(0, 1, 1)], "modulus 0 is not prime"),
+        (3, 5, [(0, 1, "a")], "weight at (0, 1) is not an integer"),
     ],
 )
 def test_weighted_from_edges_names_the_first_error(n, d, edges, message):

@@ -12,7 +12,7 @@ from operator import getitem
 import pytest
 
 import lcfoliage
-from conftest import random_graph
+from conftest import complete, cycle, path, random_graph, star
 from lcfoliage.canonical import canonical_graph, canonical_key
 from lcfoliage.cli import main
 from lcfoliage.foliage import foliage_partition
@@ -40,22 +40,6 @@ from lcfoliage.orbits import (
     saturation_stats,
     symmetry_table,
 )
-
-
-def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star(n):
-    return build_graph(n, [(0, i) for i in range(1, n)])
-
-
-def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
