@@ -328,6 +328,77 @@ def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Toggles(dict):
+    """``toggles[nb]``: the bits a local complementation flips in a packed graph (see ``_Packed``).
+
+    Complementing at a vertex with neighbourhood ``nb`` flips ``spread * nb
+    ^ diag``: ``spread`` puts bit ``v`` of ``nb`` at bit ``n(n - 1 - v)``,
+    the lowest of row ``v``, so the product is the outer product N(a) x N(a)
+    with no carries, and ``diag`` clears the diagonal bits that it sets.
+    Entries are made on demand, one per neighbourhood met.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, nb: int) -> int:
+        n = self.n
+        spread = diag = 0
+        for v in iter_bits(nb):
+            low = n * (n - 1 - v)
+            spread |= 1 << low
+            diag |= 1 << (low + v)
+        out = self[nb] = spread * nb ^ diag
+        return out
+
+
+class _Shared(dict):
+    """Maps each row value met to one int object holding it."""
+
+    __slots__ = ()
+
+    def __missing__(self, row: int) -> int:
+        self[row] = row
+        return row
+
+
+class _Packed:
+    """Labelled graphs on ``n`` vertices, each packed into one int of n^2 bits.
+
+    Row ``v`` is the ``n`` bits from ``shifts[v] = n(n - 1 - v)`` up, so row
+    0 is the highest and int order is the order of the row tuples.  The
+    local complementation of ``m`` at ``a`` is ``m ^ toggles[m >> shifts[a]
+    & full]``, one big-int expression the orbit loops write inline.  It
+    beats ``_lc_rows`` on an orbit of many small graphs, but a single move
+    on a large graph pays far more to pack and unpack than ``_lc_rows``
+    costs, so ``local_complement`` and the census moves keep the tuples.
+    ``unpack`` hands out one int object per row value, so that many
+    unpacked members share their rows.  No table has 2^n entries.
+    """
+
+    __slots__ = ("n", "full", "shifts", "toggles", "_rows")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.full = (1 << n) - 1
+        self.shifts = tuple(n * (n - 1 - v) for v in range(n))
+        self.toggles = _Toggles(n)
+        self._rows = _Shared()
+
+    def pack(self, rows: Sequence[int]) -> int:
+        m = 0
+        for row in rows:
+            m = m << self.n | row
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        full, shared = self.full, self._rows
+        return tuple([shared[m >> s & full] for s in self.shifts])
+
+
 def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]:
     """Rows of the same graph with vertex ``v`` renamed ``perm[v]``."""
     out = [0] * len(rows)

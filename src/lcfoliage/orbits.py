@@ -33,6 +33,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from operator import getitem
 
@@ -41,6 +42,7 @@ from .foliage import FoliagePartition, foliage_partition, saturation
 from .graph import (
     Graph,
     SizeGuardError,
+    _Packed,
     _lc_rows,
     _orbit,
     _relabel_rows,
@@ -84,24 +86,33 @@ class OrbitReport:
         return [Graph._wrap(self.representative.n, rows) for rows in self.members]
 
 
-def _orbit_members(g: Graph) -> tuple[dict, list, array, array]:
+# an orbit's BFS tree: (packed, index, members, parent, move)
+_Tree = tuple[_Packed, dict, list, array, array]
+
+
+def _orbit_members(g: Graph) -> _Tree:
     """The BFS tree of the labelled graphs reachable from ``g`` by local complementations.
 
-    ``(index, members, parent, move)``: ``members[0]`` is ``g.rows`` and each
-    later member ``h`` is ``_lc_rows(members[parent[h]], move[h])``, with
-    ``parent[h] < h``; ``index`` numbers the members by their rows.  Raises
+    ``(packed, index, members, parent, move)``: each member is one int,
+    packed by ``packed``, so its local complementation is one big-int
+    expression.  ``members[0]`` packs ``g.rows`` and each later member ``h``
+    is the complementation of ``members[parent[h]]`` at ``move[h]``, with
+    ``parent[h] < h``; ``index`` numbers the members.  Raises
     ``SizeGuardError`` once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
-    index = {g.rows: 0}
-    members = [g.rows]
+    packed = _Packed(g.n)
+    full, toggles = packed.full, packed.toggles
+    root = packed.pack(g.rows)
+    index = {root: 0}
+    members = [root]
     parent, move = array("I", [0]), array("I", [0])
-    for i, rows in enumerate(members):  # the list grows while it is read
+    for i, m in enumerate(members):  # the list grows while it is read
         back = move[i] if i else -1  # complementing twice at a vertex is the identity
-        for a in range(g.n):
-            nb = rows[a]
+        for a, shift in enumerate(packed.shifts):
+            nb = m >> shift & full
             if nb & (nb - 1) == 0 or a == back:
                 continue  # degree 0 or 1, or back to the parent
-            image = _lc_rows(rows, a)
+            image = m ^ toggles[nb]
             if image not in index:
                 index[image] = len(members)
                 members.append(image)
@@ -111,7 +122,7 @@ def _orbit_members(g: Graph) -> tuple[dict, list, array, array]:
                     raise SizeGuardError(
                         f"lc_orbit passed {_ORBIT_MEMBERS} labelled members"
                     )
-    return index, members, parent, move
+    return packed, index, members, parent, move
 
 
 def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
@@ -119,16 +130,20 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
 
     ``class_size`` counts isomorphism types inside the orbit, the size of
     the LC class of ``g``, as orbits of its LC automorphisms on the orbit's
-    BFS tree.  Raises ``SizeGuardError`` for ``n`` above the guard unless
+    BFS tree.  The tree holds each member packed into one int; the members
+    are sorted as ints, which is the order of their rows, and unpacked once
+    at the end.  Raises ``SizeGuardError`` for ``n`` above the guard unless
     forced, and in any case once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
     if g.n > _ORBIT_GUARD and not force:
         raise SizeGuardError(
             f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
         )
-    index, members, _, _ = tree = _orbit_members(g)
-    class_size = _orbit_count(tree, _lc_generators(g, index))
-    return OrbitReport(g, len(members), class_size, tuple(sorted(members)))
+    packed, index, members, _, _ = tree = _orbit_members(g)
+    class_size = _orbit_count(tree, _lc_generators(g, tree))
+    index.clear()  # the unpacked rows below need the room
+    members.sort()
+    return OrbitReport(g, len(members), class_size, tuple(map(packed.unpack, members)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,49 +364,57 @@ def _greedy_generators(
     return gens, known
 
 
-def _relabelled(sigma: tuple[int, ...], rows: tuple[int, ...]) -> tuple[int, ...]:
-    return _relabel_rows(rows, sigma)
+def _lc_generators(g: Graph, tree: _Tree) -> list[tuple[int, ...]]:
+    """Generators of the permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in the orbit.
 
-
-def _lc_generators(g: Graph, index: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
-    """Generators of the permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in ``index``.
-
-    ``index`` is the orbit's, from ``_orbit_members``.  The permutations
-    form a group that maps two members onto each other exactly when they are
+    ``tree`` is the orbit's, from ``_orbit_members``.  The permutations form
+    a group that maps two members onto each other exactly when they are
     isomorphic, generated by the automorphisms of ``g`` that its canonical
     search finds and one isomorphism onto each member of ``g``'s type
-    (``g``'s canonical labelling, then the inverse of the member's).  Only
-    members with ``g``'s sorted degrees not yet reached are searched.
+    (``g``'s canonical labelling, then the inverse of the member's).  The
+    members are read in BFS order, and one with ``g``'s edge count is
+    unpacked; only those with ``g``'s sorted degrees not yet reached are
+    searched.
     """
+    packed, _, members, _, _ = tree
     key, perm, gens = canonical._search(g.n, g.rows)
     degrees = sorted(map(int.bit_count, g.rows))
+    bits = sum(degrees)  # each edge sets two bits of a packed member
     reached = {g.rows}  # its orbit under the generators so far
-    for rows in index:
+    for m in members:
+        if m.bit_count() != bits:
+            continue
+        rows = packed.unpack(m)
         if rows in reached or sorted(map(int.bit_count, rows)) != degrees:
             continue
         member_key, member_perm, _ = canonical._search(g.n, rows)
         if member_key == key:
             inv = sorted(range(g.n), key=member_perm.__getitem__)  # label -> vertex
             gens.append(tuple(inv[lab] for lab in perm))
-            reached = _orbit(g.rows, gens, _relabelled)
+            reached = _orbit(g.rows, gens, lambda sigma, rows: _relabel_rows(rows, sigma))
     return gens
 
 
-def _orbit_count(tree: tuple[dict, list, array, array], gens: list[tuple[int, ...]]) -> int:
+def _orbit_count(tree: _Tree, gens: list[tuple[int, ...]]) -> int:
     """Orbits of the group generated by ``gens`` on the members of an orbit's BFS ``tree``.
 
     Relabelling commutes with local complementation: sigma.LC_a(h) =
-    LC_sigma(a)(sigma.h).  So only the root is relabelled, and each later
-    member ``h`` maps to the complementation of its parent's image at
-    ``sigma[move[h]]``.  Members join their images in a union-find over
-    member numbers; the orbits are its roots.
+    LC_sigma(a)(sigma.h).  So only the root is relabelled, and packed, once
+    per generator; each later member ``h`` maps to the complementation of
+    its parent's image at ``sigma[move[h]]``, one packed complementation and
+    one lookup of the image's number.  Members join their images in a
+    union-find over member numbers; the orbits are its roots.
     """
-    index, members, parent, move = tree
+    packed, index, members, parent, move = tree
+    full, toggles = packed.full, packed.toggles
+    rows = packed.unpack(members[0])
     up = list(range(len(members)))
     for sigma in gens:
-        image = [index[_relabel_rows(members[0], sigma)]]
-        for h in range(1, len(members)):
-            image.append(index[_lc_rows(members[image[parent[h]]], sigma[move[h]])])
+        shift_of = [packed.shifts[b] for b in sigma]  # where the row of sigma[a] sits
+        image = [index[packed.pack(_relabel_rows(rows, sigma))]]
+        for p, a in islice(zip(parent, move), 1, None):
+            m = members[image[p]]
+            image.append(index[m ^ toggles[m >> shift_of[a] & full]])
         for h, j in enumerate(image):
             up[_find(up, h)] = _find(up, j)
     return sum(h == root for h, root in enumerate(up))
@@ -416,8 +439,9 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
 
 def _aut_report(g: Graph, class_size: int | None) -> AutReport:
     """``lc_automorphism_group(g)`` with the class size given, or counted if ``None``."""
-    index, members, _, _ = tree = _orbit_members(g)
-    lc_gens = _lc_generators(g, index)
+    tree = _orbit_members(g)
+    labeled_size = len(tree[2])
+    lc_gens = _lc_generators(g, tree)
     auts = sorted(_greedy_generators(lc_gens, g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
     if class_size is None:
@@ -429,9 +453,9 @@ def _aut_report(g: Graph, class_size: int | None) -> AutReport:
         generators=tuple(gens),
         aut_in_order=lower,
         aut_out_upper_order=upper // lower,
-        labeled_size=len(members),
+        labeled_size=labeled_size,
         class_size=class_size,
-        interplay=Fraction(len(auts) * class_size, len(members)),
+        interplay=Fraction(len(auts) * class_size, labeled_size),
     )
 
 

@@ -12,7 +12,7 @@ from operator import getitem
 import pytest
 
 import lcfoliage
-from conftest import complete, cycle, path, random_graph, star
+from conftest import complete, cycle, path, peak_rss_mb_under_1_gib, random_graph, star
 from lcfoliage.canonical import canonical_graph, canonical_key
 from lcfoliage.cli import main
 from lcfoliage.foliage import foliage_partition
@@ -81,6 +81,52 @@ def test_orbit_size_is_relabeling_invariant():
 def test_orbit_guard():
     with pytest.raises(SizeGuardError):
         lc_orbit(build_graph(17, []))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_forced_orbit_above_the_guard_fills_no_table_of_2_to_the_n():
+    # K_{1,39}: a table with an entry per neighbourhood would have 2^40
+    code = (
+        "from lcfoliage.orbits import lc_orbit\n"
+        "from lcfoliage.graph import build_graph\n"
+        "report = lc_orbit(build_graph(40, [(0, v) for v in range(1, 40)]), force=True)\n"
+        "assert (report.labeled_size, report.class_size) == (41, 2)\n"
+    )
+    assert peak_rss_mb_under_1_gib(code) < 64
+
+
+# A connected G(12, 1/2): the first connected random_graph(12, 0.5, rng) with
+# rng = random.Random(12).
+# Before the orbit layer packed each member into one int, its orbit took
+# 9.9 CPU s and peaked at 121 MB here.
+N12_ROWS = (242, 2745, 616, 2806, 3499, 2143, 3245, 347, 2704, 2318, 2128, 1914)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_n12_orbit_peak_rss_gate():
+    # VmHWM starts afresh at exec; it is read as soon as lc_orbit returns,
+    # because repr(report) alone then takes about 40 MB more to build
+    code = (
+        "import hashlib\n"
+        "from lcfoliage.graph import build_graph\n"
+        "from lcfoliage.orbits import lc_orbit\n"
+        f"rows = {N12_ROWS!r}\n"
+        "g = build_graph(12, [(v, w) for v in range(12) for w in range(v) if rows[v] >> w & 1])\n"
+        "report = lc_orbit(g)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
+        "digest = hashlib.sha256(repr(report).encode()).hexdigest()\n"
+        "print(report.labeled_size, report.class_size, peak, digest)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    labeled, classes, peak_kib, digest = proc.stdout.split()
+    assert (int(labeled), int(classes)) == (236604, 236604)
+    assert digest == "c69311520929e32c83dae6583c74b3a575586b18eb475237f53aae0a5d19d52a"
+    assert int(peak_kib) < 96 * 1024
 
 
 def test_orbit_member_budget(monkeypatch):
@@ -678,15 +724,17 @@ def test_orbit_members_is_a_bfs_tree_of_the_oracle_orbit():
     for _ in range(40):
         n = rng.randrange(1, 9)
         g = random_graph(n, 0.5, rng)
-        index, members, parent, move = orbits_mod._orbit_members(g)
-        assert set(members) == oracle_orbit(n, g.rows), g.rows
-        assert members[0] == g.rows
+        packed, index, members, parent, move = orbits_mod._orbit_members(g)
+        rows = [packed.unpack(m) for m in members]
+        assert set(rows) == oracle_orbit(n, g.rows), g.rows
+        assert len(set(rows)) == len(members)
+        assert rows[0] == g.rows
         assert list(index) == members
-        assert all(index[rows] == h for h, rows in enumerate(members))
+        assert all(index[m] == h for h, m in enumerate(members))
         assert len(parent) == len(move) == len(members)
         for h in range(1, len(members)):
             assert parent[h] < h, (g.rows, h)
-            assert _lc_rows(members[parent[h]], move[h]) == members[h], (g.rows, h)
+            assert _lc_rows(rows[parent[h]], move[h]) == rows[h], (g.rows, h)
 
 
 def test_orbit_count_relabels_once_per_generator(monkeypatch):
@@ -703,7 +751,7 @@ def test_orbit_count_relabels_once_per_generator(monkeypatch):
     graphs = [complete(5), cycle(6)] + [random_graph(8, 0.5, rng) for _ in range(3)]
     for g in graphs:
         tree = orbits_mod._orbit_members(g)
-        gens = orbits_mod._lc_generators(g, tree[0])
+        gens = orbits_mod._lc_generators(g, tree)
         assert gens, g.rows  # every one of these graphs has a nontrivial group
         relabelled.clear()
         count = orbits_mod._orbit_count(tree, gens)
