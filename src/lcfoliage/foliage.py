@@ -16,7 +16,7 @@ alone.
 Away from leaves, related vertices are twins: non-adjacent ones share their
 open neighbourhood, adjacent ones their closed neighbourhood (over Z_d the
 weights must also be proportional).  So the partition and the quotient graph
-each take O(n + m) big-int operations on the bitmask rows.
+each take O(n + m) big-int operations on bitmask rows of up to n bits.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ class SaturationReport:
         return self.chain[-1]
 
 
-def _weighted_rows_dependent(g: WeightedGraph, v: int, w: int, excl: int) -> bool:
-    sv = g.supports[v] & ~excl
-    sw = g.supports[w] & ~excl
+def _weighted_rows_dependent(g: WeightedGraph, v: int, w: int) -> bool:
+    # a support never holds its own vertex
+    sv = g.supports[v] & ~(1 << w)
+    sw = g.supports[w] & ~(1 << v)
     if sv == 0 or sw == 0:
         return True
     if sv != sw:
@@ -148,16 +149,20 @@ def vertices_related(g: Graph | WeightedGraph, v: int, w: int) -> bool:
 
 
 def foliage_partition(g: Graph | WeightedGraph) -> FoliagePartition:
-    """Compute the foliage partition in one sweep over the vertices.
+    """Compute the foliage partition in one sweep over the vertices."""
+    return _sweep(g)[0]
 
-    The least unassigned vertex is the next pivot.  An isolated pivot is a
-    singleton; a leaf joins its neighbour and that neighbour's other leaves;
-    a vertex with leaves takes them.  Otherwise the pivot's part is its twin
-    class: vertices of degree at least 2 are related iff their open
-    neighbourhoods agree (non-adjacent twins) or their closed ones do
-    (adjacent twins), plus proportional weights over Z_d.  Twin classes come
-    from bucketing the neighbourhood masks, so the whole sweep costs
-    O(n + m) big-int operations.
+
+def _sweep(g: Graph | WeightedGraph) -> tuple[FoliagePartition, tuple, tuple[int, ...]]:
+    """The partition with each part's type and anchor, in one sweep.
+
+    The least unassigned vertex is the next pivot.  A leaf joins its
+    neighbour and that neighbour's other leaves (AL, anchored at the
+    neighbour, or K if both are leaves); a vertex with leaves takes them
+    (AL); any other pivot takes its twin class, found by bucketing
+    neighbourhood masks (Z if it has no twin, else K if adjacent, D if not).
+    That is O(n + m) big-int operations, but on rows of up to n bits: a
+    sparse graph's rows alone take about n²/15 bytes.
     """
     n = g.n
     sup = _support_rows(g)
@@ -204,17 +209,18 @@ def foliage_partition(g: Graph | WeightedGraph) -> FoliagePartition:
 
     qubit = isinstance(g, Graph)
     assigned = [False] * n
-    parts = []
+    parts, types, anchors = [], [], []
     for v in range(n):
         if assigned[v]:
             continue
-        if deg[v] == 0:
-            part = (v,)
-        elif deg[v] == 1:
-            w = sup[v].bit_length() - 1
-            part = sorted([w, *leaves[w]])
+        anchor, kind = v, PartType.Z
+        if deg[v] == 1:
+            anchor = sup[v].bit_length() - 1
+            part = sorted([anchor, *leaves[anchor]])
+            # an isolated edge has no axil
+            kind = PartType.K if deg[anchor] == 1 else PartType.AL
         elif v in leaves:
-            part = [v, *leaves[v]]
+            part, kind = [v, *leaves[v]], PartType.AL
         else:
             part = twins.get(v, (v,))
             if not qubit:
@@ -222,13 +228,16 @@ def foliage_partition(g: Graph | WeightedGraph) -> FoliagePartition:
                 part = [
                     w
                     for w in part
-                    if w == v
-                    or (not assigned[w] and _weighted_rows_dependent(g, v, w, (1 << v) | (1 << w)))
+                    if w == v or (not assigned[w] and _weighted_rows_dependent(g, v, w))
                 ]
+            if len(part) > 1:
+                kind = PartType.K if sup[v] >> part[1] & 1 else PartType.D
         for w in part:
             assigned[w] = True
         parts.append(tuple(part))
-    return FoliagePartition(n, tuple(parts))
+        types.append(kind)
+        anchors.append(anchor)
+    return FoliagePartition(n, tuple(parts)), tuple(types), tuple(anchors)
 
 
 def foliage_set(g: Graph | WeightedGraph) -> int:
@@ -243,24 +252,24 @@ def foliage_set(g: Graph | WeightedGraph) -> int:
 
 def foliage_graph(g: Graph | WeightedGraph) -> Graph:
     """Quotient graph: one vertex per part, adjacent iff any cross edge."""
-    return _quotient(_support_rows(g), foliage_partition(g))
+    part, _, anchors = _sweep(g)
+    return _quotient(_support_rows(g), part, anchors)
 
 
-def _quotient(sup: tuple[int, ...], part: FoliagePartition) -> Graph:
+def _quotient(sup: tuple[int, ...], part: FoliagePartition, anchors: tuple[int, ...]) -> Graph:
     """Parts adjacent iff some edge joins them.
 
-    Every edge that leaves a part leaves from its anchor: the axil of a star
-    part, or any member of a twin class, since twins share their outside
-    neighbours.  So row ``i`` is the anchor row of part ``i`` mapped through
-    the vertex-to-part map, O(n + m) big-int operations in all.  A trivial
-    partition keeps the rows.
+    Every edge that leaves a part leaves from its anchor (twins share their
+    outside neighbours), so row ``i`` is the anchor row of part ``i`` mapped
+    through the vertex-to-part map: O(n + m) big-int operations, but each
+    ``1 << j`` builds j bits, so a sparse graph costs O(n²) bit work.  A
+    trivial partition keeps the rows.
     """
     if part.is_trivial:
         return Graph._wrap(part.n, sup)
     owner = part._index
     rows = []
-    for i, members in enumerate(part.parts):
-        anchor = max(members, key=lambda v: sup[v].bit_count())  # a star's axil
+    for i, anchor in enumerate(anchors):
         row = 0
         for u in iter_bits(sup[anchor]):
             row |= 1 << owner[u]
@@ -272,28 +281,9 @@ def foliage_representation(g: Graph) -> FoliageRepresentation:
     """Partition with part types, axils, and the quotient graph."""
     if not isinstance(g, Graph):
         raise TypeError("part typing is defined for qubit graphs")
-    part = foliage_partition(g)
-    types = []
-    axils = []
-    for members in part.parts:
-        if len(members) == 1:
-            types.append(PartType.Z)
-            continue
-        leaf_members = [v for v in members if g.degree(v) == 1]
-        if leaf_members:
-            if len(leaf_members) == len(members):
-                # both vertices are leaves: an isolated edge, labelled K
-                types.append(PartType.K)
-                continue
-            (axil,) = [v for v in members if g.degree(v) > 1]
-            types.append(PartType.AL)
-            axils.append(axil)
-        else:
-            u, w = members[0], members[1]
-            types.append(PartType.K if g.has_edge(u, w) else PartType.D)
-    return FoliageRepresentation(
-        part, _quotient(g.rows, part), tuple(types), tuple(sorted(axils))
-    )
+    part, types, anchors = _sweep(g)
+    axils = sorted(a for t, a in zip(types, anchors) if t is PartType.AL)
+    return FoliageRepresentation(part, _quotient(g.rows, part, anchors), types, tuple(axils))
 
 
 def reconstruct_graph(rep: FoliageRepresentation) -> Graph:
@@ -381,23 +371,22 @@ def normal_form(g: Graph) -> Graph:
     The result has no AL parts, so its representation carries an empty axil
     set and the entanglement shortcut applies.
     """
-    rep = foliage_representation(g)
-    out = g
-    for a in rep.axils:
-        out = local_complement(out, a)
-    return out
+    if not isinstance(g, Graph):
+        raise TypeError("part typing is defined for qubit graphs")
+    _, types, anchors = _sweep(g)
+    for a in sorted(a for t, a in zip(types, anchors) if t is PartType.AL):
+        g = local_complement(g, a)
+    return g
 
 
 def saturation(g: Graph) -> SaturationReport:
-    """Iterate graph -> foliage graph until the partition becomes trivial."""
+    """Iterate graph -> foliage graph until the order stops falling."""
     chain = [g.n]
-    cur = g
     while True:
-        part = foliage_partition(cur)
-        if len(part.parts) == cur.n:
+        g = foliage_graph(g)
+        if g.n == chain[-1]:
             return SaturationReport(tuple(chain))
-        cur = _quotient(cur.rows, part)
-        chain.append(cur.n)
+        chain.append(g.n)
 
 
 def _part_str(members: tuple[int, ...]) -> str:

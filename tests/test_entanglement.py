@@ -1,12 +1,9 @@
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import complete, cycle, random_graph, random_weighted, star
+from conftest import complete, cycle, peak_rss_mb_under_1_gib, random_graph, random_weighted, star
 from lcfoliage.entanglement import (
     e_matrix,
     entropy,
@@ -136,9 +133,6 @@ def test_entropy_vector_rejects_masks_outside_the_vertex_range(mask):
         vec[mask]
 
 
-# Peak RSS is read from VmHWM, which starts afresh at exec: getrusage's
-# ru_maxrss in a child keeps the peak of the process that started it, and
-# under the full suite that is the test runner's own peak (above 200 MB).
 SCHMIDT_PEAK_RSS = """
 import random
 from lcfoliage.entanglement import schmidt_vector
@@ -148,21 +142,13 @@ rng = random.Random(20)
 g = build_graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.5])
 vec = schmidt_vector(g)
 assert vec[0] == vec[(1 << 20) - 1] == 0
-with open("/proc/self/status") as fh:
-    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
 def test_schmidt_vector_peak_rss_at_n_20():
     # the lanes live in arrays and in ints of 2^14 lanes, never in a list of 2^n ints
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCHMIDT_PEAK_RSS], capture_output=True, text=True, env=env
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert float(proc.stdout) < 96
+    assert peak_rss_mb_under_1_gib(SCHMIDT_PEAK_RSS) < 96
 
 
 def test_e_matrix_anchors():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -282,6 +283,85 @@ def test_isolated_edge_is_typed_k_without_axil():
     assert rep.types[rep.partition.part_of(2)] == PartType.AL
 
 
+def types_and_axils_by_definition(g):
+    """Parts, their types and the sorted axils, read off the adjacency matrix.
+
+    A singleton is Z; a part whose members are all leaves is an isolated
+    edge, typed K; a part of leaves and one non-leaf is AL with the non-leaf
+    as its axil; any other part is K if its members are adjacent, D if not.
+    """
+    mat, _ = weight_matrix(g)
+    leaf = [sum(row) == 1 for row in mat]
+    parts = sorted(sorted(p) for p in partition_by_pairs(g))
+    types, axils = [], []
+    for members in parts:
+        rest = [v for v in members if not leaf[v]]
+        if len(members) == 1:
+            types.append(PartType.Z)
+        elif not rest:
+            types.append(PartType.K)
+        elif len(rest) < len(members):
+            (axil,) = rest
+            types.append(PartType.AL)
+            axils.append(axil)
+        else:
+            types.append(PartType.K if mat[members[0]][members[1]] else PartType.D)
+    return tuple(map(tuple, parts)), tuple(types), tuple(sorted(axils))
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
+def typed_blocks_graph(rng):
+    """Stars, isolated edges, singletons and K/D twin classes on 20-200
+    vertices, joined through a random graph on the blocks and relabelled.
+
+    A star meets other blocks only through its axil, a twin class through
+    every member.  A sparse join can merge or split blocks (a D class with
+    one neighbour is a star's leaves), which the oracle sees as it is.
+    """
+    target = rng.randint(20, 200)
+    visible = []  # per joinable block, the vertices that other blocks see
+    edges = []
+    n = 0
+    while n < target:
+        kind = rng.choice("SEZKD")
+        if kind == "E":
+            edges.append((n, n + 1))
+            n += 2
+            continue
+        size = 1 if kind == "Z" else rng.randint(2, 5)
+        members = list(range(n, n + size))
+        if kind == "S":
+            edges += [(n, v) for v in members[1:]]
+        elif kind == "K":
+            edges += [(u, w) for u in members for w in members if u < w]
+        visible.append(members[:1] if kind == "S" else members)
+        n += size
+    p = 2.5 / max(len(visible), 1)
+    for a in range(len(visible)):
+        for b in range(a):
+            if rng.random() < p:
+                edges += [(u, w) for u in visible[a] for w in visible[b]]
+    return relabelled(build_graph(n, edges), rng)
+
+
+def test_types_and_axils_match_the_definition():
+    rng = random.Random(1907)
+    graphs = [relabelled(g, rng) for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [typed_blocks_graph(rng) for _ in range(40)]
+    seen = set()
+    for g in graphs:
+        rep = foliage_representation(g)
+        expected = types_and_axils_by_definition(g)
+        assert (rep.partition.parts, rep.types, rep.axils) == expected
+        seen.update(expected[1])
+    assert seen == set(PartType)
+
+
 def test_reconstruct_roundtrip_exhaustive():
     for n in range(1, 8):
         for g in nonisomorphic_graphs(n):
@@ -524,3 +604,34 @@ def test_weighted_partition_strong_twins():
     g2 = build_weighted_graph(4, 5, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 2)])
     part2 = foliage_partition(g2)
     assert part2.part_of(0) != part2.part_of(1)
+
+
+# ---------------------------------------------------------------------------
+# frozen outputs
+
+def tree_with_chords(rng):
+    """A random tree on 10-30 vertices plus n // 3 chords: leaves, axils and
+    a few twin classes."""
+    n = rng.randint(10, 30)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 3:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return build_graph(n, sorted(edges))
+
+
+def test_outputs_are_frozen_on_a_seeded_corpus():
+    # sha256 of the reprs: any change to a part, type, axil, quotient edge,
+    # saturation chain or normal form of these graphs changes a digest
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        g = tree_with_chords(rng)
+        frozen = (foliage_representation(g), saturation(g).chain, normal_form(g))
+        digest.update(repr(frozen).encode())
+    assert digest.hexdigest() == "1320cbdbddc2d7c86221cb4a4c861b8c46b1c657696e0fd84f6cbe848d0bb6db"
+    digest = hashlib.sha256()
+    for _ in range(100):
+        n = rng.randint(6, 24)
+        g = random_weighted(n, rng.choice((3, 5, 7)), 2 / n, rng)
+        digest.update(repr((foliage_partition(g), foliage_graph(g))).encode())
+    assert digest.hexdigest() == "ab551f1e6d4d03626fa95d41ea3bd11f626be91f8d0f42883e95384f0dfdf730"
