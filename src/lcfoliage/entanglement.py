@@ -9,7 +9,8 @@ much smaller matrix indexed by foliage parts: the quotient adjacency plus a
 diagonal 1 on clique parts.
 
 A dense statevector oracle (exact amplitudes, numpy SVD) is kept alongside
-as an independent route for small systems, including prime-d qudits.
+as an independent route for small systems, including prime-d qudits.  It is
+the package's only use of numpy, which the ``oracle`` extra installs.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: boo
 
     Builds the full d^n statevector, so only small systems are allowed.
     The answer must come out as log_d of an exact power of d; anything else
-    means a bug somewhere and raises.
+    means a bug somewhere and raises.  Needs numpy (the ``oracle`` extra);
+    without it the call raises ``ImportError``.
     """
     if isinstance(g, WeightedGraph):
         d = g.d
@@ -241,7 +243,13 @@ def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: boo
     full = (1 << n) - 1
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError(
+            "statevector_entropy_oracle needs numpy; install it with the oracle extra: "
+            "pip install 'lcfoliage[oracle]'"
+        ) from None
 
     size = d**n
     idx = np.arange(size)

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 
 from .graph import Graph, WeightedGraph, _support_rows, iter_bits, local_complement, mask_of
 
@@ -397,6 +398,27 @@ def partition_text(part: FoliagePartition) -> str:
     return "parts=[" + ",".join(_part_str(p) for p in part.parts) + "]"
 
 
+# maps the digits of a binary numeral to the selector bytes 0 and 1
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _quotient_edges(quotient: Graph, left: str, right: str) -> str:
+    """Edges ``i < j`` in order as ``left + "i,j" + right``, comma separated.
+
+    Each row above its diagonal is written in binary, lowest bit first, and
+    selects the labels of its far ends with ``compress``, so no Python code
+    runs per edge.
+    """
+    labels = [f"{j}{right}" for j in range(quotient.n)]
+    chunks = []
+    for i, row in enumerate(quotient.rows):
+        upper = row >> (i + 1)
+        if upper:
+            ends = compress(labels[i + 1 :], format(upper, "b")[::-1].encode().translate(_SELECTORS))
+            chunks.append(f"{left}{i}," + f",{left}{i},".join(ends))
+    return ",".join(chunks)
+
+
 def representation_text(rep: FoliageRepresentation) -> str:
     """One-line form, e.g. ``parts=[{0,1}AL:a1,{2,3}AL:a2] edges=[(0,1)]``."""
     axil_set = set(rep.axils)
@@ -407,8 +429,7 @@ def representation_text(rep: FoliageRepresentation) -> str:
             (axil,) = [v for v in members if v in axil_set]
             s += f":a{axil}"
         chunks.append(s)
-    edges = ",".join(f"({i},{j})" for i, j in rep.quotient.edges())
-    return "parts=[" + ",".join(chunks) + "] edges=[" + edges + "]"
+    return "parts=[" + ",".join(chunks) + "] edges=[" + _quotient_edges(rep.quotient, "(", ")") + "]"
 
 
 def representation_json(rep: FoliageRepresentation) -> str:
@@ -424,9 +445,5 @@ def representation_json(rep: FoliageRepresentation) -> str:
             (axil,) = [v for v in members if v in axil_set]
             entry["axil"] = axil
         parts.append(entry)
-    doc = {
-        "n": rep.partition.n,
-        "parts": parts,
-        "edges": [list(e) for e in rep.quotient.edges()],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    head = json.dumps({"n": rep.partition.n, "parts": parts}, separators=(",", ":"))
+    return head[:-1] + ',"edges":[' + _quotient_edges(rep.quotient, "[", "]") + "]}"

@@ -4,17 +4,14 @@ Qubit graphs store one int bitmask per vertex (bit ``w`` of ``rows[v]`` is
 the edge ``vw``).  Qudit graphs over Z_d, d prime, add a map per vertex from
 neighbour to nonzero weight.  Both are immutable; operators return new ones.
 
-numpy is imported inside the qubit validator, so that importing the package,
-the census, the cut-rank queries and the weighted path do not load it.
+Everything here works on Python ints and strings; no module of the package
+but the state-vector oracle imports numpy.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -49,34 +46,40 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _pack_rows(rows: Sequence[int]) -> np.ndarray:
-    """Rows as an ``(n, ceil(n / 8))`` uint8 array, bit ``w`` at byte ``w // 8``, bit ``w % 8``."""
-    import numpy as np
+def _is_sparse(n: int, m: int) -> bool:
+    """Whether ``m`` edges on ``n`` vertices go to the per-edge paths.
 
-    n = len(rows)
-    nb = (n + 7) // 8
-    raw = b"".join(int(row).to_bytes(nb, "little") for row in rows)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, nb)
-
-
-def _unpack_rows(packed: np.ndarray) -> tuple[int, ...]:
-    """Inverse of ``_pack_rows``."""
-    nb = packed.shape[1]
-    raw = packed.tobytes()
-    return tuple(int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb or 1))
+    The dense paths of the validator and the graph6 codec write n * n
+    characters in C-speed passes; the sparse ones make a few Python
+    operations per edge, each on ints of up to n bits.  The two cost the same
+    near m = n * n / 300 at n = 2000 and at n = 6000.
+    """
+    return 300 * m < n * n
 
 
-def _first_asymmetry(packed: np.ndarray) -> tuple[int, int] | None:
-    """First ``(v, w)`` in row-major order with arc ``v -> w`` but not ``w -> v``."""
-    import numpy as np
+def _first_one_way_arc(n: int, rows: Sequence[int]) -> tuple[int, int] | None:
+    """First ``(v, w)`` in row-major order with arc ``v -> w`` but not ``w -> v``.
 
-    n = packed.shape[0]
-    cells = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-    bad = cells > cells.T
-    if not bad.any():
+    ``rows`` are nonnegative ints below ``2**n``.  Sparse rows are walked
+    edge by edge.  Dense ones are written as one row-major string, row ``v``
+    from bit 0 up, so column ``v`` is the strided slice ``m[v::n]``: a row
+    that differs from its column holds an arc with no reverse, at the lowest
+    bit of ``row & ~column``, unless the column alone has the extra arcs.
+    """
+    if _is_sparse(n, sum(row.bit_count() for row in rows)):
+        for v, row in enumerate(rows):
+            for w in iter_bits(row):
+                if not (rows[w] >> v) & 1:
+                    return v, w
         return None
-    k = int(np.argmax(bad))
-    return k // n, k % n
+    m = "".join(format(row, f"0{n}b")[::-1] for row in rows)
+    for v, row in enumerate(rows):
+        col = m[v::n]
+        if m[v * n : v * n + n] != col:
+            bad = row & ~int(col[::-1], 2)
+            if bad:
+                return v, (bad & -bad).bit_length() - 1
+    return None
 
 
 class Graph:
@@ -97,11 +100,12 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        asym = _first_asymmetry(_pack_rows(rows))
+        rows = tuple(map(int, rows))
+        asym = _first_one_way_arc(n, rows)
         if asym is not None:
             raise ValueError(f"adjacency not symmetric at ({asym[0]}, {asym[1]})")
         self.n = n
-        self.rows = tuple(rows)
+        self.rows = rows
 
     @classmethod
     def _wrap(cls, n: int, rows: tuple[int, ...]) -> "Graph":

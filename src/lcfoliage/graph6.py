@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import binascii
 import re
-from typing import TYPE_CHECKING
+from math import isqrt
 
-from .graph import Graph, SizeGuardError, WeightedGraph, _check_n_and_d, _pack_rows, _unpack_rows
-
-if TYPE_CHECKING:
-    import numpy as np
+from .graph import Graph, SizeGuardError, WeightedGraph, _check_n_and_d, _is_sparse, iter_bits
 
 __all__ = ["encode_graph6", "decode_graph6", "encode_weighted", "decode_weighted"]
 
@@ -37,44 +34,44 @@ _G6_DIGITS = bytes(range(63, 127))
 _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
+_NONZERO = re.compile(b"[^\x00]")
 # largest n a weighted text may declare; the CLI exits 3 above it.  The
 # decoder stores O(n + m): decoding the bare header "d 3 n 8192" peaks near
 # 17 MB, interpreter included
 _MAX_WEIGHTED_N = 8192
 
 
-def _lower(n: int) -> np.ndarray:
-    """Strict lower triangle mask.
-
-    Column ``j`` of the upper triangle, which graph6 lists in order, is row
-    ``j`` of the lower one, so the set cells, read row by row, are the body
-    bits in order.
-    """
-    import numpy as np
-
-    return np.tri(n, k=-1, dtype=bool)
+# Body bit ``j * (j - 1) // 2 + i`` is the edge ``ij``, ``i < j``: column
+# ``j`` of the upper triangle, which by symmetry is row ``j`` below its
+# diagonal.  Sparse graphs are coded edge by edge; dense ones through bit
+# strings.
 
 
 def encode_graph6(g: Graph) -> str:
-    import numpy as np
-
     n = g.n
     if n > 258047:
         raise ValueError("graph6 size header supports at most n = 258047 here")
     if n <= 62:
-        out = [chr(n + 63)]
+        head = bytes([n + 63])
     else:
-        out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    cells = np.unpackbits(_pack_rows(g.rows), axis=1, count=n, bitorder="little")
-    bits = cells[_lower(n)]
-    text = binascii.b2a_base64(np.packbits(bits).tobytes(), newline=False)
-    out.append(text[: -(-len(bits) // 6)].translate(_FROM_B64).decode("ascii"))  # cut the padding
-    return "".join(out)
+        head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    nbits = n * (n - 1) // 2
+    need = -(-nbits // 6)
+    if _is_sparse(n, sum(row.bit_count() for row in g.rows)):
+        out = bytearray(b"?") * (len(head) + need)
+        out[: len(head)] = head
+        for j, row in enumerate(g.rows):
+            for i in iter_bits(row & ((1 << j) - 1)):
+                p = j * (j - 1) // 2 + i
+                out[len(head) + p // 6] += 32 >> (p % 6)  # 6-bit values plus 63, high bit first
+        return out.decode("ascii")
+    bits = "".join(format(row & ((1 << j) - 1), f"0{j}b")[::-1] for j, row in enumerate(g.rows) if j)
+    bits += "0" * (-nbits % 24)  # whole base64 groups, so no "=" padding
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return (head + binascii.b2a_base64(raw, newline=False)[:need].translate(_FROM_B64)).decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
-    import numpy as np
-
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -86,28 +83,42 @@ def decode_graph6(text: str) -> Graph:
     vals = s.encode("ascii")  # each byte is a 6-bit value plus 63
     if vals[0] < 126:
         n = vals[0] - 63
-        body = vals[1:]
+        start = 1
     else:
         if len(vals) < 4:
             raise ValueError("truncated graph6 size header")
         if vals[1] == 126:
             raise ValueError("8-byte graph6 size headers are not supported")
         n = ((vals[1] - 63) << 12) | ((vals[2] - 63) << 6) | (vals[3] - 63)
-        body = vals[4:]
+        start = 4
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) != need:
+    if len(vals) - start != need:
         raise ValueError(
-            f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
+            f"graph6 body has {len(vals) - start} bytes, expected {need} for n={n}"
         )
-    if need and (body[-1] - 63) & ((1 << (need * 6 - nbits)) - 1):
+    if need and (vals[-1] - 63) & ((1 << (need * 6 - nbits)) - 1):
         raise ValueError("graph6 padding bits are not zero")
-    raw = binascii.a2b_base64(body.translate(_TO_B64) + b"A" * (-need % 4))  # "A" is 0
-    cells = np.zeros((n, n), dtype=np.uint8)
-    cells[_lower(n)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits]
-    cells |= cells.T
-    packed = np.packbits(cells, axis=1, bitorder="little")
-    return Graph._wrap(n, _unpack_rows(packed))
+    raw = binascii.a2b_base64(vals[start:].translate(_TO_B64) + b"A" * (-need % 4))  # "A" is 0
+    packed = int.from_bytes(raw, "big")
+    if _is_sparse(n, packed.bit_count()):
+        rows = [0] * n
+        for hit in _NONZERO.finditer(raw):
+            k = hit.start()
+            for t in iter_bits(raw[k]):
+                p = 8 * k + 7 - t
+                j = (isqrt(8 * p + 1) + 1) // 2
+                i = p - j * (j - 1) // 2
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        return Graph._wrap(n, tuple(rows))
+    bits = format(packed, f"0{8 * len(raw)}b")
+    # row j of this n * n string is column j of the upper triangle, so its
+    # column i, the strided slice from cell (i, i), is the rest of row i
+    low = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    return Graph._wrap(
+        n, tuple(int((low[i * n : i * n + i] + low[i * n + i :: n])[::-1], 2) for i in range(n))
+    )
 
 
 def encode_weighted(g: WeightedGraph) -> str:

@@ -147,30 +147,43 @@ def parts_as_sets(parts: tuple[tuple[int, ...], ...]) -> set[frozenset[int]]:
 
 
 def peak_rss_mb_under_1_gib(code: str) -> float:
-    """Peak RSS in MB of ``code`` run by a fresh interpreter on this checkout.
+    """Peak RSS in MB of ``code`` run by a fresh interpreter on this checkout."""
+    return cpu_s_and_peak_rss_mb_under_1_gib(code, "")[1]
 
-    The child's address space is capped at 1 GiB, so code that would need
-    more fails fast with a ``MemoryError``.  Peak RSS is read from VmHWM,
-    which starts afresh at exec: getrusage's ru_maxrss in a child keeps the
-    peak of the process that started it.
+
+def cpu_s_and_peak_rss_mb_under_1_gib(setup: str, code: str) -> tuple[float, float]:
+    """CPU seconds of ``code``, run after ``setup``, and the peak RSS in MB.
+
+    Both run in a fresh interpreter on this checkout, and their standard
+    output is dropped.  The child's address space is capped at 1 GiB, so
+    code that would need more fails fast with a ``MemoryError``.  Peak RSS
+    is read from VmHWM, which starts afresh at exec: getrusage's ru_maxrss
+    in a child keeps the peak of the process that started it.
     """
     import resource
 
     def one_gib_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    code += (
-        "\nwith open('/proc/self/status') as fh:\n"
-        "    print(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) / 1024)\n"
+    child = (
+        "import contextlib, io, os, sys, time\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exec(sys.argv[1])\n"
+        "    _start = time.process_time()\n"
+        "    exec(sys.argv[2])\n"
+        "    _cpu = time.process_time() - _start\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(_cpu, next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) / 1024)\n"
     )
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", child, setup, code],
         capture_output=True,
         text=True,
         env=env,
         preexec_fn=one_gib_address_space,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    return float(proc.stdout)
+    cpu, mb = proc.stdout.split()
+    return float(cpu), float(mb)

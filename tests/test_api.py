@@ -1,6 +1,6 @@
 """The public surface: every exported name resolves, and importing the
-package, the census commands and the cut-rank queries stay free of numpy
-and of the process pool."""
+package, every CLI command and every query but the state-vector oracle stay
+free of numpy and of the process pool."""
 
 import importlib
 import os
@@ -49,7 +49,7 @@ def run_python(code, *args):
 
 @pytest.mark.parametrize("module", ["numpy", "concurrent.futures.process"])
 def test_import_leaves_module_out(module):
-    code = "import sys, lcfoliage; print(sys.argv[1] in sys.modules)"
+    code = "import sys, lcfoliage, lcfoliage.cli, lcfoliage.graph6; print(sys.argv[1] in sys.modules)"
     proc = run_python(code, module)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
@@ -111,3 +111,67 @@ def test_census_and_queries_run_with_numpy_blocked():
     assert (free.returncode, free.stderr) == (0, "")
     assert (blocked.returncode, blocked.stderr) == (0, "")
     assert blocked.stdout == free.stdout
+
+
+# Runs every CLI command that reads or writes graph6, and the commands no
+# other test here runs, through ``main``, printing each output and exit code.
+# With argument "block", every import of numpy raises ImportError; the last
+# line says whether numpy was loaded.  The 1000-vertex path is coded edge by
+# edge, the wheel through bit strings.
+GRAPH6_COMMANDS = """
+import sys
+
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+
+from lcfoliage import build_graph, encode_graph6
+from lcfoliage.cli import main
+
+wheel = encode_graph6(build_graph(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)]))
+path = encode_graph6(build_graph(1000, [(v, v + 1) for v in range(999)]))
+for argv in (
+    ["foliage", "--g6", path],
+    ["foliage", "--g6", wheel],
+    ["foliage", "--json", "--g6", wheel],
+    ["lc", "0", "--g6", wheel],
+    ["lc", "3", "--g6", path],
+    ["normal-form", "--g6", wheel],
+    ["saturation", "--g6", wheel],
+    ["orbit", "--members", "-", "--g6", wheel],
+    ["aut", "--g6", wheel],
+    ["entropy", "--subset", "0,2,4", "--g6", wheel],
+    ["schmidt", "--g6", wheel],
+    ["uniformity", "--g6", wheel],
+    ["classes", "--n", "5", "--reps", "-"],
+    ["qlc", "star", "1", "1", "--g6", "d 5 n 3\\n0 1 2\\n1 2 3\\n"],
+    ["bound", "--n", "7"],
+    ["construct", "--partition", "2,3"],
+):
+    print("exit", main(argv))
+print(sys.modules.get("numpy") is not None)
+"""
+
+
+def test_every_cli_command_runs_with_numpy_blocked():
+    free = run_python(GRAPH6_COMMANDS, "free")
+    blocked = run_python(GRAPH6_COMMANDS, "block")
+    assert (free.returncode, free.stderr) == (0, "")
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert blocked.stdout == free.stdout
+    assert free.stdout.endswith("exit 0\nFalse\n")
+    assert free.stdout.count("exit 0") == 16
+
+
+def test_statevector_oracle_names_its_extra_without_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from lcfoliage import build_graph, statevector_entropy_oracle\n"
+        "try:\n"
+        "    statevector_entropy_oracle(build_graph(2, [(0, 1)]), 1)\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_python(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "lcfoliage[oracle]" in proc.stdout

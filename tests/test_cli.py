@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cpu_s_and_peak_rss_mb_under_1_gib
 from lcfoliage.cli import main
 from lcfoliage.graph import build_graph
 from lcfoliage.graph6 import decode_graph6, decode_weighted, encode_graph6
@@ -71,6 +72,21 @@ def run_child(argv, stdin, **kwargs):
         env=env,
         **kwargs,
     )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_foliage_on_a_dense_2000_vertex_graph_stays_small():
+    # G(2000, 1/2): its body bits are uniform; the quotient has about 10**6
+    # edges, written row by row
+    setup = (
+        "import random\n"
+        "n = 2000\n"
+        "bits = format(random.Random(1).getrandbits(n * (n - 1) // 2), f'0{n * (n - 1) // 2}b') + '00'\n"
+        "text = '~?^O' + ''.join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))\n"
+        "del bits\n"
+    )
+    code = "from lcfoliage.cli import main\nassert main(['-o', os.devnull, 'foliage', '--g6', text]) == 0\n"
+    assert cpu_s_and_peak_rss_mb_under_1_gib(setup, code)[1] < 80
 
 
 def test_weighted_header_with_an_18_digit_prime_modulus_is_quick():

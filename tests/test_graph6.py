@@ -1,10 +1,12 @@
+import hashlib
 import random
 import sys
 
+import networkx as nx
 import pytest
 
-from conftest import peak_rss_mb_under_1_gib, random_graph, random_weighted
-from lcfoliage.graph import SizeGuardError, build_graph
+from conftest import cpu_s_and_peak_rss_mb_under_1_gib, peak_rss_mb_under_1_gib, random_graph, random_weighted
+from lcfoliage.graph import Graph, SizeGuardError, build_graph
 from lcfoliage.graph6 import (
     decode_graph6,
     decode_weighted,
@@ -159,3 +161,110 @@ def test_weighted_header_at_the_bound_decodes_small():
         "assert (g.n, g.d, g.edges()) == (8192, 3, [])\n"
     )
     assert peak_rss_mb_under_1_gib(code) < 64
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def networkx_graph6(n, edges):
+    """graph6 text written by networkx, a codec that shares no code with this one."""
+    h = nx.empty_graph(n)
+    h.add_edges_from(edges)
+    return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+
+
+def text_of_body_bits(n, bits):
+    """graph6 of the graph whose body bit ``j * (j - 1) // 2 + i`` is the edge ``ij``."""
+    bits += "0" * (-len(bits) % 6)
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    return head + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
+
+
+def body_bits_of_edges(n, edges):
+    ones = sorted(j * (j - 1) // 2 + i for i, j in (sorted(e) for e in edges))
+    bits = "".join("0" * (b - a - 1) + "1" for a, b in zip([-1] + ones, ones))
+    return bits + "0" * (n * (n - 1) // 2 - len(bits))
+
+
+def cycle_with_chords(n, chords, rng):
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+    while len(edges) < n + chords:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return sorted(edges)
+
+
+# the big_graphs benchmark families: G(2000, 1/2), whose body bits are
+# uniform, cycles plus n/2 chords, and the path; the edge list when sparse
+def big_graph_family(name):
+    rng = random.Random(name)
+    if name == "dense2000":
+        n = 2000
+        return n, None, format(rng.getrandbits(n * (n - 1) // 2), f"0{n * (n - 1) // 2}b")
+    if name == "path2000":
+        n, edges = 2000, [(v, v + 1) for v in range(1999)]
+    else:
+        n = int(name[len("sparse"):])
+        edges = cycle_with_chords(n, n // 2, rng)
+    return n, edges, body_bits_of_edges(n, edges)
+
+
+@pytest.mark.parametrize("name", ["dense2000", "sparse2000", "sparse4000", "path2000"])
+def test_big_graph_families_roundtrip(name):
+    n, edges, bits = big_graph_family(name)
+    text = text_of_body_bits(n, bits)
+    g = decode_graph6(text)
+    assert sha256(encode_graph6(g)) == sha256(text)
+    assert Graph(n, g.rows) == g
+    assert sum(row.bit_count() for row in g.rows) == 2 * bits.count("1")
+    rng = random.Random(n)
+    for _ in range(2000):
+        i, j = sorted(rng.sample(range(n), 2))
+        assert g.has_edge(i, j) == (bits[j * (j - 1) // 2 + i] == "1")
+    if edges is not None:
+        assert g.edges() == edges
+
+
+def test_every_type_up_to_order_7_matches_networkx():
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        text = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+        g = decode_graph6(text)
+        assert sorted(g.edges()) == sorted(tuple(sorted(e)) for e in h.edges())
+        assert sha256(encode_graph6(g)) == sha256(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 64])
+def test_size_boundaries_match_networkx(n):
+    rng = random.Random(n)
+    graphs = [
+        [],
+        [(i, j) for j in range(n) for i in range(j)],
+        [(v, v + 1) for v in range(n - 1)],
+        [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5],
+    ]
+    for edges in graphs:
+        text = networkx_graph6(n, edges)
+        assert text.startswith("~") == (n >= 63)
+        g = decode_graph6(text)
+        assert g == build_graph(n, edges)
+        assert sha256(encode_graph6(g)) == sha256(text)
+
+
+# a 20,000-vertex cycle: 31 MB of graph6 for 20,000 edges
+CYCLE_20000 = (
+    "from lcfoliage.graph import Graph\n"
+    "from lcfoliage.graph6 import decode_graph6, encode_graph6\n"
+    "n = 20000\n"
+    "rows = [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_sparse_decode_of_a_20000_cycle_is_small_and_quick():
+    setup = CYCLE_20000 + "text = encode_graph6(Graph._wrap(n, tuple(rows)))\ndel rows\n"
+    code = "g = decode_graph6(text)\nassert g.edges()[:2] == [(0, 1), (0, 19999)]\n"
+    cpu, mb = cpu_s_and_peak_rss_mb_under_1_gib(setup, code)
+    assert cpu < 2.5
+    assert mb < 250

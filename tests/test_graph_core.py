@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete, peak_rss_mb_under_1_gib, random_graph, random_weighted, star
+from conftest import complete, cpu_s_and_peak_rss_mb_under_1_gib, peak_rss_mb_under_1_gib, random_graph, random_weighted, star
 from lcfoliage.graph import (
     Graph,
     WeightedGraph,
@@ -352,6 +352,16 @@ assert decode_weighted(encode_weighted(h)) == h
 def test_weighted_cycle_moves_and_round_trip_stay_small():
     # the moves touch the neighbourhood of one vertex; no n x n matrix is built
     assert peak_rss_mb_under_1_gib(WEIGHTED_CYCLE_MOVES) < 64
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
+def test_validating_a_20000_cycle_is_small_and_quick():
+    # 20,000 edges are checked one by one; no n x n string is written
+    setup = "n = 20000\nrows = [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]\n"
+    code = "from lcfoliage.graph import Graph\nassert Graph(n, rows).degree(0) == 2\n"
+    cpu, mb = cpu_s_and_peak_rss_mb_under_1_gib(setup, code)
+    assert cpu < 0.5
+    assert mb < 100
 
 
 def test_connected_components():

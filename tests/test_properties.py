@@ -173,6 +173,21 @@ def test_malformed_graph6_messages(bad, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_graph_names_the_first_pair_after_one_bit_corruptions(seed):
+    # 50 corruptions per seed, on graphs sparse enough for the edge walk and
+    # dense enough for the transposed strings
+    rng = random.Random(seed)
+    for _ in range(50):
+        n = rng.randrange(2, 71)
+        rows = list(random_graph(n, rng.choice([0.0, 0.001, 0.01, 0.1, 0.5, 0.9, 1.0]), rng).rows)
+        v, w = rng.sample(range(n), 2)
+        rows[v] ^= 1 << w
+        with pytest.raises(ValueError) as exc:
+            Graph(n, rows)
+        assert str(exc.value) == reference_asymmetry(rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_graph_rejects_asymmetry_at_the_first_pair(data):
