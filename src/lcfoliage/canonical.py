@@ -25,8 +25,6 @@ keeps the key of every type it meets itself.
 
 from __future__ import annotations
 
-from operator import getitem
-
 from .graph import Graph, SizeGuardError, _orbit, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
@@ -172,7 +170,7 @@ def _descend(
         if processed:
             # skip v if the path stabilizer carries it onto an explored sibling
             stab = [a for a in auts if all(a[p] == p for p in path)]
-            if not processed.isdisjoint(_orbit(v, stab, getitem)):
+            if not processed.isdisjoint(_orbit(v, stab)):
                 processed.add(v)
                 continue
         best, depth = _descend(

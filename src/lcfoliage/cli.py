@@ -6,7 +6,7 @@ on success, 2 on a usage error, bad input or an output path that cannot be
 written, 3 when a size guard trips (``--force`` lifts the guards on n, not
 the orbit member budget, the order limit of the weighted text format or the
 bound n <= 800 on the recursion depth of the canonical search that ``orbit``
-and ``aut`` run).
+and ``aut`` run) or the computation runs out of memory.
 """
 
 from __future__ import annotations
@@ -351,6 +351,10 @@ def main(argv: list[str] | None = None) -> int:
             _write_file(args.output, text)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

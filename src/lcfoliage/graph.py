@@ -11,7 +11,7 @@ but the state-vector oracle imports numpy.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -414,19 +414,14 @@ def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _orbit(start: Hashable, gens: Sequence, act: Callable) -> set:
-    """Every point reached from ``start`` by repeatedly applying ``act(gen, point)``.
-
-    For permutations ``gens`` this is the orbit of ``start`` under the group
-    they generate: of a vertex under ``operator.getitem`` and of relabelled
-    rows under relabelling.
-    """
+def _orbit(start: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of vertex ``start`` under the group that the permutations ``gens`` generate."""
     seen = {start}
     stack = [start]
     while stack:
         x = stack.pop()
         for gen in gens:
-            y = act(gen, x)
+            y = gen[x]
             if y not in seen:
                 seen.add(y)
                 stack.append(y)

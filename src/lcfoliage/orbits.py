@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial
-from operator import getitem
 
 from . import canonical
 from .foliage import FoliagePartition, foliage_partition, saturation
@@ -130,7 +129,9 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
 
     ``class_size`` counts isomorphism types inside the orbit, the size of
     the LC class of ``g``, as orbits of its LC automorphisms on the orbit's
-    BFS tree.  The tree holds each member packed into one int; the members
+    BFS tree: one union-find pass over the tree (``_lc_group``) joins each
+    member with its images as the generators are found and counts the
+    classes.  The tree holds each member packed into one int; the members
     are sorted as ints, which is the order of their rows, and unpacked once
     at the end.  Raises ``SizeGuardError`` for ``n`` above the guard unless
     forced, and in any case once the orbit passes ``_ORBIT_MEMBERS`` members.
@@ -140,7 +141,7 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
             f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
         )
     packed, index, members, _, _ = tree = _orbit_members(g)
-    class_size = _orbit_count(tree, _lc_generators(g, tree))
+    class_size = _lc_group(g, tree)[1]
     index.clear()  # the unpacked rows below need the room
     members.sort()
     return OrbitReport(g, len(members), class_size, tuple(map(packed.unpack, members)))
@@ -182,7 +183,7 @@ def _orbit_masks(
     masks = []
     left = (1 << n) - 1
     while left:
-        orbit = _orbit((left & -left).bit_length() - 1, auts, getitem)
+        orbit = _orbit((left & -left).bit_length() - 1, auts)
         left ^= mask_of(orbit)
         masks.append(mask_of(perm[v] for v in orbit))
     return tuple(masks)
@@ -364,90 +365,80 @@ def _greedy_generators(
     return gens, known
 
 
-def _lc_generators(g: Graph, tree: _Tree) -> list[tuple[int, ...]]:
-    """Generators of the permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in the orbit.
+def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
+    """``(gens, class_size)``: the LC automorphisms of ``g`` and their orbits on the orbit's members.
 
-    ``tree`` is the orbit's, from ``_orbit_members``.  The permutations form
-    a group that maps two members onto each other exactly when they are
-    isomorphic, generated by the automorphisms of ``g`` that its canonical
-    search finds and one isomorphism onto each member of ``g``'s type
-    (``g``'s canonical labelling, then the inverse of the member's).  The
-    members are read in BFS order, and one with ``g``'s edge count is
-    unpacked; only those with ``g``'s sorted degrees not yet reached are
-    searched.
-    """
-    packed, _, members, _, _ = tree
-    key, perm, gens = canonical._search(g.n, g.rows)
-    degrees = sorted(map(int.bit_count, g.rows))
-    bits = sum(degrees)  # each edge sets two bits of a packed member
-    reached = {g.rows}  # its orbit under the generators so far
-    for m in members:
-        if m.bit_count() != bits:
-            continue
-        rows = packed.unpack(m)
-        if rows in reached or sorted(map(int.bit_count, rows)) != degrees:
-            continue
-        member_key, member_perm, _ = canonical._search(g.n, rows)
-        if member_key == key:
-            inv = sorted(range(g.n), key=member_perm.__getitem__)  # label -> vertex
-            gens.append(tuple(inv[lab] for lab in perm))
-            reached = _orbit(g.rows, gens, lambda sigma, rows: _relabel_rows(rows, sigma))
-    return gens
-
-
-def _orbit_count(tree: _Tree, gens: list[tuple[int, ...]]) -> int:
-    """Orbits of the group generated by ``gens`` on the members of an orbit's BFS ``tree``.
+    ``tree`` is the orbit's, from ``_orbit_members``.  ``gens`` generate the
+    permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in the
+    orbit, a group that maps two members onto each other exactly when they
+    are isomorphic: the automorphisms of ``g`` that its canonical search
+    finds and one isomorphism onto each member of ``g``'s type
+    (``g``'s canonical labelling, then the inverse of the member's) that the
+    generators so far do not reach.
 
     Relabelling commutes with local complementation: sigma.LC_a(h) =
-    LC_sigma(a)(sigma.h).  So only the root is relabelled, and packed, once
-    per generator; each later member ``h`` maps to the complementation of
-    its parent's image at ``sigma[move[h]]``, one packed complementation and
-    one lookup of the image's number.  Members join their images in a
-    union-find over member numbers; the orbits are its roots.
+    LC_sigma(a)(sigma.h).  So ``join`` relabels and packs only the root,
+    once per generator; each later member ``h`` maps to the complementation
+    of its parent's image at ``sigma[move[h]]``, one packed complementation
+    and one lookup of the image's number.  Members join their images in a
+    union-find over member numbers, so the root's class is the orbit of
+    ``g`` under the generators so far, and ``class_size`` is the number of
+    classes.  The members are read in BFS order, and one with ``g``'s edge
+    count outside the root's class is unpacked; only those with ``g``'s
+    sorted degrees are searched.
     """
     packed, index, members, parent, move = tree
     full, toggles = packed.full, packed.toggles
-    rows = packed.unpack(members[0])
     up = list(range(len(members)))
-    for sigma in gens:
+
+    def join(sigma: tuple[int, ...]) -> None:
         shift_of = [packed.shifts[b] for b in sigma]  # where the row of sigma[a] sits
-        image = [index[packed.pack(_relabel_rows(rows, sigma))]]
+        image = [index[packed.pack(_relabel_rows(g.rows, sigma))]]
         for p, a in islice(zip(parent, move), 1, None):
             m = members[image[p]]
             image.append(index[m ^ toggles[m >> shift_of[a] & full]])
         for h, j in enumerate(image):
             up[_find(up, h)] = _find(up, j)
-    return sum(h == root for h, root in enumerate(up))
+
+    key, perm, gens = canonical._search(g.n, g.rows)
+    for sigma in gens:
+        join(sigma)
+    degrees = sorted(map(int.bit_count, g.rows))
+    bits = sum(degrees)  # each edge sets two bits of a packed member
+    for h, m in enumerate(members):
+        if m.bit_count() != bits or _find(up, h) == _find(up, 0):
+            continue
+        rows = packed.unpack(m)
+        if sorted(map(int.bit_count, rows)) != degrees:
+            continue
+        member_key, member_perm, _ = canonical._search(g.n, rows)
+        if member_key == key:
+            inv = sorted(range(g.n), key=member_perm.__getitem__)  # label -> vertex
+            gens.append(tuple(inv[lab] for lab in perm))
+            join(gens[-1])
+    return gens, sum(h == root for h, root in enumerate(up))
 
 
 def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     """Permutations whose relabelling of ``g`` stays inside its LC orbit.
 
-    The labelled orbit is enumerated once and the group generated by
-    ``_lc_generators``; ``class_size`` is the number of its orbits on the
-    members, as in ``lc_orbit``.  The report holds only the group's order
-    and generators, but the group itself, up to ``n!`` permutations, is
-    listed to pick those generators.  So this is kept to small orders, as
-    the orbit grows quickly with ``n``.
+    The labelled orbit is enumerated once, and one union-find pass over its
+    BFS tree (``_lc_group``) finds the group's generators and counts its
+    orbits on the members, the class size, as in ``lc_orbit``.  The report
+    holds only the group's order and generators, but the group itself, up
+    to ``n!`` permutations, is listed to pick those generators.  So this is
+    kept to small orders, as the orbit grows quickly with ``n``.
     """
     if g.n > _CLASS_GUARD and not force:
         raise SizeGuardError(
             f"lc_automorphism_group is limited to n <= {_CLASS_GUARD} (force to override)"
         )
-    return _aut_report(g, None)
-
-
-def _aut_report(g: Graph, class_size: int | None) -> AutReport:
-    """``lc_automorphism_group(g)`` with the class size given, or counted if ``None``."""
     tree = _orbit_members(g)
     labeled_size = len(tree[2])
-    lc_gens = _lc_generators(g, tree)
+    lc_gens, class_size = _lc_group(g, tree)
     auts = sorted(_greedy_generators(lc_gens, g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
-    if class_size is None:
-        class_size = _orbit_count(tree, lc_gens)
-    part = foliage_partition(g)
-    lower, upper = aut_bounds(part)
+    lower, upper = aut_bounds(foliage_partition(g))
     return AutReport(
         order=len(auts),
         generators=tuple(gens),
@@ -545,14 +536,15 @@ def saturation_stats(n: int, force: bool = False) -> SaturationStatsRow:
 def symmetry_table(n: int, connected_only: bool = True, force: bool = False) -> list[tuple]:
     """Per-class symmetry rows: partition shape, aut orders, orbit sizes.
 
-    Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C, I.
-    The class size C is the census's own.
+    Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C, I,
+    each read from ``lc_automorphism_group`` of the class representative;
+    the class size C is counted on its orbit, not copied from the census.
     """
     census = lc_classes(n, connected_only=connected_only, force=force)
     rows = []
     for cid, cls in enumerate(census.classes, start=1):
         rep = cls.representative
-        report = _aut_report(rep, cls.size)
+        report = lc_automorphism_group(rep, force=force)
         shape = "+".join(
             str(s) for s in sorted(foliage_partition(rep).sizes())
         )

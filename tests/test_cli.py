@@ -410,6 +410,30 @@ def test_forced_canonical_search_above_the_depth_bound_exits_3(command):
     assert proc.stderr == "error: canonical search is limited to n <= 800 by its recursion depth\n"
 
 
+def test_memory_error_is_one_line_with_exit_3(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("lcfoliage.cli.lc_automorphism_group", out_of_memory)
+    assert run(capsys, "aut", "--g6", K5) == (3, "", "error: out of memory\n")
+
+
+def test_aut_out_of_address_space_exits_3():
+    resource = pytest.importorskip("resource")
+
+    def quarter_gib_address_space():
+        # listing the 10! permutations of the edgeless graph's group needs
+        # far more than this
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = run_child(
+        ["aut", "--force", "--g6", "I????????"], "", preexec_fn=quarter_gib_address_space, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def readme_cli_examples():
     """Each ``$ lcfoliage`` line of the README's Command line block, with the output shown under it.
 

@@ -7,7 +7,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from operator import getitem
 
 import pytest
 
@@ -471,14 +470,21 @@ def test_aut_bounds_anchors():
 
 
 def test_aut_bounds_hold_on_small_classes():
-    for n in range(2, 7):
-        for cls in lc_classes(n).classes:
-            rep = lc_automorphism_group(cls.representative)
-            lower = rep.aut_in_order
-            upper = rep.aut_in_order * rep.aut_out_upper_order
-            assert lower <= rep.order <= upper
-            assert rep.order * rep.class_size >= rep.labeled_size
-            assert rep.interplay >= 1
+    # every class with n <= 7, disconnected ones included; the group order
+    # and the part sizes are class invariants, so this covers every type.
+    # The class size is counted on the orbit and checked against the
+    # census's, two routes that share no count
+    classes = [cls for n in range(1, 8) for cls in lc_classes(n, connected_only=False).classes]
+    assert len(classes) == 108
+    for cls in classes:
+        g = cls.representative
+        rep = lc_automorphism_group(g)
+        lower, upper = aut_bounds(foliage_partition(g))
+        assert lower <= rep.order <= upper, g.rows
+        assert rep.order % rep.aut_in_order == 0, g.rows
+        assert rep.class_size == cls.size, g.rows
+        assert rep.order * rep.class_size >= rep.labeled_size
+        assert rep.interplay >= 1
 
 
 def test_aut_in_group_generators():
@@ -589,12 +595,7 @@ def test_orbit_matches_the_oracle_group():
             gens.append(tuple(p))
         group = oracle_group(n, gens)
         for v in range(n):
-            assert _orbit(v, gens, getitem) == {sigma[v] for sigma in group}, (n, gens)
-        ident = tuple(range(n))
-        assert _orbit(ident, gens, lambda q, p: tuple(q[x] for x in p)) == group
-        rows = random_graph(n, 0.5, rng).rows
-        images = {oracle_relabel(n, rows, sigma) for sigma in group}
-        assert _orbit(rows, gens, lambda sigma, r: oracle_relabel(n, r, sigma)) == images
+            assert _orbit(v, gens) == {sigma[v] for sigma in group}, (n, gens)
 
 
 def oracle_automorphisms(g):
@@ -751,12 +752,11 @@ def test_orbit_count_relabels_once_per_generator(monkeypatch):
     graphs = [complete(5), cycle(6)] + [random_graph(8, 0.5, rng) for _ in range(3)]
     for g in graphs:
         tree = orbits_mod._orbit_members(g)
-        gens = orbits_mod._lc_generators(g, tree)
-        assert gens, g.rows  # every one of these graphs has a nontrivial group
         relabelled.clear()
-        count = orbits_mod._orbit_count(tree, gens)
+        gens, count = orbits_mod._lc_group(g, tree)
+        assert gens, g.rows  # every one of these graphs has a nontrivial group
         # only the root is relabelled, once per generator, for sigma . g
-        assert len(relabelled) <= len(gens), g.rows
+        assert len(relabelled) == len(gens), g.rows
         types = {canonical_key(Graph(g.n, rows)) for rows in oracle_orbit(g.n, g.rows)}
         assert count == len(types), g.rows
 
@@ -904,7 +904,7 @@ def test_symmetry_table_shape():
         assert isinstance(row[8], str) and len(row[8].split(".")[1]) == 2
 
 
-def test_symmetry_table_takes_class_sizes_from_the_census(monkeypatch):
+def test_symmetry_table_takes_class_sizes_from_the_census():
     import lcfoliage.orbits as orbits_mod
 
     expected = []
@@ -926,15 +926,7 @@ def test_symmetry_table_takes_class_sizes_from_the_census(monkeypatch):
                 orbits_mod._fmt2(report.interplay),
             )
         )
-    counted = []
-    real = orbits_mod._orbit_count
-    monkeypatch.setattr(
-        orbits_mod, "_orbit_count", lambda *args: counted.append(args) or real(*args)
-    )
     assert symmetry_table(6) == expected
-    assert counted == []
-    lc_automorphism_group(complete(4))
-    assert len(counted) == 1
 
 
 # ---------------------------------------------------------------------------
