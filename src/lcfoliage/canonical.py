@@ -12,9 +12,10 @@ is the image of one already explored: the search jumps straight back to
 that node (McKay and Piperno's first-path backjump, *Practical graph
 isomorphism II*, 2014).  A sibling branch is skipped when the found
 automorphisms that fix the path so far carry its vertex onto an explored
-sibling; the orbit comes from ``graph._orbit``.  Every found automorphism is
-kept, at most one per level on K_n, S_n and the empty graph, and together
-they generate the automorphism group, which the LC automorphisms build on.
+sibling, in a union-find (``graph._find``) fed each automorphism once.
+Every found automorphism is kept, at most one per level on K_n, S_n and the
+empty graph, and together they generate the automorphism group, which the LC
+automorphisms build on.
 The search recurses through module-level functions, so it leaves no
 reference cycle and its memory goes as soon as it returns.  It recurses
 once per individualised vertex, up to n - 1 deep, so it refuses n above
@@ -25,12 +26,14 @@ keeps the key of every type it meets itself.
 
 from __future__ import annotations
 
-from .graph import Graph, SizeGuardError, _orbit, _relabel_rows, iter_bits
+from .graph import Graph, SizeGuardError, _find, _relabel_rows, iter_bits
 
 __all__ = ["canonical_form", "canonical_key", "canonical_graph"]
 
 # the search takes about n + 10 frames, and Python's default recursion limit
-# is 1000 frames; this bound leaves the caller about 190 of them
+# is 1000 frames; this bound leaves the caller about 190 of them.  The empty
+# graph takes about 1.6 CPU s at n = 100 and 18 s at n = 200 on a shared
+# 2-vCPU host, most of it in _refine
 _MAX_ORDER = 800
 
 
@@ -165,13 +168,20 @@ def _descend(
             return best, next(d for d, (a, b) in enumerate(zip(path, best[2])) if a != b)
         return best, len(path)
     cell = cells[target]
-    processed: set[int] = set()
+    # a path stabilizer maps the refined target cell onto itself, so unions
+    # inside the cell give its orbits; a sibling that shares a root with an
+    # explored one is skipped
+    up = list(range(len(rows)))
+    explored: list[int] = []
+    fed = 0  # auts read so far
     for v in iter_bits(cell):
-        if processed:
-            # skip v if the path stabilizer carries it onto an explored sibling
-            stab = [a for a in auts if all(a[p] == p for p in path)]
-            if not processed.isdisjoint(_orbit(v, stab)):
-                processed.add(v)
+        if explored:
+            for a in auts[fed:]:
+                if all(a[p] == p for p in path):
+                    for x in iter_bits(cell):
+                        up[_find(up, x)] = _find(up, a[x])
+            fed = len(auts)
+            if any(_find(up, w) == _find(up, v) for w in explored):
                 continue
         best, depth = _descend(
             rows,
@@ -182,5 +192,5 @@ def _descend(
         )
         if depth < len(path):
             return best, depth
-        processed.add(v)
+        explored.append(v)
     return best, len(path)

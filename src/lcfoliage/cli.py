@@ -4,9 +4,11 @@ Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
 on success, 2 on a usage error, bad input or an output path that cannot be
 written, 3 when a size guard trips (``--force`` lifts the guards on n, not
-the orbit member budget, the order limit of the weighted text format or the
+the orbit member budget, the order limit of the weighted text format, the
 bound n <= 800 on the recursion depth of the canonical search that ``orbit``
-and ``aut`` run) or the computation runs out of memory.
+and ``aut`` run, or the bound on ``bound --n``) or the computation runs out
+of memory.  ``construct`` exits 2 before it builds anything when the part
+sizes sum above the largest n that graph6 holds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .graph import (
     qudit_scale,
     qudit_star,
 )
-from .graph6 import decode_graph6, decode_weighted, encode_graph6, encode_weighted
+from .graph6 import _MAX_G6_N, decode_graph6, decode_weighted, encode_graph6, encode_weighted
 from .orbits import (
     class_lower_bound,
     graph_for_partition,
@@ -247,6 +249,8 @@ def _cmd_construct(args: argparse.Namespace) -> str:
         sizes = [int(x) for x in args.partition.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad partition {args.partition!r}") from exc
+    if sum(sizes) > _MAX_G6_N:
+        raise ValueError(f"part sizes sum to {sum(sizes)}, but graph6 holds at most n = {_MAX_G6_N}")
     return encode_graph6(graph_for_partition(sizes)) + "\n"
 
 

@@ -11,7 +11,7 @@ but the state-vector oracle imports numpy.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, MutableSequence, Sequence
 
 __all__ = [
     "Graph",
@@ -414,18 +414,16 @@ def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _orbit(start: int, gens: Sequence[Sequence[int]]) -> set[int]:
-    """The orbit of vertex ``start`` under the group that the permutations ``gens`` generate."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for gen in gens:
-            y = gen[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+def _find(up: MutableSequence[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``up``, halving the path.
+
+    The one orbit routine: joining each ``x`` with ``a[x]`` for permutations
+    ``a`` leaves their group's orbits as the classes.
+    """
+    while up[x] != x:
+        up[x] = up[up[x]]
+        x = up[x]
+    return x
 
 
 def local_complement(g: Graph, a: int) -> Graph:

@@ -35,6 +35,9 @@ _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/
 _TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
 _NONZERO = re.compile(b"[^\x00]")
+# largest n of the 4-byte graph6 size header, whose first 6-bit value stays
+# below 63 (a 63 there would start the 8-byte form)
+_MAX_G6_N = 258047
 # largest n a weighted text may declare; the CLI exits 3 above it.  The
 # decoder stores O(n + m): decoding the bare header "d 3 n 8192" peaks near
 # 17 MB, interpreter included
@@ -49,8 +52,8 @@ _MAX_WEIGHTED_N = 8192
 
 def encode_graph6(g: Graph) -> str:
     n = g.n
-    if n > 258047:
-        raise ValueError("graph6 size header supports at most n = 258047 here")
+    if n > _MAX_G6_N:
+        raise ValueError(f"graph6 size header supports at most n = {_MAX_G6_N} here")
     if n <= 62:
         head = bytes([n + 63])
     else:

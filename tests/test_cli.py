@@ -286,6 +286,25 @@ def test_construct(capsys):
     assert decode_graph6(out.strip()) == graph_for_partition([1, 1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("partition", ["2000000", "1,1,258046"])
+def test_construct_refuses_a_graph6_overflow_before_building(capsys, monkeypatch, partition):
+    def unbuilt(sizes):
+        raise AssertionError(f"built a graph on {sum(sizes)} vertices")
+
+    monkeypatch.setattr("lcfoliage.cli.graph_for_partition", unbuilt)
+    rc, out, err = run(capsys, "construct", "--partition", partition)
+    total = sum(map(int, partition.split(",")))
+    assert (rc, out) == (2, "")
+    assert err == f"error: part sizes sum to {total}, but graph6 holds at most n = 258047\n"
+
+
+def test_bound_refuses_n_above_the_partition_limit():
+    # in a child with a time limit: an unguarded p(10**7) runs for hours
+    proc = run_child(["bound", "--n", "10000000"], "", timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: partition numbers are limited to n <= 240000\n"
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     rc, out, _ = run(capsys, "-o", str(target), "bound", "--n", "8")

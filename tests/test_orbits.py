@@ -18,8 +18,8 @@ from lcfoliage.foliage import foliage_partition
 from lcfoliage.graph import (
     Graph,
     SizeGuardError,
+    _find,
     _lc_rows,
-    _orbit,
     _relabel_rows,
     build_graph,
     connected_components,
@@ -585,6 +585,8 @@ def oracle_group(n, gens):
 
 
 def test_orbit_matches_the_oracle_group():
+    import lcfoliage.orbits as orbits_mod
+
     rng = random.Random(622)
     for _ in range(60):
         n = rng.randrange(1, 8)
@@ -594,8 +596,18 @@ def test_orbit_matches_the_oracle_group():
             rng.shuffle(p)
             gens.append(tuple(p))
         group = oracle_group(n, gens)
+        up = list(range(n))
+        for gen in gens:
+            for x, y in enumerate(gen):
+                up[_find(up, x)] = _find(up, y)
         for v in range(n):
-            assert _orbit(v, gens) == {sigma[v] for sigma in group}, (n, gens)
+            orbit = {w for w in range(n) if _find(up, w) == _find(up, v)}
+            assert orbit == {sigma[v] for sigma in group}, (n, gens)
+        # the census's move orbits: masks of labels, by least vertex
+        labels = tuple(reversed(range(n)))
+        orbits = sorted({frozenset(sigma[v] for sigma in group) for v in range(n)}, key=min)
+        want = tuple(sum(1 << labels[v] for v in orbit) for orbit in orbits)
+        assert orbits_mod._orbit_masks(n, labels, gens) == want, (n, gens)
 
 
 def oracle_automorphisms(g):
@@ -940,6 +952,18 @@ def test_partition_number_anchors():
     assert partition_number(100) == 190569292
     with pytest.raises(ValueError):
         partition_number(-1)
+
+
+def test_partition_number_refuses_n_above_its_limit():
+    import lcfoliage.orbits as orbits_mod
+
+    limit = orbits_mod._MAX_PARTITION_N
+    computed = len(orbits_mod._PARTITION_NUMBERS)
+    for refused in (partition_number, class_lower_bound):
+        with pytest.raises(SizeGuardError, match=f"n <= {limit}"):
+            refused(limit + 1)
+    # refused before the recurrence extends its table
+    assert len(orbits_mod._PARTITION_NUMBERS) == computed
 
 
 def test_partition_number_matches_dp_oracle():
