@@ -2,6 +2,8 @@
 
 The labelled orbit of a graph is its closure under local complementation at
 every vertex.  Collapsing the orbit by graph isomorphism gives the LC class.
+The orbit BFS and the LC-automorphism pass over its tree hold each member
+packed into one int, in the format ``_Packed`` defines and complements.
 
 A class census closes a set of seed isomorphism types under single
 complementation moves, breadth first over canonical keys, and joins every
@@ -30,7 +32,7 @@ about once instead of from both ends and once per vertex.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -38,14 +40,7 @@ from math import factorial
 
 from . import canonical
 from .foliage import FoliagePartition, foliage_partition, saturation
-from .graph import (
-    Graph,
-    SizeGuardError,
-    _Packed,
-    _find,
-    _lc_rows,
-    _relabel_rows,
-)
+from .graph import Graph, SizeGuardError, _find, _lc_rows, _relabel_rows, iter_bits
 
 __all__ = [
     "OrbitReport",
@@ -84,6 +79,65 @@ class OrbitReport:
         return [Graph._wrap(self.representative.n, rows) for rows in self.members]
 
 
+class _Shared(dict):
+    """Maps each row value met to one int object holding it."""
+
+    __slots__ = ()
+
+    def __missing__(self, row: int) -> int:
+        self[row] = row
+        return row
+
+
+class _Packed(dict):
+    """Labelled graphs on ``n`` vertices as ints of n^2 bits; as a dict, the bits each move flips.
+
+    Row ``v`` is the ``n`` bits from ``shifts[v] = n(n - 1 - v)`` up, so row
+    0 is the highest and int order is the order of the row tuples.  The
+    local complementation of ``m`` at ``a`` is ``m ^ packed[m >> shifts[a]
+    & full]``, one big-int expression the orbit loops write inline.  The
+    entry for a neighbourhood ``nb`` is ``spread * nb ^ diag``: ``spread``
+    puts bit ``v`` of ``nb`` at bit ``shifts[v]``, the lowest of row ``v``,
+    so the product is the outer product N(a) x N(a) with no carries, and
+    ``diag`` clears the diagonal bits that it sets.  Entries are made on
+    demand, one per neighbourhood met; no table has 2^n entries.
+
+    This beats ``_lc_rows`` on an orbit of many small graphs, but a single
+    move on a large graph pays far more to pack and unpack than ``_lc_rows``
+    costs, so ``local_complement`` and the census moves keep the tuples.
+    ``unpack`` hands out one int object per row value, so that many
+    unpacked members share their rows.
+    """
+
+    __slots__ = ("n", "full", "shifts", "_rows")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.full = (1 << n) - 1
+        self.shifts = tuple(n * (n - 1 - v) for v in range(n))
+        self._rows = _Shared()
+
+    def __missing__(self, nb: int) -> int:
+        spread = diag = 0
+        for v in iter_bits(nb):
+            low = self.shifts[v]
+            spread |= 1 << low
+            diag |= 1 << (low + v)
+        out = self[nb] = spread * nb ^ diag
+        return out
+
+    def pack(self, rows: Sequence[int]) -> int:
+        m = 0
+        for row in rows:
+            m = m << self.n | row
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        full, shared = self.full, self._rows
+        return tuple([shared[m >> s & full] for s in self.shifts])
+
+
 # an orbit's BFS tree: (packed, index, members, parent, move)
 _Tree = tuple[_Packed, dict, list, array, array]
 
@@ -99,7 +153,7 @@ def _orbit_members(g: Graph) -> _Tree:
     ``SizeGuardError`` once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
     packed = _Packed(g.n)
-    full, toggles = packed.full, packed.toggles
+    full = packed.full
     root = packed.pack(g.rows)
     index = {root: 0}
     members = [root]
@@ -110,7 +164,7 @@ def _orbit_members(g: Graph) -> _Tree:
             nb = m >> shift & full
             if nb & (nb - 1) == 0 or a == back:
                 continue  # degree 0 or 1, or back to the parent
-            image = m ^ toggles[nb]
+            image = m ^ packed[nb]
             if image not in index:
                 index[image] = len(members)
                 members.append(image)
@@ -242,9 +296,15 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> list[Graph]:
     """All isomorphism types of order ``n``, canonical, sorted by key.
 
     These are the types that the class census of order ``n`` visits (see
-    ``lc_classes``), read from the same per-process cache, so no size guard
-    applies.
+    ``lc_classes``), read from the same per-process cache.  A cached census
+    of any order is read; computing one above the census guard raises
+    ``SizeGuardError``: the type count grows like 2^(n(n-1)/2) / n!.
     """
+    if n > _CLASS_GUARD and (n, connected) not in _CENSUS_CACHE:
+        raise SizeGuardError(
+            f"nonisomorphic_graphs is limited to n <= {_CLASS_GUARD} until "
+            f"lc_classes({n}, connected_only={connected}, force=True) has run"
+        )
     _, keys = _census(n, connected)
     return [Graph._wrap(n, canonical._unpack(key)) for key in sorted(keys)]
 
@@ -376,7 +436,7 @@ def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
     sorted degrees are searched.
     """
     packed, index, members, parent, move = tree
-    full, toggles = packed.full, packed.toggles
+    full = packed.full
     up = list(range(len(members)))
 
     def join(sigma: tuple[int, ...]) -> None:
@@ -384,7 +444,7 @@ def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
         image = [index[packed.pack(_relabel_rows(g.rows, sigma))]]
         for p, a in islice(zip(parent, move), 1, None):
             m = members[image[p]]
-            image.append(index[m ^ toggles[m >> shift_of[a] & full]])
+            image.append(index[m ^ packed[m >> shift_of[a] & full]])
         for h, j in enumerate(image):
             up[_find(up, h)] = _find(up, j)
 

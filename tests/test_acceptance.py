@@ -248,14 +248,7 @@ def test_criterion_10_performance():
             foliage_partition(g)
             timings[n] = max(time.perf_counter() - start, 1e-3)
         assert timings[2000] < 10.0
-        xs = [math.log(n) for n in timings]
-        ys = [math.log(t) for t in timings.values()]
-        mean_x = sum(xs) / len(xs)
-        mean_y = sum(ys) / len(ys)
-        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
-            (x - mean_x) ** 2 for x in xs
-        )
-        assert slope < 3.5
+        assert _loglog_slope(timings) < 3.5
 
     _check("10", "dense n=2000 partition under 10 s with at-most-cubic scaling", body)
 

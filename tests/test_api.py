@@ -1,7 +1,9 @@
-"""The public surface: every exported name resolves, and importing the
-package, every CLI command and every query but the state-vector oracle stay
-free of numpy and of the process pool."""
+"""The public surface: every exported name resolves, every private
+module-level definition has a caller, and importing the package, every CLI
+command and every query but the state-vector oracle stay free of numpy and
+of the process pool."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -36,6 +38,28 @@ def test_package_exports_the_union_of_the_module_lists():
             assert owner.setdefault(name, module) is module, f"{name} is declared twice"
     assert lcfoliage.__all__ == sorted(owner)
     assert [name for name in owner if getattr(lcfoliage, name) is not getattr(owner[name], name)] == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private function or class whose last caller went is dead code
+    trees = [ast.parse(path.read_text()) for path in Path(lcfoliage.__file__).parent.glob("*.py")]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert defined
+    assert [name for name in defined if name not in used] == []
 
 
 def run_python(code, *args):

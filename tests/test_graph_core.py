@@ -8,8 +8,6 @@ from conftest import complete, cpu_s_and_peak_rss_mb_under_1_gib, peak_rss_mb_un
 from lcfoliage.graph import (
     Graph,
     WeightedGraph,
-    _lc_rows,
-    _Packed,
     build_graph,
     build_weighted_graph,
     connected_components,
@@ -109,22 +107,6 @@ def test_lc_fixes_isolated_and_pendant_vertices():
 def test_lc_vertex_range():
     with pytest.raises(ValueError):
         local_complement(complete(3), 3)
-
-
-@pytest.mark.parametrize("n", range(13))
-def test_packed_lc_matches_lc_rows(n):
-    # _lc_rows is the reference for the packed kernel the orbit loops use
-    rng = random.Random(1300 + n)
-    packed = _Packed(n)
-    graphs = [random_graph(n, p, rng) for p in (0.2, 0.5, 0.8) for _ in range(4)]
-    for g in graphs:
-        m = packed.pack(g.rows)
-        assert packed.unpack(m) == g.rows
-        for a, shift in enumerate(packed.shifts):
-            image = m ^ packed.toggles[m >> shift & packed.full]
-            assert packed.unpack(image) == _lc_rows(g.rows, a), (g.rows, a)
-    ints = [packed.pack(g.rows) for g in graphs]
-    assert [packed.unpack(m) for m in sorted(ints)] == sorted(g.rows for g in graphs)
 
 
 def test_weighted_validation():

@@ -26,6 +26,7 @@ from lcfoliage.graph import (
     local_complement,
 )
 from lcfoliage.orbits import (
+    _Packed,
     aut_bounds,
     aut_in_group,
     class_lower_bound,
@@ -54,6 +55,22 @@ def test_orbit_anchors():
     assert (rep.labeled_size, rep.class_size) == (4, 2)
     rep = lc_orbit(complete(5))
     assert (rep.labeled_size, rep.class_size) == (6, 2)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_packed_lc_matches_lc_rows(n):
+    # _lc_rows is the reference for the packed kernel the orbit loops use
+    rng = random.Random(1300 + n)
+    packed = _Packed(n)
+    graphs = [random_graph(n, p, rng) for p in (0.2, 0.5, 0.8) for _ in range(4)]
+    for g in graphs:
+        m = packed.pack(g.rows)
+        assert packed.unpack(m) == g.rows
+        for a, shift in enumerate(packed.shifts):
+            image = m ^ packed[m >> shift & packed.full]
+            assert packed.unpack(image) == _lc_rows(g.rows, a), (g.rows, a)
+    ints = [packed.pack(g.rows) for g in graphs]
+    assert [packed.unpack(m) for m in sorted(ints)] == sorted(g.rows for g in graphs)
 
 
 def test_orbit_members_are_closed_and_sorted():
@@ -285,6 +302,24 @@ def test_all_graph_class_counts_are_the_euler_transform_of_connected_counts():
 def test_census_guard():
     with pytest.raises(SizeGuardError):
         lc_classes(9)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_cold_type_enumeration_above_the_guard_is_refused(monkeypatch, connected):
+    import lcfoliage.orbits as orbits_mod
+
+    monkeypatch.setattr(orbits_mod, "_CLASS_GUARD", 5)
+    orbits_mod._CENSUS_CACHE.pop((6, connected), None)
+    with pytest.raises(SizeGuardError) as err:
+        nonisomorphic_graphs(6, connected=connected)
+    assert str(err.value) == (
+        "nonisomorphic_graphs is limited to n <= 5 until "
+        f"lc_classes(6, connected_only={connected}, force=True) has run"
+    )
+    assert (6, connected) not in orbits_mod._CENSUS_CACHE
+    # once the census is cached, the types are read at any order
+    lc_classes(6, connected_only=connected, force=True)
+    assert len(nonisomorphic_graphs(6, connected=connected)) == (112 if connected else 156)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -916,7 +951,7 @@ def test_symmetry_table_shape():
         assert isinstance(row[8], str) and len(row[8].split(".")[1]) == 2
 
 
-def test_symmetry_table_takes_class_sizes_from_the_census():
+def test_symmetry_table_counts_class_sizes_that_match_the_census():
     import lcfoliage.orbits as orbits_mod
 
     expected = []
