@@ -3,12 +3,24 @@
 Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
 on success, 2 on a usage error, bad input or an output path that cannot be
-written, 3 when a size guard trips (``--force`` lifts the guards on n, not
-the orbit member budget, the order limit of the weighted text format, the
-bound n <= 800 on the recursion depth of the canonical search that ``orbit``
-and ``aut`` run, or the bound on ``bound --n``) or the computation runs out
-of memory.  ``construct`` exits 2 before it builds anything when the part
+written, and 3 when a size limit trips or the computation runs out of
+memory.  ``construct`` exits 2 before it builds anything when the part
 sizes sum above the largest n that graph6 holds.
+
+Limits that ``--force`` lifts:
+
+- ``orbit``: n <= 16;
+- ``classes``, ``stats`` and ``aut``: n <= 8;
+- ``schmidt``: n <= 24;
+- ``uniformity``: n <= 20.
+
+Limits that it does not lift:
+
+- 2^20 orbit members;
+- an ``aut`` group order <= 9!;
+- weighted text n <= 8192;
+- the canonical search behind ``orbit`` and ``aut``: n <= 800;
+- ``bound --n`` <= 240000.
 """
 
 from __future__ import annotations
@@ -269,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("foliage", help="foliage partition / representation")
     _add_graph_input(p)
-    p.add_argument("--weighted", action="store_true", help="input is weighted text")
-    p.add_argument("--json", action="store_true", help="structured output")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--weighted", action="store_true", help="input is weighted text")
+    grp.add_argument("--json", action="store_true", help="structured output")
     p.set_defaults(func=_cmd_foliage)
 
     p = sub.add_parser("lc", help="local complementation at a vertex")
@@ -324,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="LC class census for a given order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all", action="store_true", help="include disconnected graphs")
-    p.add_argument("--csv", action="store_true", help="per-class symmetry table")
-    p.add_argument("--reps", help="write class representatives as graph6 to this path")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--csv", action="store_true", help="per-class symmetry table")
+    grp.add_argument("--reps", help="write class representatives as graph6 to this path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_classes)
 

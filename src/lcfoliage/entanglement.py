@@ -25,7 +25,7 @@ from operator import or_, sub, xor
 
 from .foliage import FoliageRepresentation, PartType, foliage_partition, foliage_representation
 from .gf2 import rank_of_rows
-from .graph import Graph, SizeGuardError, WeightedGraph, connected_components, iter_bits, mask_of
+from .graph import Graph, WeightedGraph, _guard, connected_components, iter_bits, mask_of
 
 __all__ = [
     "EntropyVector",
@@ -95,10 +95,7 @@ def schmidt_vector(g: Graph, force: bool = False) -> EntropyVector:
     G(24, 1/2) about 9 s and 175 MB (2 shared vCPUs, Python 3.11).
     """
     n = g.n
-    if n > _SCHMIDT_GUARD and not force:
-        raise SizeGuardError(
-            f"schmidt_vector is limited to n <= {_SCHMIDT_GUARD} (force to override)"
-        )
+    _guard("schmidt_vector", n, _SCHMIDT_GUARD, force)
     size = 1 << n
     code, lane_bits = ("H", 16) if n < 16 else ("I", 32)
     gamma = array(code, [0])  # gamma[x] is the XOR of the rows in x
@@ -207,10 +204,7 @@ def uniformity(g: Graph, force: bool = False) -> UniformityReport:
     Checks subset sizes in increasing order and stops at the first failure;
     entropy can only be maximal for larger sets if it is for smaller ones.
     """
-    if g.n > _UNIFORMITY_GUARD and not force:
-        raise SizeGuardError(
-            f"uniformity is limited to n <= {_UNIFORMITY_GUARD} (force to override)"
-        )
+    _guard("uniformity", g.n, _UNIFORMITY_GUARD, force)
     for k in range(1, g.n // 2 + 1):
         for combo in combinations(range(g.n), k):
             mask = mask_of(combo)
@@ -236,10 +230,7 @@ def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: boo
             [(g.rows[v] >> w) & 1 for w in range(g.n)] for v in range(g.n)
         ]
     n = g.n
-    if d**n > _STATEVECTOR_GUARD and not force:
-        raise SizeGuardError(
-            f"statevector oracle is limited to d^n <= {_STATEVECTOR_GUARD} (force to override)"
-        )
+    _guard("statevector oracle", d**n, _STATEVECTOR_GUARD, force, unit="d^n")
     full = (1 << n) - 1
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")

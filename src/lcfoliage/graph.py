@@ -32,7 +32,23 @@ __all__ = [
 
 
 class SizeGuardError(Exception):
-    """An operation exceeds its default size guard (override with force)."""
+    """An operation exceeds its default size guard or a work budget."""
+
+
+def _guard(what: str, size: int, limit: int, force: bool | None = None, unit: str = "n") -> None:
+    """Raise ``SizeGuardError`` when ``size`` passes ``limit`` and ``force`` is not set.
+
+    A bool ``force`` marks a guard that it lifts, and the message says so;
+    ``None`` marks a budget that nothing lifts.
+    """
+    if size > limit and not force:
+        hint = "" if force is None else " (force to override)"
+        raise SizeGuardError(f"{what} is limited to {unit} <= {limit}{hint}")
+
+
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -92,8 +108,7 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int]):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_order(n)
         if len(rows) != n:
             raise ValueError("need one adjacency row per vertex")
         full = (1 << n) - 1
@@ -121,6 +136,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -198,8 +214,7 @@ def _is_prime(d: int) -> bool:
 
 
 def _check_n_and_d(n: int, d: int) -> None:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    _check_order(n)
     if not _is_prime(d):
         raise ValueError(f"modulus {d} is not prime")
 

@@ -40,7 +40,7 @@ from math import factorial
 
 from . import canonical
 from .foliage import FoliagePartition, foliage_partition, saturation
-from .graph import Graph, SizeGuardError, _find, _lc_rows, _relabel_rows, iter_bits
+from .graph import Graph, SizeGuardError, _find, _guard, _lc_rows, _relabel_rows, iter_bits
 
 __all__ = [
     "OrbitReport",
@@ -66,6 +66,9 @@ _ORBIT_GUARD = 16
 # labelled members an orbit BFS may hold; force does not lift this budget
 _ORBIT_MEMBERS = 1 << 20
 _CLASS_GUARD = 8
+# LC automorphisms a report may list, 9!: no graph with n <= 9 has more;
+# force does not lift this budget
+_AUT_ELEMENTS = 362880
 
 
 @dataclass(frozen=True)
@@ -189,10 +192,7 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     at the end.  Raises ``SizeGuardError`` for ``n`` above the guard unless
     forced, and in any case once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
-    if g.n > _ORBIT_GUARD and not force:
-        raise SizeGuardError(
-            f"lc_orbit is limited to n <= {_ORBIT_GUARD} (force to override)"
-        )
+    _guard("lc_orbit", g.n, _ORBIT_GUARD, force)
     packed, index, members, _, _ = tree = _orbit_members(g)
     class_size = _lc_group(g, tree)[1]
     index.clear()  # the unpacked rows below need the room
@@ -285,10 +285,7 @@ def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> Clas
     its type count; classes are ordered by that key.  Censuses are cached
     per process.  Raises ``ValueError`` for ``n`` below 1.
     """
-    if n > _CLASS_GUARD and not force:
-        raise SizeGuardError(
-            f"lc_classes is limited to n <= {_CLASS_GUARD} (force to override)"
-        )
+    _guard("lc_classes", n, _CLASS_GUARD, force)
     return _census(n, connected_only)[0]
 
 
@@ -398,6 +395,8 @@ def _greedy_generators(
     for p in elements:
         if p in known:
             continue
+        # p lies outside the group, so it at least doubles it (Lagrange)
+        _guard("lc_automorphism_group", 2 * len(known), _AUT_ELEMENTS, unit="group order")
         gens.append(p)
         sub = group[:]
         start = 0
@@ -476,17 +475,23 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     holds only the group's order and generators, but the group itself, up
     to ``n!`` permutations, is listed to pick those generators.  So this is
     kept to small orders, as the orbit grows quickly with ``n``.
+
+    Raises ``SizeGuardError`` above these limits:
+
+    - lifted by ``force``: ``n <= 8`` (``_CLASS_GUARD``);
+    - not lifted: group order ``<= 9!`` (``_AUT_ELEMENTS``), checked on the
+      within-part permutations before the orbit and on every new generator
+      while the group is listed; ``_ORBIT_MEMBERS`` orbit members; and the
+      canonical search's ``n <= 800``.
     """
-    if g.n > _CLASS_GUARD and not force:
-        raise SizeGuardError(
-            f"lc_automorphism_group is limited to n <= {_CLASS_GUARD} (force to override)"
-        )
+    _guard("lc_automorphism_group", g.n, _CLASS_GUARD, force)
+    lower, upper = aut_bounds(foliage_partition(g))
+    _guard("lc_automorphism_group", lower, _AUT_ELEMENTS, unit="group order")  # Aut_in is a subgroup
     tree = _orbit_members(g)
     labeled_size = len(tree[2])
     lc_gens, class_size = _lc_group(g, tree)
     auts = sorted(_greedy_generators(lc_gens, g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
-    lower, upper = aut_bounds(foliage_partition(g))
     return AutReport(
         order=len(auts),
         generators=tuple(gens),

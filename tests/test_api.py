@@ -9,6 +9,8 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import astuple
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,68 @@ def test_every_private_definition_is_referenced():
     ]
     assert defined
     assert [name for name in defined if name not in used] == []
+
+
+def test_only_the_guard_function_words_the_force_hint():
+    # every limit that force lifts goes through graph._guard, which alone
+    # says so in its message
+    counts = {
+        path.name: path.read_text().count("(force to override)")
+        for path in Path(lcfoliage.__file__).parent.glob("*.py")
+    }
+    assert {name: count for name, count in counts.items() if count} == {"graph.py": 1}
+
+
+def empty(n):
+    return graph.Graph(n, [0] * n)
+
+
+path9 = graph.Graph.from_edges(9, [(v, v + 1) for v in range(8)])
+
+
+# each limit that force lifts, one above it, with its message frozen
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: orbits.lc_orbit(empty(17)), "lc_orbit is limited to n <= 16 (force to override)"),
+        (lambda: orbits.lc_classes(9), "lc_classes is limited to n <= 8 (force to override)"),
+        (
+            lambda: orbits.lc_automorphism_group(empty(9)),
+            "lc_automorphism_group is limited to n <= 8 (force to override)",
+        ),
+        (lambda: entanglement.schmidt_vector(empty(25)), "schmidt_vector is limited to n <= 24 (force to override)"),
+        (lambda: entanglement.uniformity(empty(21)), "uniformity is limited to n <= 20 (force to override)"),
+        (
+            lambda: entanglement.statevector_entropy_oracle(empty(21), 0),
+            "statevector oracle is limited to d^n <= 1048576 (force to override)",
+        ),
+    ],
+    ids=["lc_orbit", "lc_classes", "lc_automorphism_group", "schmidt_vector", "uniformity", "statevector_oracle"],
+)
+def test_each_forceable_guard_keeps_its_message(call, message):
+    with pytest.raises(graph.SizeGuardError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, result",
+    [
+        (lambda: orbits.lc_orbit(empty(17), force=True).labeled_size, 1),
+        (lambda: entanglement.uniformity(empty(21), force=True).k_max, 0),
+        (
+            lambda: astuple(orbits.lc_automorphism_group(path9, force=True)),
+            (
+                8,
+                ((0, 1, 2, 3, 4, 5, 6, 8, 7), (1, 0, 2, 3, 4, 5, 6, 7, 8), (7, 8, 6, 5, 4, 3, 2, 0, 1)),
+                4, 240, 1672, 464, Fraction(464, 209),
+            ),
+        ),
+    ],
+    ids=["lc_orbit", "uniformity", "lc_automorphism_group"],
+)
+def test_force_lifts_the_guard(call, result):
+    assert call() == result
 
 
 def run_python(code, *args):

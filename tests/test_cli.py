@@ -263,6 +263,24 @@ def test_classes_reps(capsys, tmp_path):
     assert all(decode_graph6(s).n == 4 for s in lines)
 
 
+def test_classes_csv_with_reps_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "reps.g6"
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--n", "3", "--csv", "--reps", str(target)])
+    assert exc.value.code == 2
+    assert "argument --reps: not allowed with argument --csv" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_foliage_weighted_with_json_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["foliage", "--weighted", "--json", "--g6", "d 3 n 2\n0 1 1\n"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --json: not allowed with argument --weighted" in out.err
+
+
 def test_stats(capsys):
     rc, out, _ = run(capsys, "stats", "--n", "5")
     assert rc == 0
@@ -441,8 +459,8 @@ def test_aut_out_of_address_space_exits_3():
     resource = pytest.importorskip("resource")
 
     def quarter_gib_address_space():
-        # listing the 10! permutations of the edgeless graph's group needs
-        # far more than this
+        # the edgeless graph's group has 10! elements; the group-order
+        # budget refuses it before its listing could fill this
         resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
     proc = run_child(
@@ -451,6 +469,25 @@ def test_aut_out_of_address_space_exits_3():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("g6", ["I????????", "I~~~~~~~w"])
+def test_forced_aut_above_the_group_order_budget_exits_3(g6):
+    # the empty graph on 10 vertices passes the budget on Aut_in and is
+    # refused while its group is listed; K_10 is refused before its orbit
+    resource = pytest.importorskip("resource")
+
+    def quarter_gib_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_child(["aut", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: lc_automorphism_group is limited to group order <= 362880\n"
+    )
+    assert cpu_s < 2.0
 
 
 def readme_cli_examples():

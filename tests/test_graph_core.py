@@ -29,6 +29,13 @@ def test_build_and_accessors():
     assert g.neighbors(2) == mask_of([1, 3])
 
 
+@pytest.mark.parametrize("build", [Graph, Graph.from_edges, build_graph])
+def test_a_negative_order_is_refused(build):
+    with pytest.raises(ValueError) as exc:
+        build(-1, [])
+    assert str(exc.value) == "vertex count must be nonnegative"
+
+
 def test_build_rejects_bad_edges():
     with pytest.raises(ValueError):
         build_graph(3, [(0, 3)])
