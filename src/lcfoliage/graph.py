@@ -279,6 +279,7 @@ class WeightedGraph:
         cls, n: int, d: int, edges: Iterable[tuple[int, int, int]]
     ) -> "WeightedGraph":
         """Weights are reduced mod d; the last one given for a pair wins, and 0 leaves it out."""
+        _check_n_and_d(n, d)
         nbrs: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, x in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -286,7 +287,6 @@ class WeightedGraph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             nbrs[u][v] = nbrs[v][u] = x
-        _check_n_and_d(n, d)
         bad = [
             (v, w)
             for v, row in enumerate(nbrs)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cpu_s_and_peak_rss_mb_under_1_gib
+from conftest import cpu_s_and_peak_rss_mb_under_1_gib, random_graph
 from lcfoliage.cli import main
 from lcfoliage.graph import build_graph
 from lcfoliage.graph6 import decode_graph6, decode_weighted, encode_graph6
@@ -469,6 +470,22 @@ def test_aut_out_of_address_space_exits_3():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_schmidt_out_of_address_space_reaches_the_memory_error_handler():
+    # no budget refuses a forced Schmidt vector, and its two arrays of 2^25
+    # 32-bit lanes do not fit in a quarter GiB, so the MemoryError handler
+    # words the error
+    resource = pytest.importorskip("resource")
+
+    def quarter_gib_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    g6 = encode_graph6(random_graph(25, 0.5, random.Random(25)))
+    proc = run_child(
+        ["schmidt", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("g6", ["I????????", "I~~~~~~~w"])

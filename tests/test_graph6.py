@@ -137,10 +137,12 @@ def test_weighted_header_above_the_bound_is_refused():
         ("d 3 n 3\n5 1 1\n", ValueError, "edge (5, 1) out of range for n=3"),
         ("d 3 n 3\n1 1 9\n", ValueError, "self-loop at vertex 1"),
         ("d 3 n 3\n0 2 1\n1 2 0\n", ValueError, "weight 0 outside 1..2"),
-        # edge lines are checked before the order and the modulus
+        # a bad weight is named before the order and the modulus, and a
+        # vertex out of range after them
         ("d 4 n 3\n0 1 5\n", ValueError, "weight 5 outside 1..3"),
         ("d 1 n 2\n0 1 1\n", ValueError, "weight 1 outside 1..0"),
-        ("d 3 n -1\n0 1 1\n", ValueError, "edge (0, 1) out of range for n=-1"),
+        ("d 3 n -1\n0 1 1\n", ValueError, "vertex count must be nonnegative"),
+        ("d 4 n 2\n0 5 1\n", ValueError, "modulus 4 is not prime"),
         ("d 4 n -1\n", ValueError, "vertex count must be nonnegative"),
         ("d -3 n 2\n", ValueError, "modulus -3 is not prime"),
         ("d 4 n 3\n0 1 1\n", ValueError, "modulus 4 is not prime"),

@@ -200,14 +200,16 @@ def test_weighted_from_edges_reduces_negative_weights_and_true():
         (3, 5, [(0, 2, 0.5), (0, 1, 1.5)], "weight at (0, 1) is not an integer"),
         (3, 5, [(0, 2, 0.5), (2, 0, 1), (1, 2, 5.0)], "weight at (1, 2) is not an integer"),
         (3, 5, [(0, 1, Fraction(7, 2))], "weight at (0, 1) is not an integer"),
-        # range and loop errors come first, in edge order, then the order
-        # and the modulus, then the first bad cell in row-major order
+        # the order and the modulus come first, then range and loop errors
+        # in edge order, then the first bad cell in row-major order
         (3, 5, [(0, 1, 1.5), (1, 1, 1)], "self-loop at vertex 1"),
         (3, 5, [(0, 1, 1.5), (0, 3, 1)], "edge (0, 3) out of range for n=3"),
         (3, 4, [(0, 1, 1.5)], "modulus 4 is not prime"),
         (-1, 4, [], "vertex count must be nonnegative"),
         (3, 0, [(0, 1, 1)], "modulus 0 is not prime"),
         (3, 5, [(0, 1, "a")], "weight at (0, 1) is not an integer"),
+        (-1, 3, [(0, 1, 1)], "vertex count must be nonnegative"),
+        (2, 4, [(0, 5, 1)], "modulus 4 is not prime"),
     ],
 )
 def test_weighted_from_edges_names_the_first_error(n, d, edges, message):

@@ -355,16 +355,25 @@ def census_entry(g):
 
 @pytest.mark.slow
 def test_cold_n8_census_work_gate(monkeypatch):
+    import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
     # cleared rather than swapped out, so later tests reuse this census
     orbits_mod._CENSUS_CACHE.clear()
     searched = counted_searches(monkeypatch)
+    nodes = []
+    real_descend = canonical_mod._descend
+    # the search recurses through the module's name, so this sees every node
+    monkeypatch.setattr(canonical_mod, "_descend", lambda *args: nodes.append(1) or real_descend(*args))
     census = lc_classes(8)
     assert census.count == 101
     # every move of every type canonicalised 66933 images; one move per
     # automorphism orbit and none back across a joined edge need 40440
     assert len(searched) == 40440
+    # search tree nodes: 142059 when each search started from one cell and
+    # found twin swaps only at tied leaves; the degree cells and the twin
+    # swaps known up front leave 93165
+    assert len(nodes) == 93165
 
 
 @pytest.mark.slow
@@ -415,11 +424,18 @@ def test_n9_census_gate():
     # peak RSS is VmHWM, which starts afresh at exec; ru_maxrss in a child
     # keeps the peak of the process that started it, the test runner's
     code = (
+        "import lcfoliage.canonical as canonical\n"
         "from lcfoliage.orbits import lc_classes\n"
+        "searches = [0]\n"
+        "real = canonical._search\n"
+        "def search(n, rows):\n"
+        "    searches[0] += 1\n"
+        "    return real(n, rows)\n"
+        "canonical._search = search\n"
         "census = lc_classes(9, force=True)\n"
         "with open('/proc/self/status') as fh:\n"
         "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
-        "print(census.count, sum(c.size for c in census.classes), peak)\n"
+        "print(census.count, sum(c.size for c in census.classes), searches[0], peak)\n"
     )
     src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -427,9 +443,13 @@ def test_n9_census_gate():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    count, types, peak_kib = map(int, proc.stdout.split())
+    count, types, searches, peak_kib = map(int, proc.stdout.split())
     assert count == 440
     assert types == 261080  # connected graphs on 9 vertices, OEIS A001349
+    # canonical searches of the cold census, orders 1 to 9: one per seed
+    # and one per moved automorphism orbit, so a search that misses
+    # automorphisms splits orbits and adds searches here
+    assert searches == 1085644
     assert peak_kib < 100 * 1024
 
 
