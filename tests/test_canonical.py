@@ -189,7 +189,8 @@ def test_search_automorphisms_are_frozen_over_a_seeded_corpus():
 
 
 def brute_automorphism_count(g):
-    # an injective map that keeps every edge is onto the edges, so a bijection
+    # a permutation that maps every edge to an edge maps the edges onto
+    # themselves, so it is an automorphism
     edges = g.edges()
     return sum(all(g.rows[p[u]] >> p[v] & 1 for u, v in edges) for p in permutations(range(g.n)))
 
