@@ -2,10 +2,10 @@
 
 Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
-on success, 2 on a usage error, bad input or an output path that cannot be
-written, and 3 when a size limit trips or the computation runs out of
-memory.  ``construct`` exits 2 before it builds anything when the part
-sizes sum above the largest n that graph6 holds.
+on success, 2 on a usage error, bad input, or an output path or standard
+output that cannot be written, and 3 when a size limit trips or the
+computation runs out of memory.  ``construct`` exits 2 before it builds
+anything when the part sizes sum above the largest n that graph6 holds.
 
 Limits that ``--force`` lifts:
 
@@ -28,16 +28,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .entanglement import entropy, schmidt_vector, uniformity
-from .foliage import (
-    foliage_partition,
-    foliage_representation,
-    normal_form,
-    partition_text,
-    representation_json,
-    representation_text,
-    saturation,
-)
+# each command imports what it calls when it runs, so a command loads only
+# the modules it uses
 from .graph import (
     Graph,
     SizeGuardError,
@@ -47,17 +39,6 @@ from .graph import (
     local_complement,
     qudit_scale,
     qudit_star,
-)
-from .graph6 import _MAX_G6_N, decode_graph6, decode_weighted, encode_graph6, encode_weighted
-from .orbits import (
-    class_lower_bound,
-    graph_for_partition,
-    lc_automorphism_group,
-    lc_classes,
-    lc_orbit,
-    partition_number,
-    saturation_stats,
-    symmetry_table,
 )
 
 _CSV_HEADER = "class_id,n,partition,aut_in,aut_out_upper,aut_order,L,C,I"
@@ -86,7 +67,26 @@ def _write_file(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise  # the reader went away, as under ``| head``: no error line
+    except OSError as exc:
+        import os
+
+        # what was not written stays buffered: point the descriptor at the
+        # null device so that the flush at exit does not fail a second time
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise ValueError(f"cannot write stdout: {exc}") from exc
+
+
 def _load_graph(args: argparse.Namespace) -> Graph:
+    from .graph6 import decode_graph6
+
     return decode_graph6(_read_source(args))
 
 
@@ -136,6 +136,15 @@ def _cycle_str(perm: tuple[int, ...]) -> str:
 
 
 def _cmd_foliage(args: argparse.Namespace) -> str:
+    from .foliage import (
+        foliage_partition,
+        foliage_representation,
+        partition_text,
+        representation_json,
+        representation_text,
+    )
+    from .graph6 import decode_weighted
+
     if args.weighted:
         g = decode_weighted(_read_source(args))
         return partition_text(foliage_partition(g)) + "\n"
@@ -146,11 +155,15 @@ def _cmd_foliage(args: argparse.Namespace) -> str:
 
 
 def _cmd_lc(args: argparse.Namespace) -> str:
+    from .graph6 import encode_graph6
+
     g = _load_graph(args)
     return encode_graph6(local_complement(g, args.vertex)) + "\n"
 
 
 def _cmd_qlc(args: argparse.Namespace) -> str:
+    from .graph6 import decode_weighted, encode_weighted
+
     g = decode_weighted(_read_source(args))
     if args.op == "star":
         out = qudit_star(g, args.vertex, args.scalar)
@@ -160,6 +173,9 @@ def _cmd_qlc(args: argparse.Namespace) -> str:
 
 
 def _cmd_normal_form(args: argparse.Namespace) -> str:
+    from .foliage import normal_form
+    from .graph6 import encode_graph6
+
     return encode_graph6(normal_form(_load_graph(args))) + "\n"
 
 
@@ -168,6 +184,8 @@ def _chain_str(chain: tuple[int, ...]) -> str:
 
 
 def _cmd_saturation(args: argparse.Namespace) -> str:
+    from .foliage import saturation
+
     g = _load_graph(args)
     sat = saturation(g)
     lines = [f"time={sat.time} size={sat.size} chain={_chain_str(sat.chain)}"]
@@ -183,17 +201,23 @@ def _cmd_saturation(args: argparse.Namespace) -> str:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> str:
+    from .entanglement import entropy
+
     g = _load_graph(args)
     mask = _subset_mask(args, g.n)
     return f"subset={_set_str(mask)} entropy={entropy(g, mask)}\n"
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> str:
+    from .entanglement import schmidt_vector
+
     g = _load_graph(args)
     return schmidt_vector(g, force=args.force).to_csv()
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> str:
+    from .entanglement import uniformity
+
     g = _load_graph(args)
     rep = uniformity(g, force=args.force)
     witness = "none" if rep.witness is None else _set_str(rep.witness)
@@ -201,6 +225,9 @@ def _cmd_uniformity(args: argparse.Namespace) -> str:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> str:
+    from .graph6 import encode_graph6
+    from .orbits import lc_orbit
+
     g = _load_graph(args)
     rep = lc_orbit(g, force=args.force)
     if args.members is not None:
@@ -214,6 +241,8 @@ def _cmd_orbit(args: argparse.Namespace) -> str:
 
 
 def _cmd_aut(args: argparse.Namespace) -> str:
+    from .orbits import lc_automorphism_group
+
     g = _load_graph(args)
     rep = lc_automorphism_group(g, force=args.force)
     gens = ",".join(_cycle_str(p) for p in rep.generators)
@@ -226,6 +255,8 @@ def _cmd_aut(args: argparse.Namespace) -> str:
 
 
 def _cmd_classes(args: argparse.Namespace) -> str:
+    from .orbits import lc_classes, symmetry_table
+
     connected = not args.all
     if args.csv:
         rows = symmetry_table(args.n, connected_only=connected, force=args.force)
@@ -235,6 +266,8 @@ def _cmd_classes(args: argparse.Namespace) -> str:
         return "\n".join(lines) + "\n"
     census = lc_classes(args.n, connected_only=connected, force=args.force)
     if args.reps is not None:
+        from .graph6 import encode_graph6
+
         lines = "".join(
             encode_graph6(cls.representative) + "\n" for cls in census.classes
         )
@@ -245,6 +278,8 @@ def _cmd_classes(args: argparse.Namespace) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> str:
+    from .orbits import saturation_stats
+
     row = saturation_stats(args.n, force=args.force)
     t, s, r, f = row.two_decimals()
     if args.csv:
@@ -253,10 +288,15 @@ def _cmd_stats(args: argparse.Namespace) -> str:
 
 
 def _cmd_bound(args: argparse.Namespace) -> str:
+    from .orbits import class_lower_bound, partition_number
+
     return f"p={partition_number(args.n)} bound={class_lower_bound(args.n)}\n"
 
 
 def _cmd_construct(args: argparse.Namespace) -> str:
+    from .graph6 import _MAX_G6_N, encode_graph6
+    from .orbits import graph_for_partition
+
     try:
         sizes = [int(x) for x in args.partition.split(",")]
     except ValueError as exc:
@@ -367,6 +407,8 @@ def main(argv: list[str] | None = None) -> int:
         text = args.func(args)
         if args.output:
             _write_file(args.output, text)
+        else:
+            _write_stdout(text)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -377,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.output:
-        sys.stdout.write(text)
     return 0
 
 

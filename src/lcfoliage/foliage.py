@@ -21,7 +21,6 @@ each take O(n + m) big-int operations on bitmask rows of up to n bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -434,6 +433,8 @@ def representation_text(rep: FoliageRepresentation) -> str:
 
 def representation_json(rep: FoliageRepresentation) -> str:
     """Structured form with stable key order."""
+    import json  # only this writer needs it, so other commands skip loading it
+
     axil_set = set(rep.axils)
     parts = []
     for i, members in enumerate(rep.partition.parts):

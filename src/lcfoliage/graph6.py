@@ -148,6 +148,7 @@ def decode_weighted(text: str) -> WeightedGraph:
         raise SizeGuardError(
             f"weighted graph text is limited to n <= {_MAX_WEIGHTED_N}, header says n = {n}"
         )
+    _check_n_and_d(n, d)  # the header is at fault before any edge line
     nbrs: list[dict[int, int]] = [{} for _ in range(n)]
     for ln in lines[1:]:
         parts = ln.split()
@@ -158,7 +159,6 @@ def decode_weighted(text: str) -> WeightedGraph:
         except ValueError as exc:
             raise ValueError(f"bad edge line {ln!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
-            _check_n_and_d(n, d)  # under a bad header, the header is at fault
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -167,6 +167,4 @@ def decode_weighted(text: str) -> WeightedGraph:
         if v in nbrs[u]:
             raise ValueError(f"duplicate edge ({u}, {v})")
         nbrs[u][v] = nbrs[v][u] = x
-    # any other fault of an edge line is named before a bad header value
-    _check_n_and_d(n, d)
     return WeightedGraph._wrap(n, d, nbrs)

@@ -142,6 +142,53 @@ def test_import_leaves_module_out(module):
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+LOADED = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('lcfoliage.')))\n"
+
+
+# the package modules a fresh interpreter holds after each step
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import lcfoliage\n", []),
+        (
+            "from lcfoliage.cli import main\nmain(['foliage', '--g6', 'D~{'])\n",
+            ["lcfoliage.cli", "lcfoliage.foliage", "lcfoliage.graph", "lcfoliage.graph6"],
+        ),
+        (
+            "from lcfoliage.cli import main\nmain(['lc', '0', '--g6', 'D~{'])\n",
+            ["lcfoliage.cli", "lcfoliage.graph", "lcfoliage.graph6"],
+        ),
+        (
+            "from lcfoliage.cli import main\nmain(['classes', '--n', '5'])\n",
+            ["lcfoliage.canonical", "lcfoliage.cli", "lcfoliage.foliage", "lcfoliage.graph", "lcfoliage.orbits"],
+        ),
+    ],
+    ids=["import", "foliage", "lc", "classes"],
+)
+def test_each_step_loads_only_the_modules_it_uses(code, loaded):
+    proc = run_python(code + LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_star_import_binds_each_name_to_its_owner():
+    code = (
+        "import importlib, lcfoliage\n"
+        "names = {}\n"
+        "exec('from lcfoliage import *', names)\n"
+        "del names['__builtins__']\n"
+        "assert sorted(names) == lcfoliage.__all__\n"
+        "owner = {}\n"
+        "for part in ('canonical', 'entanglement', 'foliage', 'gf2', 'graph', 'graph6', 'orbits'):\n"
+        "    module = importlib.import_module('lcfoliage.' + part)\n"
+        "    owner.update((name, module) for name in module.__all__)\n"
+        "print([name for name, value in names.items() if value is not getattr(owner[name], name)])\n"
+        "print(set(lcfoliage.__all__) <= set(dir(lcfoliage)))\n"
+    )
+    proc = run_python(code)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\nTrue\n")
+
+
 # Runs the census commands and the weighted foliage command through the CLI
 # and the orbit, automorphism, cut-rank and weighted queries through the
 # library, printing everything to stdout.  With argument "block", every

@@ -59,18 +59,22 @@ def test_foliage_weighted(capsys, tmp_path):
     assert out == "parts=[{0,1,2}]\n"
 
 
-def run_child(argv, stdin, **kwargs):
-    """The CLI in a child process that imports this checkout's package."""
+def child_env(**extra):
+    """The environment of a child process that imports this checkout's package."""
     import lcfoliage
 
     src = str(Path(lcfoliage.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra)
+
+
+def run_child(argv, stdin, **kwargs):
+    """The CLI in a child process that imports this checkout's package."""
     return subprocess.run(
         [sys.executable, "-m", "lcfoliage", *argv],
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         **kwargs,
     )
 
@@ -310,7 +314,7 @@ def test_construct_refuses_a_graph6_overflow_before_building(capsys, monkeypatch
     def unbuilt(sizes):
         raise AssertionError(f"built a graph on {sum(sizes)} vertices")
 
-    monkeypatch.setattr("lcfoliage.cli.graph_for_partition", unbuilt)
+    monkeypatch.setattr("lcfoliage.orbits.graph_for_partition", unbuilt)
     rc, out, err = run(capsys, "construct", "--partition", partition)
     total = sum(map(int, partition.split(",")))
     assert (rc, out) == (2, "")
@@ -378,6 +382,40 @@ def test_unwritable_path_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith(f"error: cannot write {bad}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_write_error_is_one_line_with_exit_2(unbuffered):
+    # a buffered stdout fails at the flush, an unbuffered one at the write
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcfoliage", "classes", "--n", "6", "--reps", "-"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_pipe_is_not_a_write_error():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcfoliage", "classes", "--n", "6", "--reps", "-"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode != 0
+    assert "error: cannot write" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -452,7 +490,7 @@ def test_memory_error_is_one_line_with_exit_3(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("lcfoliage.cli.lc_automorphism_group", out_of_memory)
+    monkeypatch.setattr("lcfoliage.orbits.lc_automorphism_group", out_of_memory)
     assert run(capsys, "aut", "--g6", K5) == (3, "", "error: out of memory\n")
 
 
