@@ -1,10 +1,10 @@
 """Foliage partitions and local-complementation invariants of graph states.
 
-Each public name sits in its module's ``__all__`` and in ``_NAMES`` below,
-and a test keeps the two equal; ``__all__`` here is their sorted union.
+Each public name sits in its module's ``__all__`` and in ``_NAMES`` below;
+tests keep the two equal and fail on a public function that neither
+README.md nor the CLI names.  ``__all__`` here is their sorted union.
 Importing the package loads no submodule: the first use of a name imports
-its module and keeps the value here (PEP 562), so each command loads only
-the modules it calls.
+its module and keeps it here (PEP 562), so a command loads only what it calls.
 """
 
 import importlib
@@ -26,16 +26,15 @@ _NAMES = {
     ),
     "gf2": ("rank_of_rows",),
     "graph": (
-        "Graph", "WeightedGraph", "SizeGuardError", "build_graph", "build_weighted_graph",
-        "local_complement", "induced_subgraph", "qudit_star", "qudit_scale",
-        "connected_components",
+        "Graph", "WeightedGraph", "SizeGuardError", "local_complement", "induced_subgraph",
+        "qudit_star", "qudit_scale", "connected_components",
     ),
     "graph6": ("encode_graph6", "decode_graph6", "encode_weighted", "decode_weighted"),
     "orbits": (
         "OrbitReport", "AutReport", "LCClass", "ClassCensus", "SaturationStatsRow", "lc_orbit",
         "nonisomorphic_graphs", "lc_classes", "lc_automorphism_group", "aut_bounds",
-        "aut_in_group", "saturation_stats", "symmetry_table", "partition_number",
-        "class_lower_bound", "integer_partitions", "graph_for_partition",
+        "saturation_stats", "symmetry_table", "partition_number", "class_lower_bound",
+        "graph_for_partition",
     ),
 }
 

@@ -2,10 +2,10 @@
 
 Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
-on success, 2 on a usage error, bad input, or an output path or standard
-output that cannot be written, and 3 when a size limit trips or the
-computation runs out of memory.  ``construct`` exits 2 before it builds
-anything when the part sizes sum above the largest n that graph6 holds.
+on success; 1, silently, when the reader closes stdout (``| head``); 2 on a
+usage error, bad input, or an unwritable output path or stdout; and 3 when a
+size limit trips or the computation runs out of memory.  ``construct`` exits
+2 before it builds anything when the part sizes sum above graph6's limit.
 
 Limits that ``--force`` lifts:
 
@@ -71,8 +71,6 @@ def _write_stdout(text: str) -> None:
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        raise  # the reader went away, as under ``| head``: no error line
     except OSError as exc:
         import os
 
@@ -81,6 +79,8 @@ def _write_stdout(text: str) -> None:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
+        if isinstance(exc, BrokenPipeError):
+            sys.exit(1)  # the reader went away, as under ``| head``: no error line
         raise ValueError(f"cannot write stdout: {exc}") from exc
 
 
@@ -122,7 +122,6 @@ def _cycle_str(perm: tuple[int, ...]) -> str:
     out = []
     for start in range(len(perm)):
         if seen[start] or perm[start] == start:
-            seen[start] = True
             continue
         cyc = [start]
         seen[start] = True

@@ -21,8 +21,6 @@ __all__ = [
     "Graph",
     "WeightedGraph",
     "SizeGuardError",
-    "build_graph",
-    "build_weighted_graph",
     "local_complement",
     "induced_subgraph",
     "qudit_star",
@@ -46,9 +44,25 @@ def _guard(what: str, size: int, limit: int, force: bool | None = None, unit: st
         raise SizeGuardError(f"{what} is limited to {unit} <= {limit}{hint}")
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _check_order(n: int) -> None:
+    if not _is_int(n):
+        raise ValueError(f"vertex count {n!r} is not an integer")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+
+
+def _check_edge(n: int, u: int, v: int) -> tuple[int, int]:
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError(f"edge {(u, v)!r} has an endpoint that is not an integer")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    return int(u), int(v)  # a numpy int would overflow in 1 << v
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -113,7 +127,7 @@ class Graph:
             raise ValueError("need one adjacency row per vertex")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
-            if isinstance(row, bool) or not isinstance(row, Integral):
+            if not _is_int(row):
                 raise ValueError(f"row {v} is not an integer")
             if row < 0 or row & ~full:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
@@ -139,10 +153,7 @@ class Graph:
         _check_order(n)
         rows = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+            u, v = _check_edge(n, u, v)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls._wrap(n, tuple(rows))
@@ -176,11 +187,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated qubit graph from an edge list."""
-    return Graph.from_edges(n, edges)
 
 
 # Miller-Rabin with these bases decides primality exactly below 2**64: the
@@ -244,7 +250,7 @@ class WeightedGraph:
             if len(row) != n:
                 raise ValueError(f"weight row {v} has wrong length")
             for w, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, Integral):
+                if not _is_int(x):
                     raise ValueError(f"weight at ({v}, {w}) is not an integer")
                 if not (0 <= x < d):
                     raise ValueError(f"weight at ({v}, {w}) outside 0..{d - 1}")
@@ -282,17 +288,9 @@ class WeightedGraph:
         _check_n_and_d(n, d)
         nbrs: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, x in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+            u, v = _check_edge(n, u, v)
             nbrs[u][v] = nbrs[v][u] = x
-        bad = [
-            (v, w)
-            for v, row in enumerate(nbrs)
-            for w, x in row.items()
-            if not isinstance(x, Integral)
-        ]
+        bad = [(v, w) for v, row in enumerate(nbrs) for w, x in row.items() if not _is_int(x)]
         if bad:
             raise ValueError(f"weight at {min(bad)} is not an integer")
         return cls._wrap(n, d, [{w: r for w, x in row.items() if (r := int(x) % d)} for row in nbrs])
@@ -328,13 +326,6 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, d={self.d}, edges={self.edges()!r})"
-
-
-def build_weighted_graph(
-    n: int, d: int, edges: Iterable[tuple[int, int, int]]
-) -> WeightedGraph:
-    """Build a validated d-weighted graph from ``(u, v, weight)`` triples in O(n + m)."""
-    return WeightedGraph.from_edges(n, d, edges)
 
 
 def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:

@@ -53,12 +53,10 @@ __all__ = [
     "lc_classes",
     "lc_automorphism_group",
     "aut_bounds",
-    "aut_in_group",
     "saturation_stats",
     "symmetry_table",
     "partition_number",
     "class_lower_bound",
-    "integer_partitions",
     "graph_for_partition",
 ]
 
@@ -521,18 +519,6 @@ def aut_bounds(part: FoliagePartition) -> tuple[int, int]:
     return lower, lower * upper_extra
 
 
-def aut_in_group(part: FoliagePartition) -> list[tuple[int, ...]]:
-    """Adjacent-transposition generators of the within-part permutations."""
-    n = part.n
-    gens = []
-    for members in part.parts:
-        for a, b in zip(members, members[1:]):
-            p = list(range(n))
-            p[a], p[b] = b, a
-            gens.append(tuple(p))
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # census-level tables
 
@@ -666,21 +652,6 @@ def class_lower_bound(n: int) -> int:
     if n < 2:
         raise ValueError("bound is defined for n >= 2")
     return partition_number(n) - min(3, n - 1)
-
-
-def integer_partitions(n: int) -> list[tuple[int, ...]]:
-    """All partitions of ``n`` as non-decreasing tuples, lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, minimum: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for first in range(minimum, remaining + 1):
-            rec(remaining - first, first, prefix + (first,))
-
-    rec(n, 1, ())
-    return out
 
 
 def graph_for_partition(sizes: tuple[int, ...] | list[int]) -> Graph:

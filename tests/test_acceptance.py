@@ -32,8 +32,7 @@ from lcfoliage.foliage import (
 )
 from lcfoliage.graph import (
     Graph,
-    build_graph,
-    build_weighted_graph,
+    WeightedGraph,
     local_complement,
     qudit_scale,
     qudit_star,
@@ -49,9 +48,9 @@ from lcfoliage.orbits import (
     saturation_stats,
 )
 
-C5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-K5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+K5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+K23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 def _check(num, desc, body):
@@ -276,13 +275,13 @@ def test_criterion_11_sparse_performance():
     def qudit(n):
         rng = random.Random(n)
         edges = [(u, v, rng.randrange(1, 5)) for u, v in _cycle_with_chords(n, seed=n)]
-        return build_weighted_graph(n, 5, edges)
+        return WeightedGraph.from_edges(n, 5, edges)
 
     def body():
         sizes = (2500, 5000, 10000, 20000)
         families = {
-            "path": {n: build_graph(n, [(v, v + 1) for v in range(n - 1)]) for n in sizes},
-            "cycle+chords": {n: build_graph(n, _cycle_with_chords(n, seed=n)) for n in sizes},
+            "path": {n: Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]) for n in sizes},
+            "cycle+chords": {n: Graph.from_edges(n, _cycle_with_chords(n, seed=n)) for n in sizes},
             "qudit cycle+chords": {n: qudit(n) for n in sizes},
         }
         best = {(name, n): math.inf for name, graphs in families.items() for n in graphs}

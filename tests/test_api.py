@@ -1,12 +1,14 @@
-"""The public surface: every exported name resolves, every private
-module-level definition has a caller, and importing the package, every CLI
-command and every query but the state-vector oracle stay free of numpy and
-of the process pool."""
+"""The public surface: every exported name resolves, every public function
+is named in the README or the CLI, every private module-level definition
+has a caller, and importing the package, every CLI command and every query
+but the state-vector oracle stay free of numpy and of the process pool."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import astuple
@@ -62,6 +64,17 @@ def test_every_private_definition_is_referenced():
     ]
     assert defined
     assert [name for name in defined if name not in used] == []
+
+
+def test_every_public_function_is_named_in_the_readme_or_the_cli():
+    # a public function that neither the README nor a command names has no
+    # documented use
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli = (Path(lcfoliage.__file__).parent / "cli.py").read_text()
+    named = set(re.findall(r"\w+", readme + cli))
+    functions = [name for name in lcfoliage.__all__ if inspect.isfunction(getattr(lcfoliage, name))]
+    assert functions
+    assert [name for name in functions if name not in named] == []
 
 
 def test_only_the_guard_function_words_the_force_hint():
@@ -215,14 +228,14 @@ for argv in (
         print("exit", exc.code)
 
 from lcfoliage import (
-    build_graph, entropy_via_foliage, lc_automorphism_group, lc_orbit, normal_form,
-    schmidt_vector, uniformity,
+    Graph, entropy_via_foliage, lc_automorphism_group, lc_orbit, normal_form, schmidt_vector,
+    uniformity,
 )
 
-path7 = build_graph(7, [(v, v + 1) for v in range(6)])
-wheel = build_graph(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
-k23 = build_graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-chords = build_graph(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7), (3, 8)])
+path7 = Graph.from_edges(7, [(v, v + 1) for v in range(6)])
+wheel = Graph.from_edges(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
+k23 = Graph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+chords = Graph.from_edges(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7), (3, 8)])
 for g in (path7, wheel, k23):
     print(lc_orbit(g))
     print(lc_automorphism_group(g))
@@ -259,11 +272,11 @@ import sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 
-from lcfoliage import build_graph, encode_graph6
+from lcfoliage import Graph, encode_graph6
 from lcfoliage.cli import main
 
-wheel = encode_graph6(build_graph(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)]))
-path = encode_graph6(build_graph(1000, [(v, v + 1) for v in range(999)]))
+wheel = encode_graph6(Graph.from_edges(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)]))
+path = encode_graph6(Graph.from_edges(1000, [(v, v + 1) for v in range(999)]))
 for argv in (
     ["foliage", "--g6", path],
     ["foliage", "--g6", wheel],
@@ -301,9 +314,9 @@ def test_statevector_oracle_names_its_extra_without_numpy():
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
-        "from lcfoliage import build_graph, statevector_entropy_oracle\n"
+        "from lcfoliage import Graph, statevector_entropy_oracle\n"
         "try:\n"
-        "    statevector_entropy_oracle(build_graph(2, [(0, 1)]), 1)\n"
+        "    statevector_entropy_oracle(Graph.from_edges(2, [(0, 1)]), 1)\n"
         "except ImportError as exc:\n"
         "    print(exc)\n"
     )

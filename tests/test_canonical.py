@@ -10,7 +10,7 @@ import pytest
 import lcfoliage
 from conftest import cpu_s_and_peak_rss_mb_under_1_gib, random_graph
 from lcfoliage.canonical import _search, _unpack, canonical_form, canonical_graph, canonical_key
-from lcfoliage.graph import Graph, build_graph
+from lcfoliage.graph import Graph
 from lcfoliage.orbits import _orbit_masks, lc_automorphism_group, nonisomorphic_graphs
 
 
@@ -32,14 +32,14 @@ def brute_isomorphic(g, h):
 
 
 def test_p3_relabelings_share_a_key():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
     keys = {canonical_key(relabel(g, p)) for p in permutations(range(3))}
     assert len(keys) == 1
 
 
 def test_p3_and_k3_differ():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert canonical_key(p3) != canonical_key(k3)
 
 
@@ -91,8 +91,8 @@ def test_unpack_reads_the_canonical_rows_of_random_graphs():
 
 
 def test_hard_symmetric_cases():
-    k8 = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
-    empty8 = build_graph(8, [])
+    k8 = Graph.from_edges(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+    empty8 = Graph.from_edges(8, [])
     assert canonical_graph(k8) == k8
     assert canonical_graph(empty8) == empty8
     assert canonical_key(k8) != canonical_key(empty8)
@@ -102,7 +102,7 @@ def test_canonical_form_keeps_nothing_after_an_orbit():
     from lcfoliage.orbits import lc_orbit
 
     # the 8-cycle with a pendant vertex
-    g = build_graph(9, [(v, (v + 1) % 8) for v in range(8)] + [(0, 8)])
+    g = Graph.from_edges(9, [(v, (v + 1) % 8) for v in range(8)] + [(0, 8)])
     package = os.path.join(os.path.dirname(lcfoliage.__file__), "*")
     tracemalloc.start()
     try:

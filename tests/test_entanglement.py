@@ -15,8 +15,8 @@ from lcfoliage.entanglement import (
 )
 from lcfoliage.foliage import foliage_partition, foliage_representation, normal_form
 from lcfoliage.graph import (
+    Graph,
     SizeGuardError,
-    build_graph,
     connected_components,
     local_complement,
     qudit_scale,
@@ -25,7 +25,7 @@ from lcfoliage.graph import (
 from lcfoliage.orbits import graph_for_partition, nonisomorphic_graphs
 
 
-K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+K23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 def test_entropy_anchors():
@@ -55,13 +55,13 @@ def test_entropy_palindrome(seed):
 
 
 def test_schmidt_vector_k2():
-    vec = schmidt_vector(build_graph(2, [(0, 1)]))
+    vec = schmidt_vector(Graph.from_edges(2, [(0, 1)]))
     assert list(vec.values) == [0, 1, 1, 0]
     assert vec[0b01] == 1
 
 
 def test_schmidt_vector_csv():
-    vec = schmidt_vector(build_graph(2, [(0, 1)]))
+    vec = schmidt_vector(Graph.from_edges(2, [(0, 1)]))
     assert vec.to_csv() == "mask,size,entropy\n0,0,0\n1,1,1\n2,1,1\n3,2,0\n"
 
 
@@ -78,7 +78,7 @@ def test_schmidt_singletons_on_connected_graphs():
 
 def test_schmidt_guard():
     with pytest.raises(SizeGuardError):
-        schmidt_vector(build_graph(25, []))
+        schmidt_vector(Graph.from_edges(25, []))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -104,7 +104,7 @@ def test_schmidt_vector_matches_entropy_on_every_type(n):
 
 @pytest.mark.parametrize("n", range(11))
 def test_schmidt_vector_matches_entropy_on_complete_star_and_empty_graphs(n):
-    for g in (complete(n), star(n), build_graph(n, [])):
+    for g in (complete(n), star(n), Graph.from_edges(n, [])):
         assert_vector_matches_entropy(g)
 
 
@@ -121,14 +121,14 @@ def test_schmidt_vector_at_the_lane_width_boundary(n):
     rng = random.Random(1500 + n)
     masks = [0, (1 << n) - 1, *(1 << v for v in range(n))]
     masks += [rng.randrange(1 << n) for _ in range(200)]
-    for g in (random_graph(n, 0.5, rng), build_graph(n, [])):
+    for g in (random_graph(n, 0.5, rng), Graph.from_edges(n, [])):
         vec = schmidt_vector(g)
         assert [vec[mask] for mask in masks] == [entropy(g, mask) for mask in masks]
 
 
 @pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 40])
 def test_entropy_vector_rejects_masks_outside_the_vertex_range(mask):
-    vec = schmidt_vector(build_graph(3, [(0, 1), (1, 2)]))
+    vec = schmidt_vector(Graph.from_edges(3, [(0, 1), (1, 2)]))
     with pytest.raises(ValueError, match="subset has bits outside the vertex range"):
         vec[mask]
 
@@ -136,10 +136,10 @@ def test_entropy_vector_rejects_masks_outside_the_vertex_range(mask):
 SCHMIDT_PEAK_RSS = """
 import random
 from lcfoliage.entanglement import schmidt_vector
-from lcfoliage.graph import build_graph
+from lcfoliage.graph import Graph
 
 rng = random.Random(20)
-g = build_graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.5])
+g = Graph.from_edges(20, [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.5])
 vec = schmidt_vector(g)
 assert vec[0] == vec[(1 << 20) - 1] == 0
 """
@@ -159,7 +159,7 @@ def test_e_matrix_anchors():
 
 
 def test_e_matrix_requires_normal_form():
-    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
         e_matrix(foliage_representation(p4))
     with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ def test_e_matrix_requires_normal_form():
 
 
 def test_entropy_via_foliage_raises_on_every_call():
-    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     for _ in range(2):
         with pytest.raises(ValueError):
             entropy_via_foliage(p4, 0b0011)
@@ -201,7 +201,7 @@ def test_marginal_anchors():
     assert marginal_maximally_mixed(K23, 0, 2)
     assert not marginal_maximally_mixed(K23, 2, 3)
     with pytest.raises(ValueError):
-        marginal_maximally_mixed(build_graph(3, [(0, 1)]), 0, 2)
+        marginal_maximally_mixed(Graph.from_edges(3, [(0, 1)]), 0, 2)
     with pytest.raises(ValueError):
         marginal_maximally_mixed(K23, 1, 1)
 
@@ -230,12 +230,12 @@ def test_uniformity_anchors():
     rep = uniformity(K23)
     assert rep.k_max == 1
     assert entropy(K23, rep.witness) < rep.witness.bit_count()
-    assert uniformity(build_graph(3, [(0, 1)])).k_max == 0
-    assert uniformity(build_graph(1, [])).k_max == 0
+    assert uniformity(Graph.from_edges(3, [(0, 1)])).k_max == 0
+    assert uniformity(Graph.from_edges(1, [])).k_max == 0
 
 
 def test_uniformity_guard_and_force():
-    big = build_graph(21, [])
+    big = Graph.from_edges(21, [])
     with pytest.raises(SizeGuardError):
         uniformity(big)
     rep = uniformity(big, force=True)
@@ -251,22 +251,22 @@ def test_two_uniform_iff_trivial_partition():
 
 
 def test_oracle_anchors():
-    assert statevector_entropy_oracle(build_graph(2, [(0, 1)]), 0b01) == 1
+    assert statevector_entropy_oracle(Graph.from_edges(2, [(0, 1)]), 0b01) == 1
     assert statevector_entropy_oracle(cycle(5), 0b00011) == 2
     assert statevector_entropy_oracle(cycle(5), 0) == 0
-    w = build_weighted_graph_triangle()
+    w = weighted_triangle()
     assert statevector_entropy_oracle(w, 0b001) == 1
 
 
-def build_weighted_graph_triangle():
-    from lcfoliage.graph import build_weighted_graph
+def weighted_triangle():
+    from lcfoliage.graph import WeightedGraph
 
-    return build_weighted_graph(3, 3, [(0, 1, 1), (1, 2, 2), (0, 2, 1)])
+    return WeightedGraph.from_edges(3, 3, [(0, 1, 1), (1, 2, 2), (0, 2, 1)])
 
 
 def test_oracle_guard():
     with pytest.raises(SizeGuardError):
-        statevector_entropy_oracle(build_graph(21, []), 1)
+        statevector_entropy_oracle(Graph.from_edges(21, []), 1)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -30,11 +30,11 @@ from lcfoliage.foliage import (
     saturation,
     vertices_related,
 )
-from lcfoliage.graph import build_graph, build_weighted_graph, local_complement, mask_of
+from lcfoliage.graph import Graph, WeightedGraph, local_complement, mask_of
 from lcfoliage.orbits import nonisomorphic_graphs
 
 
-K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+K23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_relation_anchors():
     p4 = path(4)
     assert vertices_related(p4, 0, 1)   # leaf and axil
     assert not vertices_related(p4, 1, 2)
-    two_isolated = build_graph(2, [])
+    two_isolated = Graph.from_edges(2, [])
     assert not vertices_related(two_isolated, 0, 1)
 
 
@@ -145,8 +145,8 @@ def blow_up(base, sizes, true_twins, rng, d=None, noise=0.0):
                     x = rng.randrange(1, d)
             edges.append((u, w, x))
     if d:
-        return build_weighted_graph(n, d, edges)
-    return build_graph(n, [(u, w) for u, w, _ in edges])
+        return WeightedGraph.from_edges(n, d, edges)
+    return Graph.from_edges(n, [(u, w) for u, w, _ in edges])
 
 
 def twin_rich_graph(rng, d=None):
@@ -242,7 +242,7 @@ def test_foliage_set():
     assert foliage_set(path(4)) == 0b1111
     assert foliage_set(cycle(5)) == 0
     assert foliage_set(star(4)) == 0b1111
-    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     # a chorded 6-cycle: no leaves and no twins, so the set is empty
     assert foliage_set(g) == 0
 
@@ -268,16 +268,16 @@ def test_representation_anchors():
     assert rep.types == (PartType.AL, PartType.AL)
     assert rep.axils == (1, 2)
 
-    rep = foliage_representation(build_graph(3, []))
+    rep = foliage_representation(Graph.from_edges(3, []))
     assert rep.types == (PartType.Z, PartType.Z, PartType.Z)
 
 
 def test_isolated_edge_is_typed_k_without_axil():
-    rep = foliage_representation(build_graph(2, [(0, 1)]))
+    rep = foliage_representation(Graph.from_edges(2, [(0, 1)]))
     assert rep.types == (PartType.K,)
     assert rep.axils == ()
     # and in a larger graph with other components
-    g = build_graph(5, [(0, 1), (2, 3), (2, 4)])
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4)])
     rep = foliage_representation(g)
     assert rep.types[rep.partition.part_of(0)] == PartType.K
     assert rep.types[rep.partition.part_of(2)] == PartType.AL
@@ -312,7 +312,7 @@ def types_and_axils_by_definition(g):
 def relabelled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+    return Graph.from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
 
 
 def typed_blocks_graph(rng):
@@ -346,7 +346,7 @@ def typed_blocks_graph(rng):
         for b in range(a):
             if rng.random() < p:
                 edges += [(u, w) for u in visible[a] for w in visible[b]]
-    return relabelled(build_graph(n, edges), rng)
+    return relabelled(Graph.from_edges(n, edges), rng)
 
 
 def test_types_and_axils_match_the_definition():
@@ -406,7 +406,7 @@ def test_lifted_type_flips():
 
 def test_lifted_toggles_neighbour_twins():
     # quotient edge between the axil part of a star and a twin pair
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
     rep = foliage_representation(g)
     i_axil = rep.partition.part_of(0)
     i_pair = rep.partition.part_of(2)
@@ -422,7 +422,7 @@ def test_lifted_toggles_neighbour_twins():
 def test_normal_form_anchors():
     assert normal_form(star(5)) == complete(5)
     assert normal_form(complete(5)) == complete(5)
-    assert normal_form(build_graph(2, [(0, 1)])) == build_graph(2, [(0, 1)])
+    assert normal_form(Graph.from_edges(2, [(0, 1)])) == Graph.from_edges(2, [(0, 1)])
 
 
 def test_normal_form_has_no_axils_exhaustive():
@@ -459,9 +459,9 @@ def test_path_saturation_time(n):
 
 
 def test_saturation_of_disconnected_graphs():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert saturation(g).chain == (4, 2)
-    h = build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+    h = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                     + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
     assert saturation(h).chain == (10,)
 
@@ -500,7 +500,7 @@ def sparse_with_twins(rng, largest=30):
     order = list(range(len(rows)))
     rng.shuffle(order)
     edges = [(order[u], order[w]) for u in range(len(rows)) for w in rows[u] if u < w]
-    return build_graph(len(rows), edges)
+    return Graph.from_edges(len(rows), edges)
 
 
 def test_quotient_matches_definition():
@@ -597,11 +597,11 @@ def test_serialization_json_form():
 
 def test_weighted_partition_strong_twins():
     # proportional rows with different scalars are still one part
-    g = build_weighted_graph(4, 5, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 1)])
+    g = WeightedGraph.from_edges(4, 5, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 1)])
     # rows of 0 and 1 against {2,3}: (1,2) vs (3,1): 3*(1,2) = (3,6%5=1) -> twins
     part = foliage_partition(g)
     assert part.part_of(0) == part.part_of(1)
-    g2 = build_weighted_graph(4, 5, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 2)])
+    g2 = WeightedGraph.from_edges(4, 5, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 2)])
     part2 = foliage_partition(g2)
     assert part2.part_of(0) != part2.part_of(1)
 
@@ -616,7 +616,7 @@ def tree_with_chords(rng):
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     while len(edges) < n - 1 + n // 3:
         edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    return build_graph(n, sorted(edges))
+    return Graph.from_edges(n, sorted(edges))
 
 
 def test_outputs_are_frozen_on_a_seeded_corpus():

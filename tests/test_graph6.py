@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from conftest import cpu_s_and_peak_rss_mb_under_1_gib, peak_rss_mb_under_1_gib, random_graph, random_weighted
-from lcfoliage.graph import Graph, SizeGuardError, build_graph
+from lcfoliage.graph import Graph, SizeGuardError
 from lcfoliage.graph6 import (
     decode_graph6,
     decode_weighted,
@@ -16,14 +16,14 @@ from lcfoliage.graph6 import (
 
 
 def test_known_encodings():
-    assert encode_graph6(build_graph(2, [(0, 1)])) == "A_"
-    assert encode_graph6(build_graph(3, [(0, 1), (0, 2), (1, 2)])) == "Bw"
+    assert encode_graph6(Graph.from_edges(2, [(0, 1)])) == "A_"
+    assert encode_graph6(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])) == "Bw"
     assert decode_graph6("A_").edges() == [(0, 1)]
     assert decode_graph6("Bw").edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_empty_and_trivial_sizes():
-    assert encode_graph6(build_graph(0, [])) == "?"
+    assert encode_graph6(Graph.from_edges(0, [])) == "?"
     assert decode_graph6("?").n == 0
     assert decode_graph6("@").n == 1
 
@@ -250,7 +250,7 @@ def test_size_boundaries_match_networkx(n):
         text = networkx_graph6(n, edges)
         assert text.startswith("~") == (n >= 63)
         g = decode_graph6(text)
-        assert g == build_graph(n, edges)
+        assert g == Graph.from_edges(n, edges)
         assert sha256(encode_graph6(g)) == sha256(text)
 
 

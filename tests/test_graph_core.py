@@ -8,8 +8,6 @@ from conftest import complete, cpu_s_and_peak_rss_mb_under_1_gib, peak_rss_mb_un
 from lcfoliage.graph import (
     Graph,
     WeightedGraph,
-    build_graph,
-    build_weighted_graph,
     connected_components,
     induced_subgraph,
     iter_bits,
@@ -21,7 +19,7 @@ from lcfoliage.graph import (
 
 
 def test_build_and_accessors():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.degree(1) == 2
     assert g.has_edge(2, 1)
@@ -29,7 +27,7 @@ def test_build_and_accessors():
     assert g.neighbors(2) == mask_of([1, 3])
 
 
-@pytest.mark.parametrize("build", [Graph, Graph.from_edges, build_graph])
+@pytest.mark.parametrize("build", [Graph, Graph.from_edges])
 def test_a_negative_order_is_refused(build):
     with pytest.raises(ValueError) as exc:
         build(-1, [])
@@ -38,9 +36,9 @@ def test_a_negative_order_is_refused(build):
 
 def test_build_rejects_bad_edges():
     with pytest.raises(ValueError):
-        build_graph(3, [(0, 3)])
+        Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
-        build_graph(3, [(1, 1)])
+        Graph.from_edges(3, [(1, 1)])
 
 
 def test_graph_ctor_rejects_asymmetry_and_loops():
@@ -73,9 +71,9 @@ def test_iter_bits():
 
 
 def test_induced_subgraph_renumbers_in_increasing_order():
-    g = build_graph(5, [(0, 1), (1, 3), (3, 4), (0, 4)])
-    assert induced_subgraph(g, 0b11010) == build_graph(3, [(0, 1), (1, 2)])
-    assert induced_subgraph(g, 0) == build_graph(0, [])
+    g = Graph.from_edges(5, [(0, 1), (1, 3), (3, 4), (0, 4)])
+    assert induced_subgraph(g, 0b11010) == Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert induced_subgraph(g, 0) == Graph.from_edges(0, [])
     assert induced_subgraph(g, 0b11111) == g
     with pytest.raises(ValueError):
         induced_subgraph(g, 1 << 5)
@@ -106,7 +104,7 @@ def test_lc_keeps_the_pivot_neighbourhood(seed):
 
 
 def test_lc_fixes_isolated_and_pendant_vertices():
-    g = build_graph(3, [(0, 1)])
+    g = Graph.from_edges(3, [(0, 1)])
     assert local_complement(g, 2) == g
     assert local_complement(g, 0) == g  # single neighbour
 
@@ -118,9 +116,9 @@ def test_lc_vertex_range():
 
 def test_weighted_validation():
     with pytest.raises(ValueError):
-        build_weighted_graph(3, 4, [])  # composite modulus
+        WeightedGraph.from_edges(3, 4, [])  # composite modulus
     with pytest.raises(ValueError):
-        build_weighted_graph(3, 1, [])
+        WeightedGraph.from_edges(3, 1, [])
     with pytest.raises(ValueError):
         WeightedGraph(2, 3, [[0, 1], [2, 0]])  # asymmetric
     with pytest.raises(ValueError):
@@ -170,7 +168,7 @@ def test_weighted_ctor_takes_byte_string_rows():
     assert g.weights == ((0, 4, 0), (4, 0, 2), (0, 2, 0))
     assert all(type(x) is int for row in g.weights for x in row)
     assert g.supports == (0b010, 0b101, 0b010)
-    assert g == build_weighted_graph(3, 5, [(0, 1, 4), (1, 2, 2)])
+    assert g == WeightedGraph.from_edges(3, 5, [(0, 1, 4), (1, 2, 2)])
 
 
 def test_weighted_from_edges_last_weight_wins_either_way_round():
@@ -187,8 +185,8 @@ def test_weighted_from_edges_zero_weight_removes_the_pair():
     assert WeightedGraph.from_edges(2, 3, [(0, 1, 1), (0, 1, -3)]) == WeightedGraph(2, 3, [[0, 0], [0, 0]])
 
 
-def test_weighted_from_edges_reduces_negative_weights_and_true():
-    g = WeightedGraph.from_edges(3, 5, [(0, 1, -1), (1, 2, True), (2, 0, -7)])
+def test_weighted_from_edges_reduces_negative_weights():
+    g = WeightedGraph.from_edges(3, 5, [(0, 1, -1), (1, 2, 6), (2, 0, -7)])
     assert g.edges() == [(0, 1, 4), (0, 2, 3), (1, 2, 1)]
     assert all(type(x) is int for row in g.weights for x in row)
 
@@ -218,6 +216,45 @@ def test_weighted_from_edges_names_the_first_error(n, d, edges, message):
     assert str(exc.value) == message
 
 
+# a bool or a non-integer is refused as the constructors refuse it, naming
+# the vertex count, the edge or the weight's pair
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph.from_edges(3, [(0.0, 1)]), "edge (0.0, 1) has an endpoint that is not an integer"),
+        (lambda: Graph.from_edges(3, [(0, 1.0)]), "edge (0, 1.0) has an endpoint that is not an integer"),
+        (lambda: Graph.from_edges(3, [("0", 1)]), "edge ('0', 1) has an endpoint that is not an integer"),
+        (lambda: Graph.from_edges(3, [(0, True)]), "edge (0, True) has an endpoint that is not an integer"),
+        (lambda: Graph.from_edges(3, [(0, 1), (5, 0.5)]), "edge (5, 0.5) has an endpoint that is not an integer"),
+        (lambda: Graph.from_edges(2.0, [(0, 1)]), "vertex count 2.0 is not an integer"),
+        (lambda: Graph.from_edges(True, []), "vertex count True is not an integer"),
+        (lambda: WeightedGraph.from_edges(3, 3, [(0, 1, True)]), "weight at (0, 1) is not an integer"),
+        (lambda: WeightedGraph.from_edges(3, 3, [(2, 1, False)]), "weight at (1, 2) is not an integer"),
+        (lambda: WeightedGraph.from_edges(3, 3, [(0, 1.0, 1)]), "edge (0, 1.0) has an endpoint that is not an integer"),
+        (lambda: WeightedGraph.from_edges(3.0, 3, []), "vertex count 3.0 is not an integer"),
+    ],
+    ids=[
+        "float-u", "float-v", "str-u", "bool-v", "second-edge", "float-n", "bool-n",
+        "bool-weight", "false-weight", "weighted-float-v", "weighted-float-n",
+    ],
+)
+def test_from_edges_refuses_non_integers(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_from_edges_keeps_python_ints_for_numpy_endpoints():
+    # 1 << numpy.int64(70) overflows to 0, which once left half an edge
+    np = pytest.importorskip("numpy")
+    g = Graph.from_edges(100, [(np.int64(0), np.int64(70))])
+    assert g == Graph.from_edges(100, [(0, 70)])
+    assert all(type(row) is int for row in g.rows)
+    w = WeightedGraph.from_edges(100, 5, [(np.int64(70), np.int64(0), np.int64(3))])
+    assert w == WeightedGraph.from_edges(100, 5, [(0, 70, 3)])
+    assert (w.supports[0], w.supports[70]) == (1 << 70, 1)
+
+
 def test_weighted_from_edges_takes_an_overwritten_non_integer():
     g = WeightedGraph.from_edges(3, 5, [(0, 1, 2.5), (1, 0, 4), (0, 2, Fraction(1, 2)), (0, 2, 0)])
     assert g.edges() == [(0, 1, 4)]
@@ -225,7 +262,7 @@ def test_weighted_from_edges_takes_an_overwritten_non_integer():
 
 def test_qudit_star_example_d3():
     # path 0-1-2 with weights 1 and 2, complement at the middle vertex
-    g = build_weighted_graph(3, 3, [(0, 1, 1), (1, 2, 2)])
+    g = WeightedGraph.from_edges(3, 3, [(0, 1, 1), (1, 2, 2)])
     out = qudit_star(g, 1, 1)
     assert out.edges() == [(0, 1, 1), (0, 2, 2), (1, 2, 2)]
 
@@ -327,11 +364,11 @@ def test_qudit_moves_match_dense_formulas(d):
 
 
 WEIGHTED_CYCLE_MOVES = """
-from lcfoliage.graph import build_weighted_graph, qudit_scale, qudit_star
+from lcfoliage.graph import WeightedGraph, qudit_scale, qudit_star
 from lcfoliage.graph6 import decode_weighted, encode_weighted
 
 n = 8192
-g = build_weighted_graph(n, 3, [(v, (v + 1) % n, 1 + v % 2) for v in range(n)])
+g = WeightedGraph.from_edges(n, 3, [(v, (v + 1) % n, 1 + v % 2) for v in range(n)])
 h = qudit_scale(qudit_star(g, 0, 1), 1, 2)
 assert (h.weight(0, 1), h.weight(1, 2), h.weight(1, n - 1)) == (2, 1, 1)
 assert len(h.edges()) == n + 1
@@ -356,7 +393,7 @@ def test_validating_a_20000_cycle_is_small_and_quick():
 
 
 def test_connected_components():
-    g = build_graph(6, [(0, 1), (1, 2), (4, 5)])
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     assert connected_components(g) == [0b000111, 0b001000, 0b110000]
-    w = build_weighted_graph(4, 3, [(1, 3, 2)])
+    w = WeightedGraph.from_edges(4, 3, [(1, 3, 2)])
     assert connected_components(w) == [0b0001, 0b1010, 0b0100]

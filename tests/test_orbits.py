@@ -14,24 +14,21 @@ import lcfoliage
 from conftest import complete, cycle, path, peak_rss_mb_under_1_gib, random_graph, star
 from lcfoliage.canonical import canonical_graph, canonical_key
 from lcfoliage.cli import main
-from lcfoliage.foliage import foliage_partition
+from lcfoliage.foliage import FoliagePartition, foliage_partition
 from lcfoliage.graph import (
     Graph,
     SizeGuardError,
     _find,
     _lc_rows,
     _relabel_rows,
-    build_graph,
     connected_components,
     local_complement,
 )
 from lcfoliage.orbits import (
     _Packed,
     aut_bounds,
-    aut_in_group,
     class_lower_bound,
     graph_for_partition,
-    integer_partitions,
     lc_automorphism_group,
     lc_classes,
     lc_orbit,
@@ -42,14 +39,14 @@ from lcfoliage.orbits import (
 )
 
 
-K23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+K23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 # ---------------------------------------------------------------------------
 # orbits
 
 def test_orbit_anchors():
-    rep = lc_orbit(build_graph(2, [(0, 1)]))
+    rep = lc_orbit(Graph.from_edges(2, [(0, 1)]))
     assert (rep.labeled_size, rep.class_size) == (1, 1)
     rep = lc_orbit(path(3))
     assert (rep.labeled_size, rep.class_size) == (4, 2)
@@ -96,7 +93,7 @@ def test_orbit_size_is_relabeling_invariant():
 
 def test_orbit_guard():
     with pytest.raises(SizeGuardError):
-        lc_orbit(build_graph(17, []))
+        lc_orbit(Graph.from_edges(17, []))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
@@ -104,8 +101,8 @@ def test_forced_orbit_above_the_guard_fills_no_table_of_2_to_the_n():
     # K_{1,39}: a table with an entry per neighbourhood would have 2^40
     code = (
         "from lcfoliage.orbits import lc_orbit\n"
-        "from lcfoliage.graph import build_graph\n"
-        "report = lc_orbit(build_graph(40, [(0, v) for v in range(1, 40)]), force=True)\n"
+        "from lcfoliage.graph import Graph\n"
+        "report = lc_orbit(Graph.from_edges(40, [(0, v) for v in range(1, 40)]), force=True)\n"
         "assert (report.labeled_size, report.class_size) == (41, 2)\n"
     )
     assert peak_rss_mb_under_1_gib(code) < 64
@@ -125,10 +122,10 @@ def test_n12_orbit_peak_rss_gate():
     # because repr(report) alone then takes about 40 MB more to build
     code = (
         "import hashlib\n"
-        "from lcfoliage.graph import build_graph\n"
+        "from lcfoliage.graph import Graph\n"
         "from lcfoliage.orbits import lc_orbit\n"
         f"rows = {N12_ROWS!r}\n"
-        "g = build_graph(12, [(v, w) for v in range(12) for w in range(v) if rows[v] >> w & 1])\n"
+        "g = Graph.from_edges(12, [(v, w) for v in range(12) for w in range(v) if rows[v] >> w & 1])\n"
         "report = lc_orbit(g)\n"
         "with open('/proc/self/status') as fh:\n"
         "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
@@ -542,6 +539,18 @@ def test_aut_bounds_hold_on_small_classes():
         assert rep.interplay >= 1
 
 
+def aut_in_group(part: FoliagePartition) -> list[tuple[int, ...]]:
+    """Adjacent-transposition generators of the within-part permutations."""
+    n = part.n
+    gens = []
+    for members in part.parts:
+        for a, b in zip(members, members[1:]):
+            p = list(range(n))
+            p[a], p[b] = b, a
+            gens.append(tuple(p))
+    return gens
+
+
 def test_aut_in_group_generators():
     part = foliage_partition(K23)
     gens = aut_in_group(part)
@@ -744,7 +753,7 @@ def test_aut_report_searches_only_members_with_the_degrees_of_g(monkeypatch):
     # K_8 and the empty graph are alone with their degrees in their orbits,
     # so only g is searched; the star's orbit holds the eight stars, and the
     # first isomorphism onto another one, with Aut(S_8), reaches them all
-    for g, searches in ((complete(8), 1), (build_graph(8, []), 1), (star(8), 2)):
+    for g, searches in ((complete(8), 1), (Graph.from_edges(8, []), 1), (star(8), 2)):
         searched.clear()
         assert lc_automorphism_group(g).order == 40320
         assert len(searched) == searches, g.rows
@@ -900,7 +909,7 @@ def test_canonical_search_keeps_one_automorphism_per_level_on_symmetric_graphs(n
 
     # backjumping to where a tie leaf parts from the least leaf's path finds
     # one transposition per level; without it the search keeps about n^2/2
-    for g in (complete(n), star(n), build_graph(n, [])):
+    for g in (complete(n), star(n), Graph.from_edges(n, [])):
         auts = canonical_mod._search(n, g.rows)[2]
         assert len(auts) <= n - 1, g.rows
 
@@ -916,7 +925,7 @@ def test_canonical_search_automorphisms_generate_the_automorphism_group():
                 rng.shuffle(perm)
                 yield Graph(n, oracle_relabel(n, g.rows, perm))
         for n in range(1, 8):
-            yield from (complete(n), star(n), build_graph(n, []))
+            yield from (complete(n), star(n), Graph.from_edges(n, []))
             if n >= 3:
                 yield cycle(n)
 
@@ -929,7 +938,7 @@ def test_canonical_search_automorphisms_generate_the_automorphism_group():
 
 def test_aut_guard():
     with pytest.raises(SizeGuardError):
-        lc_automorphism_group(build_graph(9, []))
+        lc_automorphism_group(Graph.from_edges(9, []))
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1039,21 @@ def test_partition_number_matches_dp_oracle():
             table[total] += table[total - coin]
     for n in range(limit + 1):
         assert partition_number(n) == table[n]
+
+
+def integer_partitions(n: int) -> list[tuple[int, ...]]:
+    """All partitions of ``n`` as non-decreasing tuples, lexicographic."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, minimum: int, prefix: tuple[int, ...]) -> None:
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for first in range(minimum, remaining + 1):
+            rec(remaining - first, first, prefix + (first,))
+
+    rec(n, 1, ())
+    return out
 
 
 def test_integer_partitions_enumeration():

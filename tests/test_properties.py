@@ -21,7 +21,6 @@ from lcfoliage.graph import (
     Graph,
     WeightedGraph,
     _relabel_rows,
-    build_graph,
     induced_subgraph,
     local_complement,
 )
@@ -34,7 +33,7 @@ def graphs(draw, min_n=0, max_n=40):
     n = draw(st.integers(min_n, max_n))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     upper = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return build_graph(n, [pair for k, pair in enumerate(pairs) if (upper >> k) & 1])
+    return Graph.from_edges(n, [pair for k, pair in enumerate(pairs) if (upper >> k) & 1])
 
 
 def reference_encode(g):
@@ -89,7 +88,7 @@ def reference_decode(text):
             pos += 1
     if need and body[-1] & ((1 << (need * 6 - nbits)) - 1):
         raise ValueError("graph6 padding bits are not zero")
-    return build_graph(n, edges)
+    return Graph.from_edges(n, edges)
 
 
 def reference_asymmetry(rows):
@@ -317,7 +316,7 @@ def test_induced_subgraph_matches_edge_reference(data):
     g = data.draw(graphs(max_n=16))
     mask = data.draw(st.integers(0, (1 << g.n) - 1))
     label = {v: i for i, v in enumerate(v for v in range(g.n) if (mask >> v) & 1)}
-    expected = build_graph(
+    expected = Graph.from_edges(
         len(label), [(label[u], label[v]) for u, v in g.edges() if u in label and v in label]
     )
     assert induced_subgraph(g, mask) == expected
