@@ -1,8 +1,9 @@
 """Foliage partitions and local-complementation invariants of graph states.
 
-Each public name sits in its module's ``__all__`` and in ``_NAMES`` below;
-tests keep the two equal and fail on a public function that neither
-README.md nor the CLI names.  ``__all__`` here is their sorted union.
+Each public name is listed once, in ``_NAMES`` below, and each module reads
+its ``__all__`` from it; ``__all__`` here is their sorted union.  Tests fail
+on a listed name that its module does not define and on a public function
+that neither README.md nor the CLI names.
 Importing the package loads no submodule: the first use of a name imports
 its module and keeps it here (PEP 562), so a command loads only what it calls.
 """

@@ -36,9 +36,10 @@ keeps the key of every type it meets itself.
 
 from __future__ import annotations
 
+from . import _NAMES
 from .graph import Graph, SizeGuardError, _find, _relabel_rows, iter_bits
 
-__all__ = ["canonical_form", "canonical_key", "canonical_graph"]
+__all__ = _NAMES["canonical"]
 
 # the search takes about n + 10 frames, and Python's default recursion limit
 # is 1000 frames; this bound leaves the caller about 190 of them.  The empty

@@ -59,29 +59,27 @@ def _read_source(args: argparse.Namespace) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_file(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is None."""
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            import os
 
-
-def _write_stdout(text: str) -> None:
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        import os
-
-        # what was not written stays buffered: point the descriptor at the
-        # null device so that the flush at exit does not fail a second time
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        if isinstance(exc, BrokenPipeError):
-            sys.exit(1)  # the reader went away, as under ``| head``: no error line
-        raise ValueError(f"cannot write stdout: {exc}") from exc
+            # what was not written stays buffered: point the descriptor at the
+            # null device so that the flush at exit does not fail a second time
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            if isinstance(exc, BrokenPipeError):
+                sys.exit(1)  # the reader went away, as under ``| head``: no error line
+        raise ValueError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -235,7 +233,7 @@ def _cmd_orbit(args: argparse.Namespace) -> str:
         )
         if args.members == "-":
             return lines + f"labeled={rep.labeled_size} classes={rep.class_size}\n"
-        _write_file(args.members, lines)
+        _write(args.members, lines)
     return f"labeled={rep.labeled_size} classes={rep.class_size}\n"
 
 
@@ -272,7 +270,7 @@ def _cmd_classes(args: argparse.Namespace) -> str:
         )
         if args.reps == "-":
             return lines
-        _write_file(args.reps, lines)
+        _write(args.reps, lines)
     return f"{census.count}\n"
 
 
@@ -404,10 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.func(args)
-        if args.output:
-            _write_file(args.output, text)
-        else:
-            _write_stdout(text)
+        _write(args.output or None, text)  # -o "" writes to stdout
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

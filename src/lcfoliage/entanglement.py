@@ -23,21 +23,12 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from operator import or_, sub, xor
 
+from . import _NAMES
 from .foliage import FoliageRepresentation, PartType, foliage_partition, foliage_representation
 from .gf2 import rank_of_rows
 from .graph import Graph, WeightedGraph, _guard, connected_components, iter_bits, mask_of
 
-__all__ = [
-    "EntropyVector",
-    "UniformityReport",
-    "entropy",
-    "schmidt_vector",
-    "e_matrix",
-    "entropy_via_foliage",
-    "marginal_maximally_mixed",
-    "uniformity",
-    "statevector_entropy_oracle",
-]
+__all__ = _NAMES["entanglement"]
 
 _SCHMIDT_GUARD = 24
 # Vertices whose subset-sum step runs inside one int of 2^14 lanes.  Whole

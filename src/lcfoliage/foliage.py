@@ -26,26 +26,10 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress
 
+from . import _NAMES
 from .graph import Graph, WeightedGraph, _support_rows, iter_bits, local_complement, mask_of
 
-__all__ = [
-    "PartType",
-    "FoliagePartition",
-    "FoliageRepresentation",
-    "SaturationReport",
-    "vertices_related",
-    "foliage_partition",
-    "foliage_set",
-    "foliage_graph",
-    "foliage_representation",
-    "reconstruct_graph",
-    "lifted_local_complement",
-    "normal_form",
-    "saturation",
-    "partition_text",
-    "representation_text",
-    "representation_json",
-]
+__all__ = _NAMES["foliage"]
 
 
 class PartType(str, Enum):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["rank_of_rows"]
+from . import _NAMES
+
+__all__ = _NAMES["gf2"]
 
 
 def rank_of_rows(rows: Iterable[int]) -> int:

@@ -17,16 +17,9 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Iterable, Iterator, MutableSequence, Sequence
 
-__all__ = [
-    "Graph",
-    "WeightedGraph",
-    "SizeGuardError",
-    "local_complement",
-    "induced_subgraph",
-    "qudit_star",
-    "qudit_scale",
-    "connected_components",
-]
+from . import _NAMES
+
+__all__ = _NAMES["graph"]
 
 
 class SizeGuardError(Exception):
@@ -221,6 +214,8 @@ def _is_prime(d: int) -> bool:
 
 def _check_n_and_d(n: int, d: int) -> None:
     _check_order(n)
+    if not _is_int(d):
+        raise ValueError(f"modulus {d!r} is not an integer")
     if not _is_prime(d):
         raise ValueError(f"modulus {d} is not prime")
 

@@ -21,9 +21,10 @@ import binascii
 import re
 from math import isqrt
 
-from .graph import Graph, SizeGuardError, WeightedGraph, _check_n_and_d, _is_sparse, iter_bits
+from . import _NAMES
+from .graph import Graph, SizeGuardError, WeightedGraph, _check_edge, _check_n_and_d, _is_sparse, iter_bits
 
-__all__ = ["encode_graph6", "decode_graph6", "encode_weighted", "decode_weighted"]
+__all__ = _NAMES["graph6"]
 
 _HEADER = ">>graph6<<"
 _INVALID = re.compile("[^?-~]")  # outside chr(63)..chr(126)
@@ -158,10 +159,7 @@ def decode_weighted(text: str) -> WeightedGraph:
             u, v, x = (int(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"bad edge line {ln!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
+        _check_edge(n, u, v)
         if not (1 <= x < d):
             raise ValueError(f"weight {x} outside 1..{d - 1}")
         if v in nbrs[u]:

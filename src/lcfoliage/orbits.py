@@ -32,33 +32,17 @@ about once instead of from both ends and once per vertex.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial
 
-from . import canonical
+from . import _NAMES, canonical
 from .foliage import FoliagePartition, foliage_partition, saturation
 from .graph import Graph, SizeGuardError, _find, _guard, _lc_rows, _relabel_rows, iter_bits
 
-__all__ = [
-    "OrbitReport",
-    "AutReport",
-    "LCClass",
-    "ClassCensus",
-    "SaturationStatsRow",
-    "lc_orbit",
-    "nonisomorphic_graphs",
-    "lc_classes",
-    "lc_automorphism_group",
-    "aut_bounds",
-    "saturation_stats",
-    "symmetry_table",
-    "partition_number",
-    "class_lower_bound",
-    "graph_for_partition",
-]
+__all__ = _NAMES["orbits"]
 
 _ORBIT_GUARD = 16
 # labelled members an orbit BFS may hold; force does not lift this budget
@@ -242,32 +226,6 @@ def _orbit_masks(
     return tuple(masks.values())
 
 
-def _moves(
-    n: int, rows: tuple[int, ...], orbits: tuple[int, ...], marks: array, t: int
-) -> Iterator[tuple]:
-    """Move a type once per automorphism orbit that may still reach a new edge.
-
-    The type has canonical rows ``rows``, orbit masks ``orbits`` and marks
-    ``marks[t]``: a marked vertex's move is known to lead to a type already
-    joined to it, and so does every move in its orbit.  Each other orbit of
-    a vertex of degree at least two is moved at its least vertex, and
-    ``(key, back, perm, auts)`` is yielded from the search of the image,
-    where the move at ``back`` on the canonical rows of ``key`` leads back
-    to the type.  ``marks[t]`` is read again before each orbit, so a
-    mark the caller sets between yields holds for the later orbits.
-    """
-    search = canonical._search
-    for orbit in orbits:
-        if orbit & marks[t]:
-            continue
-        a = (orbit & -orbit).bit_length() - 1
-        nb = rows[a]
-        if nb & (nb - 1) == 0:
-            continue  # degree 0 or 1: complementation is the identity
-        key, perm, auts = search(n, _lc_rows(rows, a))
-        yield key, perm[a], perm, auts
-
-
 def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> ClassCensus:
     """Partition the isomorphism types of order ``n`` into LC classes.
 
@@ -340,11 +298,18 @@ def _census(n: int, connected_only: bool) -> _Closure:
             if key not in index:
                 add(key, perm, auts)
     for i, key in enumerate(keys):  # the list grows while it is read
-        for image, back, *searched in _moves(n, unpack(key), orbits_of[i], marks, i):
+        rows = unpack(key)
+        for orbit in orbits_of[i]:
+            if orbit & marks[i]:  # read afresh: a move back to i itself marks it
+                continue
+            a = (orbit & -orbit).bit_length() - 1
+            if rows[a] & (rows[a] - 1) == 0:
+                continue  # degree 0 or 1: complementation is the identity
+            image, perm, auts = search(n, _lc_rows(rows, a))
             j = index.get(image)
             if j is None:
-                j = add(image, *searched)
-            marks[j] |= 1 << back
+                j = add(image, perm, auts)
+            marks[j] |= 1 << perm[a]  # the move at perm[a] leads back to i
             parent[_find(parent, i)] = _find(parent, j)
         orbits_of[i] = None
 

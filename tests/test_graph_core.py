@@ -244,6 +244,19 @@ def test_from_edges_refuses_non_integers(build, message):
     assert str(exc.value) == message
 
 
+# a modulus that is not an integer is refused before the primality test
+@pytest.mark.parametrize("d", [3.0, Fraction(3), "3", True], ids=["float", "fraction", "str", "bool"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda d: WeightedGraph.from_edges(3, d, [(0, 1, 1)]), lambda d: WeightedGraph(2, d, [[0, 1], [1, 0]])],
+    ids=["from_edges", "rows"],
+)
+def test_weighted_refuses_a_non_integer_modulus(build, d):
+    with pytest.raises(ValueError) as exc:
+        build(d)
+    assert str(exc.value) == f"modulus {d!r} is not an integer"
+
+
 def test_from_edges_keeps_python_ints_for_numpy_endpoints():
     # 1 << numpy.int64(70) overflows to 0, which once left half an edge
     np = pytest.importorskip("numpy")

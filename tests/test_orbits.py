@@ -341,15 +341,6 @@ def counted_searches(monkeypatch):
     return searched
 
 
-def census_entry(g):
-    """``(key, canonical rows, orbit masks, no marks)`` of ``g``, as the census stores a type."""
-    import lcfoliage.canonical as canonical_mod
-    import lcfoliage.orbits as orbits_mod
-
-    key, perm, auts = canonical_mod._search(g.n, g.rows)
-    return key, canonical_mod._unpack(key), orbits_mod._orbit_masks(g.n, perm, auts), 0
-
-
 @pytest.mark.slow
 def test_cold_n8_census_work_gate(monkeypatch):
     import lcfoliage.canonical as canonical_mod
@@ -405,11 +396,15 @@ def test_cold_census_relabels_no_type(monkeypatch):
             "_relabel_rows",
             lambda rows, perm, real=real: relabelled.append(perm) or real(rows, perm),
         )
-    for order, connected in ((7, True), (6, False)):
+    searched = counted_searches(monkeypatch)
+    # one search per seed extension and one per moved orbit, over all orders
+    for order, connected, searches in ((7, True, 3019), (6, False, 731)):
         for n in range(1, order + 1):
             orbits_mod._CENSUS_CACHE.pop((n, connected), None)
+        searched.clear()
         census = lc_classes(order, connected_only=connected)
         assert sum(c.size for c in census.classes) == (853 if connected else 156)
+        assert len(searched) == searches
     assert relabelled == []
 
 
@@ -450,42 +445,34 @@ def test_n9_census_gate():
     assert peak_kib < 100 * 1024
 
 
-@pytest.mark.parametrize("g", [complete(6), star(6)], ids=["K6", "S6"])
-def test_moves_chunk_searches_one_image_per_orbit(monkeypatch, g):
-    import lcfoliage.canonical as canonical_mod
-    import lcfoliage.orbits as orbits_mod
-
-    _, rows, orbits, mark = census_entry(g)
-    searched = counted_searches(monkeypatch)
-    moves = list(orbits_mod._moves(g.n, rows, orbits, [mark], 0))
-    # K_n is one orbit; the star's leaves have degree one, so only its
-    # centre moves; either way the image is the other graph
-    assert len(searched) == 1
-    (other,) = {complete(6), star(6)} - {g}
-    ((key, _, _, _),) = moves
-    assert key == canonical_key(other)
-    assert canonical_key(Graph(g.n, canonical_mod._unpack(key))) == canonical_key(other)
-
-
 def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
+    # the census moves each type at the least vertex of each orbit of the
+    # automorphisms its search found, and marks perm[a] on the image
     import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
-    for n in range(2, 7):
+    for n in range(1, 7):
         for g in nonisomorphic_graphs(n, connected=True):
-            key, rows, orbits, mark = census_entry(g)
+            key, perm, auts = canonical_mod._search(n, g.rows)
+            rows = canonical_mod._unpack(key)
             canon = Graph(n, rows)
-            assert sorted(v for m in orbits for v in range(n) if m >> v & 1) == list(range(n))
-            for m in orbits:
+            orbits = orbits_mod._orbit_masks(n, perm, auts)
+            members = [[v for v in range(n) if m >> v & 1] for m in orbits]
+            assert sorted(v for vs in members for v in vs) == list(range(n))
+            reached = set()
+            for vs in members:
                 # every vertex of an orbit moves to the same type
-                assert len({canonical_key(local_complement(canon, v)) for v in range(n) if m >> v & 1}) == 1
-            moves = list(orbits_mod._moves(n, rows, orbits, [mark], 0))
+                assert len({canonical_key(local_complement(canon, v)) for v in vs}) == 1
+                a = vs[0]
+                if bin(rows[a]).count("1") < 2:
+                    continue
+                image, p, _ = canonical_mod._search(n, _lc_rows(rows, a))
+                reached.add(image)
+                target = Graph(n, canonical_mod._unpack(image))
+                assert canonical_key(target) == image
+                assert canonical_key(local_complement(target, p[a])) == key
             moved = {canonical_key(local_complement(canon, v)) for v in range(n)} - {key}
-            assert {k for k, *_ in moves} - {key} == moved
-            for k, back, _, _ in moves:
-                target = Graph(n, canonical_mod._unpack(k))
-                assert canonical_key(target) == k
-                assert canonical_key(local_complement(target, back)) == key
+            assert reached - {key} == moved
 
 
 # ---------------------------------------------------------------------------
