@@ -37,15 +37,15 @@ keeps the key of every type it meets itself.
 from __future__ import annotations
 
 from . import _NAMES
-from .graph import Graph, SizeGuardError, _find, _relabel_rows, iter_bits
+from .graph import Graph, SizeGuardError, _find, _relabel_rows, iter_bits, mask_of
 
 __all__ = _NAMES["canonical"]
 
 # the search takes about n + 10 frames, and Python's default recursion limit
-# is 1000 frames; this bound leaves the caller about 190 of them.  The empty
-# graph takes about 0.14 CPU s at n = 100 and 1.3 s at n = 200, K_n 0.15 s
-# and 1.5 s, on a shared 2-vCPU host, most of it feeding the twin swaps to
-# each level's union-find, which grows like n^3
+# is 1000 frames; this bound leaves the caller about 190 of them.  At the
+# bound the empty graph takes 1.2-1.6 CPU s and K_n 2.7-3.9 s (0.3-0.4 s and
+# 0.4-0.6 s at n = 400), on a shared 2-vCPU host: each node feeds its
+# union-find only the points that the automorphisms fixing its path move
 _MAX_ORDER = 800
 
 
@@ -120,7 +120,7 @@ def _search(
     # w: w would be in N(v) = N(u), so u in N[w] = N[v], so u in N(v) = N(u)
     by_degree: dict[int, int] = {}
     last: dict[int, int] = {}
-    auts: list[tuple[int, ...]] = []
+    auts: list[tuple[tuple[int, ...], int]] = []  # with the mask of its moved points
     for v, row in enumerate(rows):
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
@@ -129,7 +129,7 @@ def _search(
         if u is not None:
             swap = list(range(n))
             swap[u], swap[v] = v, u
-            auts.append(tuple(swap))
+            auts.append((tuple(swap), 1 << u | 1 << v))
         last[row] = last[closed] = v
     cells = [by_degree[d] for d in sorted(by_degree)]
     # every vertex has its degree's count against all vertices, so the
@@ -139,7 +139,7 @@ def _search(
     perm = [0] * n
     for lab, v in enumerate(inv):
         perm[v] = lab
-    return _pack(n, bits), tuple(perm), auts
+    return _pack(n, bits), tuple(perm), [a for a, _ in auts]
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], fresh: set[int]) -> list[int]:
@@ -200,15 +200,15 @@ def _descend(
     fresh: set[int],
     path: tuple[int, ...],
     best: tuple[int, list[int], tuple[int, ...]] | None,
-    auts: list[tuple[int, ...]],
+    auts: list[tuple[tuple[int, ...], int]],
 ) -> tuple[tuple[int, list[int], tuple[int, ...]], int]:
     """``(best, depth)``: the least leaf ``(bits, label -> vertex, path)`` of ``best`` and the subtree below ``cells``.
 
     ``cells`` are refined first, against ``fresh`` (see ``_refine``).  A
     leaf that ties with ``best`` gives an automorphism, appended to
-    ``auts``, and ``depth`` is then where its path parts from ``best``'s:
-    every node deeper than that returns at once.  Otherwise ``depth`` is
-    ``len(path)``.
+    ``auts`` with the mask of the points it moves, and ``depth`` is then
+    where its path parts from ``best``'s: every node deeper than that
+    returns at once.  Otherwise ``depth`` is ``len(path)``.
     """
     cells = _refine(rows, cells, fresh)
     for target, cell in enumerate(cells):
@@ -228,26 +228,30 @@ def _descend(
             # both leaves relabel to the same graph, so sending each vertex
             # to the vertex of the same label in ``best`` is an automorphism
             gamma = [0] * n
+            moved = 0
             for v, w in zip(inv, best[1]):
                 gamma[v] = w
-            gamma = tuple(gamma)
-            if gamma not in auts:
-                auts.append(gamma)
+                if v != w:
+                    moved |= 1 << v
+            found = (tuple(gamma), moved)
+            if found not in auts:
+                auts.append(found)
             # gamma maps this path onto best's, so the subtree below their
             # parting node maps onto one already explored
             return best, next(d for d, (a, b) in enumerate(zip(path, best[2])) if a != b)
         return best, len(path)
     # a path stabilizer maps the refined target cell onto itself, so unions
-    # inside the cell give its orbits; a sibling that shares a root with an
-    # explored one is skipped
+    # of its moved points inside the cell give the cell's orbits; a sibling
+    # that shares a root with an explored one is skipped
     up = list(range(len(rows)))
+    on_path = mask_of(path)
     explored: list[int] = []
     fed = 0  # auts read so far
     for v in iter_bits(cell):
         if explored:
-            for a in auts[fed:]:
-                if all(a[p] == p for p in path):
-                    for x in iter_bits(cell):
+            for a, moved in auts[fed:]:
+                if not moved & on_path:
+                    for x in iter_bits(cell & moved):
                         up[_find(up, x)] = _find(up, a[x])
             fed = len(auts)
             if any(_find(up, w) == _find(up, v) for w in explored):

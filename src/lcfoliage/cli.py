@@ -231,7 +231,7 @@ def _cmd_orbit(args: argparse.Namespace) -> str:
         lines = "".join(
             encode_graph6(h) + "\n" for h in rep.member_graphs()
         )
-        if args.members == "-":
+        if args.members in ("-", ""):  # as -o "", an empty path is stdout
             return lines + f"labeled={rep.labeled_size} classes={rep.class_size}\n"
         _write(args.members, lines)
     return f"labeled={rep.labeled_size} classes={rep.class_size}\n"
@@ -268,7 +268,7 @@ def _cmd_classes(args: argparse.Namespace) -> str:
         lines = "".join(
             encode_graph6(cls.representative) + "\n" for cls in census.classes
         )
-        if args.reps == "-":
+        if args.reps in ("-", ""):  # as -o "", an empty path is stdout
             return lines
         _write(args.reps, lines)
     return f"{census.count}\n"

@@ -53,25 +53,25 @@ _CLASS_GUARD = 8
 _AUT_ELEMENTS = 362880
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class OrbitReport:
     representative: Graph
     labeled_size: int
     class_size: int
-    members: tuple[tuple[int, ...], ...]  # adjacency rows, sorted
+    _packed: tuple[int, ...]  # the members in the format of _Packed, sorted
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:  # adjacency rows, sorted
+        return tuple(map(_Packed(self.representative.n).unpack, self._packed))
 
     def member_graphs(self) -> list[Graph]:
         return [Graph._wrap(self.representative.n, rows) for rows in self.members]
 
-
-class _Shared(dict):
-    """Maps each row value met to one int object holding it."""
-
-    __slots__ = ()
-
-    def __missing__(self, row: int) -> int:
-        self[row] = row
-        return row
+    def __repr__(self) -> str:  # unpacks the members afresh, as every read does
+        return (
+            f"OrbitReport(representative={self.representative!r}, labeled_size="
+            f"{self.labeled_size!r}, class_size={self.class_size!r}, members={self.members!r})"
+        )
 
 
 class _Packed(dict):
@@ -90,8 +90,8 @@ class _Packed(dict):
     This beats ``_lc_rows`` on an orbit of many small graphs, but a single
     move on a large graph pays far more to pack and unpack than ``_lc_rows``
     costs, so ``local_complement`` and the census moves keep the tuples.
-    ``unpack`` hands out one int object per row value, so that many
-    unpacked members share their rows.
+    ``unpack`` hands out one int object per row value, so that the members
+    one ``_Packed`` unpacks share their rows.
     """
 
     __slots__ = ("n", "full", "shifts", "_rows")
@@ -101,7 +101,7 @@ class _Packed(dict):
         self.n = n
         self.full = (1 << n) - 1
         self.shifts = tuple(n * (n - 1 - v) for v in range(n))
-        self._rows = _Shared()
+        self._rows: dict[int, int] = {}
 
     def __missing__(self, nb: int) -> int:
         spread = diag = 0
@@ -119,8 +119,9 @@ class _Packed(dict):
         return m
 
     def unpack(self, m: int) -> tuple[int, ...]:
-        full, shared = self.full, self._rows
-        return tuple([shared[m >> s & full] for s in self.shifts])
+        full = self.full
+        rows = [m >> s & full for s in self.shifts]
+        return tuple(map(self._rows.setdefault, rows, rows))
 
 
 # an orbit's BFS tree: (packed, index, members, parent, move)
@@ -169,17 +170,16 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     the LC class of ``g``, as orbits of its LC automorphisms on the orbit's
     BFS tree: one union-find pass over the tree (``_lc_group``) joins each
     member with its images as the generators are found and counts the
-    classes.  The tree holds each member packed into one int; the members
-    are sorted as ints, which is the order of their rows, and unpacked once
-    at the end.  Raises ``SizeGuardError`` for ``n`` above the guard unless
-    forced, and in any case once the orbit passes ``_ORBIT_MEMBERS`` members.
+    classes.  The report keeps the tree's packed members, sorted as ints,
+    which is the order of their rows.  Raises ``SizeGuardError`` for ``n``
+    above the guard unless forced, and in any case once the orbit passes
+    ``_ORBIT_MEMBERS`` members.
     """
     _guard("lc_orbit", g.n, _ORBIT_GUARD, force)
-    packed, index, members, _, _ = tree = _orbit_members(g)
+    _, _, members, _, _ = tree = _orbit_members(g)
     class_size = _lc_group(g, tree)[1]
-    index.clear()  # the unpacked rows below need the room
     members.sort()
-    return OrbitReport(g, len(members), class_size, tuple(map(packed.unpack, members)))
+    return OrbitReport(g, len(members), class_size, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
     """
     packed, index, members, parent, move = tree
     full = packed.full
-    up = list(range(len(members)))
+    up = array("I", range(len(members)))
 
     def join(sigma: tuple[int, ...]) -> None:
         shift_of = [packed.shifts[b] for b in sigma]  # where the row of sigma[a] sits

@@ -226,8 +226,12 @@ def test_search_automorphisms_generate_the_group_over_the_small_corpus():
         (100, "[(i, j) for i in range(100) for j in range(i)]", 0.8),
         (200, "[]", 4.5),
         (200, "[(i, j) for i in range(200) for j in range(i)]", 4.5),
+        (400, "[]", 1.5),
+        (400, "[(i, j) for i in range(400) for j in range(i)]", 1.5),
+        (800, "[]", 12),
+        (800, "[(i, j) for i in range(800) for j in range(i)]", 12),
     ],
-    ids=["empty", "K100", "empty200", "K200"],
+    ids=["empty", "K100", "empty200", "K200", "empty400", "K400", "empty800", "K800"],
 )
 def test_symmetric_search_cpu_time(n, edges, bound):
     # CPU medians on a shared 2-vCPU host, five fresh interpreters each:
@@ -236,7 +240,10 @@ def test_symmetric_search_cpu_time(n, edges, bound):
     # union-find per node fed only the new ones.  With the degree cells,
     # the twin swaps and refinement against fresh cells only, about 0.14 s
     # and 0.15 s, and 1.3 s and 1.5 s at n = 200, nearly all of it feeding
-    # the twin swaps to each level's union-find
+    # the twin swaps to each level's union-find: 11.6 s and 16.4 s at
+    # n = 400.  Feeding only the points each automorphism moves, about
+    # 0.03 s at n = 100, 0.07 s at n = 200, 0.4 s at n = 400 and 1.2-3.9 s
+    # at n = 800, where K_n pays most for its leaf's packed key
     setup = (
         "from lcfoliage.canonical import _search\n"
         f"from lcfoliage.graph import Graph\ng = Graph.from_edges({n}, {edges})\n"

@@ -234,6 +234,19 @@ def test_orbit_members_file(capsys, tmp_path):
     assert all(decode_graph6(s).n == 3 for s in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["orbit", "--g6", P4, "--members"], ["classes", "--n", "4", "--reps"]],
+    ids=["members", "reps"],
+)
+def test_an_empty_output_path_writes_to_stdout(capsys, argv):
+    # as with -o "", an empty --members or --reps path means stdout
+    dash = run(capsys, *argv, "-")
+    assert dash[0] == 0 and dash[1]
+    assert run(capsys, *argv, "") == dash
+    assert run(capsys, "-o", "", *argv, "") == dash
+
+
 def test_aut(capsys):
     rc, out, _ = run(capsys, "aut", "--g6", K5)
     assert rc == 0

@@ -196,6 +196,54 @@ def test_entropy_via_foliage_matches_direct_exhaustively():
                 assert entropy_via_foliage(h, mask) == entropy(h, mask)
 
 
+def scrambled_normal_form(n, rng):
+    """A seeded normal form of order ``n`` with a foliage part of two or more vertices."""
+    while True:
+        k = rng.randrange(2, n)
+        cuts = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
+        sizes = sorted(b - a for a, b in zip(cuts, cuts[1:]))
+        if sizes[-1] > 1 and not (k <= 4 and sizes[-2] == 1):
+            break
+    g = graph_for_partition(sizes)
+    for _ in range(2 * n):
+        g = local_complement(g, rng.randrange(n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = normal_form(Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    assert sorted(foliage_partition(g).sizes()) == sizes
+    return g
+
+
+def test_entropy_via_foliage_matches_direct_on_larger_parts():
+    rng = random.Random(1012)
+    for n in (10, 11, 12):
+        for _ in range(2):
+            g = scrambled_normal_form(n, rng)
+            for mask in range(1 << n):
+                assert entropy_via_foliage(g, mask) == entropy(g, mask), (g.rows, mask)
+
+
+def test_entropy_via_foliage_on_single_vertex_parts_ranks_the_rows_of_entropy(monkeypatch):
+    import lcfoliage.entanglement as entanglement_mod
+
+    ranked = []
+    real = entanglement_mod.rank_of_rows
+
+    def rank_of_rows(rows):
+        ranked.append(list(rows))
+        return real(ranked[-1])
+
+    monkeypatch.setattr(entanglement_mod, "rank_of_rows", rank_of_rows)
+    rng = random.Random(1013)
+    g = normal_form(random_graph(10, 0.5, rng))
+    while not foliage_partition(g).is_trivial:
+        g = normal_form(random_graph(10, 0.5, rng))
+    for mask in range(1 << 10):
+        ranked.clear()
+        assert entropy_via_foliage(g, mask) == entropy(g, mask)
+        assert ranked[0] == ranked[1], mask
+
+
 def test_marginal_anchors():
     assert not marginal_maximally_mixed(complete(5), 0, 1)
     assert marginal_maximally_mixed(K23, 0, 2)

@@ -139,7 +139,7 @@ def test_n12_orbit_peak_rss_gate():
     labeled, classes, peak_kib, digest = proc.stdout.split()
     assert (int(labeled), int(classes)) == (236604, 236604)
     assert digest == "c69311520929e32c83dae6583c74b3a575586b18eb475237f53aae0a5d19d52a"
-    assert int(peak_kib) < 96 * 1024
+    assert int(peak_kib) < 64 * 1024
 
 
 def test_orbit_member_budget(monkeypatch):
@@ -874,6 +874,29 @@ def test_orbit_reports_are_frozen():
         assert rep.representative == Graph(n, rows)
         assert (rep.labeled_size, rep.class_size) == (labeled_size, class_size), rows
         assert hashlib.sha256(repr(rep.members).encode()).hexdigest()[:16] == digest, rows
+
+
+def test_orbit_reports_unpack_members_only_when_they_are_read(monkeypatch):
+    unpacked = []
+    real = _Packed.unpack
+    monkeypatch.setattr(_Packed, "unpack", lambda self, m: unpacked.append(m) or real(self, m))
+    rng = random.Random(1109)
+    for g in [cycle(7), star(6)] + [random_graph(8, 0.5, rng) for _ in range(8)]:
+        orbit = oracle_orbit(g.n, g.rows)
+        bits = sum(map(int.bit_count, g.rows))
+        same_edges = sum(sum(map(int.bit_count, rows)) == bits for rows in orbit)
+        unpacked.clear()
+        rep = lc_orbit(g)
+        assert rep.labeled_size == len(orbit), g.rows
+        # only the class count's candidates: members with g's edge count but g
+        assert len(unpacked) < same_edges < rep.labeled_size, g.rows
+        unpacked.clear()
+        first = rep.members
+        assert len(unpacked) == rep.labeled_size, g.rows  # one unpack per member per read
+        assert rep.members == first == tuple(sorted(orbit)), g.rows
+        assert [h.rows for h in rep.member_graphs()] == list(first)
+        again = lc_orbit(g)
+        assert again == rep and hash(again) == hash(rep), g.rows
 
 
 def test_aut_reports_are_frozen():
