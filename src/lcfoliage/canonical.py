@@ -43,9 +43,9 @@ __all__ = _NAMES["canonical"]
 
 # the search takes about n + 10 frames, and Python's default recursion limit
 # is 1000 frames; this bound leaves the caller about 190 of them.  At the
-# bound the empty graph takes 1.2-1.6 CPU s and K_n 2.7-3.9 s (0.3-0.4 s and
-# 0.4-0.6 s at n = 400), on a shared 2-vCPU host: each node feeds its
-# union-find only the points that the automorphisms fixing its path move
+# bound the empty graph and K_n each take 1.2-1.8 CPU s (0.3-0.5 s at n = 400)
+# on a shared 2-vCPU host: a node's union-find is fed only moved points, and
+# a leaf's key grows one row segment at a time
 _MAX_ORDER = 800
 
 
@@ -218,10 +218,14 @@ def _descend(
         inv = [c.bit_length() - 1 for c in cells]  # canonical label -> vertex
         n = len(inv)
         bits = 0
-        for i, v in enumerate(inv):
+        later = inv[:]  # the vertices of the labels after the row's
+        for v in inv[:-1]:
+            del later[0]
             row = rows[v]
-            for w in inv[i + 1 :]:
-                bits = bits << 1 | row >> w & 1
+            seg = 0
+            for w in later:
+                seg = seg << 1 | row >> w & 1
+            bits = bits << len(later) | seg  # one row segment at a time
         if best is None or bits < best[0]:
             return (bits, inv, path), len(path)
         if bits == best[0]:

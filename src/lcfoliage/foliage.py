@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import compress
 
 from . import _NAMES
-from .graph import Graph, WeightedGraph, _support_rows, iter_bits, local_complement, mask_of
+from .graph import Graph, WeightedGraph, _is_sparse, _support_rows, iter_bits, local_complement, mask_of
 
 __all__ = _NAMES["foliage"]
 
@@ -388,16 +388,23 @@ _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 def _quotient_edges(quotient: Graph, left: str, right: str) -> str:
     """Edges ``i < j`` in order as ``left + "i,j" + right``, comma separated.
 
-    Each row above its diagonal is written in binary, lowest bit first, and
-    selects the labels of its far ends with ``compress``, so no Python code
-    runs per edge.
+    Each row above its diagonal is written in binary up to its last
+    neighbour, lowest bit first, and selects the labels of its far ends
+    with ``compress``, so no Python code runs per edge.  That costs a row
+    its span, which chords make long, so a sparse quotient (``_is_sparse``)
+    lists each row's far ends one by one instead.
     """
     labels = [f"{j}{right}" for j in range(quotient.n)]
+    sparse = _is_sparse(quotient.n, sum(row.bit_count() for row in quotient.rows))
     chunks = []
     for i, row in enumerate(quotient.rows):
         upper = row >> (i + 1)
         if upper:
-            ends = compress(labels[i + 1 :], format(upper, "b")[::-1].encode().translate(_SELECTORS))
+            if sparse:
+                ends = [labels[i + 1 + j] for j in iter_bits(upper)]
+            else:
+                selector = format(upper, "b")[::-1].encode().translate(_SELECTORS)
+                ends = compress(labels[i + 1 : i + 1 + upper.bit_length()], selector)
             chunks.append(f"{left}{i}," + f",{left}{i},".join(ends))
     return ",".join(chunks)
 

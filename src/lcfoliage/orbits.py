@@ -5,28 +5,27 @@ every vertex.  Collapsing the orbit by graph isomorphism gives the LC class.
 The orbit BFS and the LC-automorphism pass over its tree hold each member
 packed into one int, in the format ``_Packed`` defines and complements.
 
-A class census closes a set of seed isomorphism types under single
-complementation moves, breadth first over canonical keys, and joins every
-type to its move images in a union-find; the classes are its components.
+``_lc_group`` is the one route from a labelled orbit to its types.  It
+finds generators of the permutations that keep a graph inside its orbit
+and joins every member with its images; the orbits of that group on the
+members are the types of the class.  ``lc_orbit``,
+``lc_automorphism_group`` and the class census share it.
+
 The census of order ``n`` is seeded from the classes of order ``n - 1``
 (the Danielsen-Parker scheme): complementing at a vertex other than ``v``
 commutes with deleting ``v``, so every class contains a representative of
 an ``n - 1`` class with one new vertex ``v`` joined to a set of its
 vertices.  Over all graphs any ``v`` will do and the set may be empty.
 Over connected graphs ``v`` is a non-cut vertex, whose deletion leaves a
-connected graph, and the set is nonempty.  The closure visits every type
-of order ``n`` (every connected one for the connected census), so it is
-also the one enumeration of isomorphism types.
-
-Each type is kept as its canonical key, which packs its canonical rows
-(``canonical._unpack`` reads them back), with the orbits of the
-automorphisms its canonical search found and a mark on every vertex whose
-move is known to lead to a type already joined to it.  A type moves only
-at the least vertex of each orbit without a mark: an automorphism carries
-one move onto an isomorphic image, and the move at ``a`` that reaches a
-type from type ``i`` is undone by the move at the canonical label of ``a``,
-which leads back to ``i``.  So each edge of the graph of types is crossed
-about once instead of from both ends and once per vertex.
+connected graph, and the set is nonempty.  An automorphism of the
+representative carries one set onto another with an isomorphic seed, so
+one set per orbit of those automorphisms is joined.  Each seed is
+canonically searched.  A seed whose key is new starts a class: its
+labelled orbit is enumerated, ``_lc_group`` splits it into types, and one
+member of each type is searched unless ``_lc_group`` searched one on the
+way.  Every key of the class is then known, so no later seed of it goes
+further than its own search.  The census is also the one enumeration of
+isomorphism types of order ``n`` (connected ones for the connected census).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from math import factorial
 
 from . import _NAMES, canonical
 from .foliage import FoliagePartition, foliage_partition, saturation
-from .graph import Graph, SizeGuardError, _find, _guard, _lc_rows, _relabel_rows, iter_bits
+from .graph import Graph, SizeGuardError, _find, _guard, _relabel_rows, iter_bits
 
 __all__ = _NAMES["orbits"]
 
@@ -89,7 +88,7 @@ class _Packed(dict):
 
     This beats ``_lc_rows`` on an orbit of many small graphs, but a single
     move on a large graph pays far more to pack and unpack than ``_lc_rows``
-    costs, so ``local_complement`` and the census moves keep the tuples.
+    costs, so ``local_complement`` keeps the tuples.
     ``unpack`` hands out one int object per row value, so that the members
     one ``_Packed`` unpacks share their rows.
     """
@@ -169,15 +168,15 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     ``class_size`` counts isomorphism types inside the orbit, the size of
     the LC class of ``g``, as orbits of its LC automorphisms on the orbit's
     BFS tree: one union-find pass over the tree (``_lc_group``) joins each
-    member with its images as the generators are found and counts the
-    classes.  The report keeps the tree's packed members, sorted as ints,
+    member with its images as the generators are found, and its groups are
+    the types.  The report keeps the tree's packed members, sorted as ints,
     which is the order of their rows.  Raises ``SizeGuardError`` for ``n``
     above the guard unless forced, and in any case once the orbit passes
     ``_ORBIT_MEMBERS`` members.
     """
     _guard("lc_orbit", g.n, _ORBIT_GUARD, force)
     _, _, members, _, _ = tree = _orbit_members(g)
-    class_size = _lc_group(g, tree)[1]
+    class_size = len(_lc_group(g, tree, canonical._search(g.n, g.rows))[1])
     members.sort()
     return OrbitReport(g, len(members), class_size, tuple(members))
 
@@ -202,44 +201,47 @@ class ClassCensus:
         return len(self.classes)
 
 
-# a census with the canonical keys of the types its closure visited
-_Closure = tuple[ClassCensus, list[bytes]]
+# a census with the canonical keys of its types
+_Closure = tuple[ClassCensus, set[bytes]]
 
 _CENSUS_CACHE: dict[tuple[int, bool], _Closure] = {}
 
 
-def _orbit_masks(
-    n: int, perm: tuple[int, ...], auts: list[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Orbits of the group that ``auts`` generate, as masks of canonical labels.
+def _seed_masks(k: int, auts: list[tuple[int, ...]], low: int) -> list[int]:
+    """The least mask from ``low`` up of each orbit of ``auts`` on the vertex sets of ``k`` vertices.
 
-    ``auts`` are automorphisms of a graph whose canonical labelling is ``perm``.
+    ``auts`` are automorphisms of a ``k``-vertex graph, so joining a new
+    vertex to a set or to its image under them gives isomorphic graphs.
     """
-    up = list(range(n))
+    up = list(range(1 << k))
     for a in auts:
-        for x, y in enumerate(a):
-            up[_find(up, x)] = _find(up, y)
-    masks: dict[int, int] = {}  # by root, in order of each orbit's least vertex
-    for v in range(n):
-        root = _find(up, v)
-        masks[root] = masks.get(root, 0) | 1 << perm[v]
-    return tuple(masks.values())
+        image = [0]  # of each mask, from the mask without its lowest bit
+        for m in range(1, 1 << k):
+            bit = m & -m
+            image.append(image[m ^ bit] | 1 << a[bit.bit_length() - 1])
+            up[_find(up, m)] = _find(up, image[m])
+    least: dict[int, int] = {}
+    for m in range(low, 1 << k):
+        least.setdefault(_find(up, m), m)
+    return list(least.values())
 
 
 def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> ClassCensus:
     """Partition the isomorphism types of order ``n`` into LC classes.
 
-    The seeds are every one-vertex extension of the representatives of the
-    census of order ``n - 1``: the new vertex is joined to every nonempty
-    neighbourhood for the connected census, and to every neighbourhood,
-    the empty one included, for the census over all graphs.  One FIFO
-    pass over the types closes the seeds under single complementation
-    moves, joining each type to its images; every class then holds all of
-    its types.  A type is moved once per orbit of its automorphisms, and not
-    at a vertex whose move leads back to a type it is already joined to.
-    A class is represented by its canonical graph of least key and sized by
-    its type count; classes are ordered by that key.  Censuses are cached
-    per process.  Raises ``ValueError`` for ``n`` below 1.
+    The seeds are the one-vertex extensions of the representatives of the
+    census of order ``n - 1``, one per orbit of each representative's
+    automorphisms on the sets the new vertex joins: nonempty sets for the
+    connected census, and every set, the empty one included, for the
+    census over all graphs.  A seed of a class not yet met has its labelled
+    orbit enumerated and split into types by its LC automorphisms (see
+    ``_lc_group``).  The cost is one canonical search per kept seed and
+    about one per type, and one orbit BFS and one union-find pass over its
+    members per class: 14,251 searches for the 11,117 connected types of
+    orders 1 to 8.  A class is represented by its canonical graph of least
+    key and sized by its type count; classes are ordered by that key.
+    Censuses are cached per process, each census of order ``n`` with those
+    of every lower order.  Raises ``ValueError`` for ``n`` below 1.
     """
     _guard("lc_classes", n, _CLASS_GUARD, force)
     return _census(n, connected_only)[0]
@@ -248,10 +250,11 @@ def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> Clas
 def nonisomorphic_graphs(n: int, connected: bool = False) -> list[Graph]:
     """All isomorphism types of order ``n``, canonical, sorted by key.
 
-    These are the types that the class census of order ``n`` visits (see
-    ``lc_classes``), read from the same per-process cache.  A cached census
-    of any order is read; computing one above the census guard raises
-    ``SizeGuardError``: the type count grows like 2^(n(n-1)/2) / n!.
+    These are the types that the class census of order ``n`` keys (see
+    ``lc_classes``), read from the same per-process cache, so a cold call
+    costs that census: about one canonical search per type.  A cached
+    census of any order is read; computing one above the census guard
+    raises ``SizeGuardError``: the type count grows like 2^(n(n-1)/2) / n!.
     """
     if n > _CLASS_GUARD and (n, connected) not in _CENSUS_CACHE:
         raise SizeGuardError(
@@ -274,54 +277,28 @@ def _census(n: int, connected_only: bool) -> _Closure:
         smaller = _census(n - 1, connected_only)[0]
         reps = [cls.representative.rows for cls in smaller.classes]
         low = 1 if connected_only else 0
-    search, unpack = canonical._search, canonical._unpack
-    keys: list[bytes] = []
-    orbits_of: list[tuple[int, ...] | None] = []  # dropped once moved
-    marks = array("I")
-    index: dict[bytes, int] = {}
-    parent = array("I")
-
-    def add(key: bytes, perm: tuple[int, ...], auts) -> int:
-        j = index[key] = len(keys)
-        keys.append(key)
-        orbits_of.append(_orbit_masks(n, perm, auts))
-        marks.append(0)
-        parent.append(j)
-        return j
-
-    for rows in reps:  # the new vertex n - 1 joins every mask from low up
-        for mask in range(low, 1 << (n - 1)):
-            ext = tuple(
-                rows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
-            ) + (mask,)
-            key, perm, auts = search(n, ext)
-            if key not in index:
-                add(key, perm, auts)
-    for i, key in enumerate(keys):  # the list grows while it is read
-        rows = unpack(key)
-        for orbit in orbits_of[i]:
-            if orbit & marks[i]:  # read afresh: a move back to i itself marks it
-                continue
-            a = (orbit & -orbit).bit_length() - 1
-            if rows[a] & (rows[a] - 1) == 0:
-                continue  # degree 0 or 1: complementation is the identity
-            image, perm, auts = search(n, _lc_rows(rows, a))
-            j = index.get(image)
-            if j is None:
-                j = add(image, perm, auts)
-            marks[j] |= 1 << perm[a]  # the move at perm[a] leads back to i
-            parent[_find(parent, i)] = _find(parent, j)
-        orbits_of[i] = None
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(keys)):
-        groups.setdefault(_find(parent, i), []).append(i)
-    leads = sorted(
-        (min(keys[i] for i in members), len(members)) for members in groups.values()
-    )
-    classes = tuple(LCClass(Graph._wrap(n, unpack(key)), size) for key, size in leads)
+    search = canonical._search
+    known: set[bytes] = set()
+    leads = []
+    for rows in reps:  # the new vertex n - 1 joins one set per orbit from low up
+        for mask in _seed_masks(n - 1, search(n - 1, rows)[2], low):
+            ext = tuple(rows[v] | (mask >> v & 1) << (n - 1) for v in range(n - 1)) + (mask,)
+            found = search(n, ext)
+            if found[0] in known:
+                continue  # its class holds a type already met, so all of them
+            g = Graph._wrap(n, ext)
+            packed, _, members, _, _ = tree = _orbit_members(g)
+            _, roots, keyed = _lc_group(g, tree, found)
+            class_keys = [
+                keyed[h] if h in keyed else search(n, packed.unpack(members[h]))[0]
+                for h in roots
+            ]
+            known.update(class_keys)
+            leads.append((min(class_keys), len(class_keys)))
+    leads.sort()
+    classes = tuple(LCClass(Graph._wrap(n, canonical._unpack(key)), size) for key, size in leads)
     closure = _CENSUS_CACHE[(n, connected_only)] = (
-        ClassCensus(n, connected_only, classes), keys
+        ClassCensus(n, connected_only, classes), known
     )
     return closure
 
@@ -375,27 +352,31 @@ def _greedy_generators(
     return gens, known
 
 
-def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
-    """``(gens, class_size)``: the LC automorphisms of ``g`` and their orbits on the orbit's members.
+def _lc_group(
+    g: Graph, tree: _Tree, found: tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]
+) -> tuple[list[tuple[int, ...]], array, dict[int, bytes]]:
+    """``(gens, roots, keyed)``: the LC automorphisms of ``g`` and their orbits on the orbit's members.
 
-    ``tree`` is the orbit's, from ``_orbit_members``.  ``gens`` generate the
+    ``tree`` is the orbit's, from ``_orbit_members``, and ``found`` is
+    ``canonical._search(g.n, g.rows)``.  ``gens`` generate the
     permutations ``sigma`` with ``_relabel_rows(g.rows, sigma)`` in the
     orbit, a group that maps two members onto each other exactly when they
     are isomorphic: the automorphisms of ``g`` that its canonical search
-    finds and one isomorphism onto each member of ``g``'s type
+    found and one isomorphism onto each member of ``g``'s type
     (``g``'s canonical labelling, then the inverse of the member's) that the
-    generators so far do not reach.
+    generators so far do not reach.  So each group, an orbit of ``gens`` on
+    the members, is one isomorphism type of the LC class.  ``roots`` holds
+    one member number per group, and ``keyed`` maps those of the groups
+    whose type a search on the way gave to its canonical key.
 
     Relabelling commutes with local complementation: sigma.LC_a(h) =
     LC_sigma(a)(sigma.h).  So ``join`` relabels and packs only the root,
     once per generator; each later member ``h`` maps to the complementation
     of its parent's image at ``sigma[move[h]]``, one packed complementation
     and one lookup of the image's number.  Members join their images in a
-    union-find over member numbers, so the root's class is the orbit of
-    ``g`` under the generators so far, and ``class_size`` is the number of
-    classes.  The members are read in BFS order, and one with ``g``'s edge
-    count outside the root's class is unpacked; only those with ``g``'s
-    sorted degrees are searched.
+    union-find over member numbers.  The members are read in BFS order, and
+    one with ``g``'s edge count in a group whose type no search has given
+    yet is unpacked; only those with ``g``'s sorted degrees are searched.
     """
     packed, index, members, parent, move = tree
     full = packed.full
@@ -408,15 +389,17 @@ def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
             m = members[image[p]]
             image.append(index[m ^ packed[m >> shift_of[a] & full]])
         for h, j in enumerate(image):
-            up[_find(up, h)] = _find(up, j)
+            if up[h] != up[j]:  # a shared parent is a shared root
+                up[_find(up, h)] = _find(up, j)
 
-    key, perm, gens = canonical._search(g.n, g.rows)
+    key, perm, gens = found
     for sigma in gens:
         join(sigma)
+    keyed = {_find(up, 0): key}  # the key of each searched group, by its root
     degrees = sorted(map(int.bit_count, g.rows))
     bits = sum(degrees)  # each edge sets two bits of a packed member
     for h, m in enumerate(members):
-        if m.bit_count() != bits or _find(up, h) == _find(up, 0):
+        if m.bit_count() != bits or _find(up, h) in keyed:
             continue
         rows = packed.unpack(m)
         if sorted(map(int.bit_count, rows)) != degrees:
@@ -426,7 +409,10 @@ def _lc_group(g: Graph, tree: _Tree) -> tuple[list[tuple[int, ...]], int]:
             inv = sorted(range(g.n), key=member_perm.__getitem__)  # label -> vertex
             gens.append(tuple(inv[lab] for lab in perm))
             join(gens[-1])
-    return gens, sum(h == root for h, root in enumerate(up))
+            keyed = {_find(up, root): k for root, k in keyed.items()}
+        else:
+            keyed[_find(up, h)] = member_key
+    return gens, array("I", (h for h, root in enumerate(up) if h == root)), keyed
 
 
 def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
@@ -452,7 +438,8 @@ def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
     _guard("lc_automorphism_group", lower, _AUT_ELEMENTS, unit="group order")  # Aut_in is a subgroup
     tree = _orbit_members(g)
     labeled_size = len(tree[2])
-    lc_gens, class_size = _lc_group(g, tree)
+    lc_gens, roots, _ = _lc_group(g, tree, canonical._search(g.n, g.rows))
+    class_size = len(roots)
     auts = sorted(_greedy_generators(lc_gens, g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
     return AutReport(

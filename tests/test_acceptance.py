@@ -29,6 +29,8 @@ from lcfoliage.foliage import (
     lifted_local_complement,
     normal_form,
     reconstruct_graph,
+    representation_json,
+    representation_text,
 )
 from lcfoliage.graph import (
     Graph,
@@ -305,3 +307,32 @@ def test_criterion_11_sparse_performance():
         "sparse partition+representation under 1 s at n=20000, slope < 1.5",
         body,
     )
+
+
+def test_criterion_11_representation_writers_scale():
+    # the writers list the quotient's edges row by row; each row's labels
+    # are cut at its last neighbour, so a long sparse row costs its span
+    def body():
+        sizes = (2500, 5000, 10000, 20000)
+        families = {
+            "path": {n: [(v, v + 1) for v in range(n - 1)] for n in sizes},
+            "cycle+chords": {n: _cycle_with_chords(n, seed=n) for n in sizes},
+        }
+        reps = {
+            (name, n): foliage_representation(Graph.from_edges(n, edges))
+            for name, graphs in families.items()
+            for n, edges in graphs.items()
+        }
+        best = dict.fromkeys(((*k, w) for k in reps for w in ("text", "json")), math.inf)
+        for _ in range(5):
+            for (name, n), rep in reps.items():
+                for writer, write in (("text", representation_text), ("json", representation_json)):
+                    start = time.perf_counter()
+                    write(rep)
+                    best[name, n, writer] = min(best[name, n, writer], time.perf_counter() - start)
+        for name in families:
+            for writer in ("text", "json"):
+                timings = {n: max(best[name, n, writer], 1e-4) for n in sizes}
+                assert _loglog_slope(timings) < 1.5, (name, writer, timings)
+
+    _check("11", "representation text and JSON writers scale with slope < 1.5 on sparse graphs", body)

@@ -356,12 +356,14 @@ def test_cold_n8_census_work_gate(monkeypatch):
     census = lc_classes(8)
     assert census.count == 101
     # every move of every type canonicalised 66933 images; one move per
-    # automorphism orbit and none back across a joined edge need 40440
-    assert len(searched) == 40440
+    # automorphism orbit and none back across a joined edge needed 40440.
+    # Splitting each new class's labelled orbit into types by its LC
+    # automorphisms, one search per kept seed and about one per type, 14251
+    assert len(searched) == 14251
     # search tree nodes: 142059 when each search started from one cell and
     # found twin swaps only at tied leaves; the degree cells and the twin
-    # swaps known up front leave 93165
-    assert len(nodes) == 93165
+    # swaps known up front left 93165 over the move closure's searches
+    assert len(nodes) == 36953
 
 
 @pytest.mark.slow
@@ -375,19 +377,21 @@ def test_cold_n8_all_graph_census_gate(monkeypatch):
     searched = counted_searches(monkeypatch)
     census = lc_classes(8, connected_only=False)
     # seeding with every type from vertex augmentation, then closing,
-    # made 193868 searches; seeding from the order-7 classes needs 48753
-    assert len(searched) == 48753
+    # made 193868 searches; seeding from the order-7 classes and closing
+    # under moves 48753; one labelled orbit per class 17886
+    assert len(searched) == 17886
     # the Euler transform of the connected counts 1, 1, 1, 2, 4, 11, 26, 101
     assert census.count == 182
     assert sum(c.size for c in census.classes) == 12346  # A000088
     assert len(nonisomorphic_graphs(8, connected=True)) == A001349[7]
 
 
-def test_cold_census_relabels_no_type(monkeypatch):
+def test_cold_census_relabels_once_per_generator_of_each_class_orbit(monkeypatch):
     import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
-    # a type is its key: its canonical rows are unpacked, never relabelled
+    # a type is its key: its canonical rows are unpacked, never relabelled;
+    # only the root of each class's labelled orbit is, once per generator
     relabelled = []
     for module in (orbits_mod, canonical_mod):
         real = module._relabel_rows
@@ -396,16 +400,28 @@ def test_cold_census_relabels_no_type(monkeypatch):
             "_relabel_rows",
             lambda rows, perm, real=real: relabelled.append(perm) or real(rows, perm),
         )
+    generators = []
+    real_group = orbits_mod._lc_group
+
+    def lc_group(g, tree, found):
+        out = real_group(g, tree, found)
+        generators.extend(out[0])
+        return out
+
+    monkeypatch.setattr(orbits_mod, "_lc_group", lc_group)
     searched = counted_searches(monkeypatch)
-    # one search per seed extension and one per moved orbit, over all orders
-    for order, connected, searches in ((7, True, 3019), (6, False, 731)):
+    # over all orders: one search per kept seed, and one per type that the
+    # class's LC group did not search on the way.  Closing the seeds under
+    # moves, one search per moved automorphism orbit, made 3019 and 731
+    for order, connected, searches in ((7, True, 1430), (6, False, 464)):
         for n in range(1, order + 1):
             orbits_mod._CENSUS_CACHE.pop((n, connected), None)
         searched.clear()
         census = lc_classes(order, connected_only=connected)
         assert sum(c.size for c in census.classes) == (853 if connected else 156)
         assert len(searched) == searches
-    assert relabelled == []
+    assert generators
+    assert relabelled == generators
 
 
 @pytest.mark.slow
@@ -416,7 +432,9 @@ def test_n9_census_gate():
     # peak RSS is VmHWM, which starts afresh at exec; ru_maxrss in a child
     # keeps the peak of the process that started it, the test runner's
     code = (
+        "import contextlib, hashlib, io\n"
         "import lcfoliage.canonical as canonical\n"
+        "from lcfoliage.cli import main\n"
         "from lcfoliage.orbits import lc_classes\n"
         "searches = [0]\n"
         "real = canonical._search\n"
@@ -424,10 +442,14 @@ def test_n9_census_gate():
         "    searches[0] += 1\n"
         "    return real(n, rows)\n"
         "canonical._search = search\n"
-        "census = lc_classes(9, force=True)\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(['classes', '--n', '9', '--force', '--reps', '-']) == 0\n"
+        "census = lc_classes(9, force=True)\n"  # the cached census
         "with open('/proc/self/status') as fh:\n"
         "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
-        "print(census.count, sum(c.size for c in census.classes), searches[0], peak)\n"
+        "reps = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "print(census.count, sum(c.size for c in census.classes), searches[0], peak, reps)\n"
     )
     src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -435,44 +457,35 @@ def test_n9_census_gate():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    count, types, searches, peak_kib = map(int, proc.stdout.split())
-    assert count == 440
-    assert types == 261080  # connected graphs on 9 vertices, OEIS A001349
-    # canonical searches of the cold census, orders 1 to 9: one per seed
-    # and one per moved automorphism orbit, so a search that misses
-    # automorphisms splits orbits and adds searches here
-    assert searches == 1085644
-    assert peak_kib < 100 * 1024
+    count, types, searches, peak_kib, reps = proc.stdout.split()
+    assert int(count) == 440
+    assert int(types) == 261080  # connected graphs on 9 vertices, OEIS A001349
+    # canonical searches of the cold census, orders 1 to 9: one per kept
+    # seed and one per type its class's LC group did not search, so a
+    # search that misses automorphisms splits orbits and adds searches here.
+    # Closing the seeds under one move per automorphism orbit made 1085644
+    assert int(searches) == 290158
+    assert int(peak_kib) < 100 * 1024
+    # sha256 of `classes --n 9 --force --reps -`, frozen from the move closure
+    assert reps == "2c890990739b7e5f5ef211b3c2e1e06cd0df489fbeadb72634ce80ee1a9c5b5c"
 
 
-def test_moves_go_one_per_orbit_and_back_vertices_lead_back():
-    # the census moves each type at the least vertex of each orbit of the
-    # automorphisms its search found, and marks perm[a] on the image
+def test_seed_masks_keep_one_set_per_orbit_of_the_brute_force_group():
     import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
-    for n in range(1, 7):
-        for g in nonisomorphic_graphs(n, connected=True):
-            key, perm, auts = canonical_mod._search(n, g.rows)
-            rows = canonical_mod._unpack(key)
-            canon = Graph(n, rows)
-            orbits = orbits_mod._orbit_masks(n, perm, auts)
-            members = [[v for v in range(n) if m >> v & 1] for m in orbits]
-            assert sorted(v for vs in members for v in vs) == list(range(n))
-            reached = set()
-            for vs in members:
-                # every vertex of an orbit moves to the same type
-                assert len({canonical_key(local_complement(canon, v)) for v in vs}) == 1
-                a = vs[0]
-                if bin(rows[a]).count("1") < 2:
-                    continue
-                image, p, _ = canonical_mod._search(n, _lc_rows(rows, a))
-                reached.add(image)
-                target = Graph(n, canonical_mod._unpack(image))
-                assert canonical_key(target) == image
-                assert canonical_key(local_complement(target, p[a])) == key
-            moved = {canonical_key(local_complement(canon, v)) for v in range(n)} - {key}
-            assert reached - {key} == moved
+    # the seeds of order n <= 6 join a new vertex to sets of k = n - 1 vertices
+    for k in range(6):
+        for g in nonisomorphic_graphs(k) if k else [Graph(0, [])]:
+            auts = [p for p in permutations(range(k)) if oracle_relabel(k, g.rows, p) == g.rows]
+            orbits = {
+                frozenset(sum(1 << p[v] for v in range(k) if m >> v & 1) for p in auts)
+                for m in range(1 << k)
+            }
+            for low in (0, 1):
+                kept = orbits_mod._seed_masks(k, canonical_mod._search(k, g.rows)[2], low)
+                want = sorted(min(o) for o in orbits if max(o) >= low)
+                assert kept == want, (k, g.rows, low)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +649,6 @@ def oracle_group(n, gens):
 
 
 def test_orbit_matches_the_oracle_group():
-    import lcfoliage.orbits as orbits_mod
-
     rng = random.Random(622)
     for _ in range(60):
         n = rng.randrange(1, 8)
@@ -654,11 +665,6 @@ def test_orbit_matches_the_oracle_group():
         for v in range(n):
             orbit = {w for w in range(n) if _find(up, w) == _find(up, v)}
             assert orbit == {sigma[v] for sigma in group}, (n, gens)
-        # the census's move orbits: masks of labels, by least vertex
-        labels = tuple(reversed(range(n)))
-        orbits = sorted({frozenset(sigma[v] for sigma in group) for v in range(n)}, key=min)
-        want = tuple(sum(1 << labels[v] for v in orbit) for orbit in orbits)
-        assert orbits_mod._orbit_masks(n, labels, gens) == want, (n, gens)
 
 
 def oracle_automorphisms(g):
@@ -802,6 +808,7 @@ def test_orbit_members_is_a_bfs_tree_of_the_oracle_orbit():
 
 
 def test_orbit_count_relabels_once_per_generator(monkeypatch):
+    import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
 
     relabelled = []
@@ -816,7 +823,8 @@ def test_orbit_count_relabels_once_per_generator(monkeypatch):
     for g in graphs:
         tree = orbits_mod._orbit_members(g)
         relabelled.clear()
-        gens, count = orbits_mod._lc_group(g, tree)
+        gens, roots, _ = orbits_mod._lc_group(g, tree, canonical_mod._search(g.n, g.rows))
+        count = len(roots)
         assert gens, g.rows  # every one of these graphs has a nontrivial group
         # only the root is relabelled, once per generator, for sigma . g
         assert len(relabelled) == len(gens), g.rows
