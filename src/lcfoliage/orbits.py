@@ -201,8 +201,9 @@ class ClassCensus:
         return len(self.classes)
 
 
-# a census with the canonical keys of its types
-_Closure = tuple[ClassCensus, set[bytes]]
+# a census, the canonical keys of its types, and per class the size and
+# LC-automorphism generators of the labelled orbit it was split from
+_Closure = tuple[ClassCensus, set[bytes], tuple[tuple[int, list[tuple[int, ...]]], ...]]
 
 _CENSUS_CACHE: dict[tuple[int, bool], _Closure] = {}
 
@@ -237,11 +238,14 @@ def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> Clas
     orbit enumerated and split into types by its LC automorphisms (see
     ``_lc_group``).  The cost is one canonical search per kept seed and
     about one per type, and one orbit BFS and one union-find pass over its
-    members per class: 14,251 searches for the 11,117 connected types of
+    members per class: 14,251 searches for the 12,113 connected types of
     orders 1 to 8.  A class is represented by its canonical graph of least
     key and sized by its type count; classes are ordered by that key.
     Censuses are cached per process, each census of order ``n`` with those
-    of every lower order.  Raises ``ValueError`` for ``n`` below 1.
+    of every lower order, and with the keys of its types and, per class,
+    the size and LC-automorphism generators of the labelled orbit it was
+    split from, which ``symmetry_table`` reads.  Raises ``ValueError`` for
+    ``n`` below 1.
     """
     _guard("lc_classes", n, _CLASS_GUARD, force)
     return _census(n, connected_only)[0]
@@ -261,7 +265,7 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> list[Graph]:
             f"nonisomorphic_graphs is limited to n <= {_CLASS_GUARD} until "
             f"lc_classes({n}, connected_only={connected}, force=True) has run"
         )
-    _, keys = _census(n, connected)
+    keys = _census(n, connected)[1]
     return [Graph._wrap(n, canonical._unpack(key)) for key in sorted(keys)]
 
 
@@ -288,17 +292,17 @@ def _census(n: int, connected_only: bool) -> _Closure:
                 continue  # its class holds a type already met, so all of them
             g = Graph._wrap(n, ext)
             packed, _, members, _, _ = tree = _orbit_members(g)
-            _, roots, keyed = _lc_group(g, tree, found)
+            gens, roots, keyed = _lc_group(g, tree, found)
             class_keys = [
                 keyed[h] if h in keyed else search(n, packed.unpack(members[h]))[0]
                 for h in roots
             ]
             known.update(class_keys)
-            leads.append((min(class_keys), len(class_keys)))
-    leads.sort()
-    classes = tuple(LCClass(Graph._wrap(n, canonical._unpack(key)), size) for key, size in leads)
+            leads.append((min(class_keys), len(class_keys), len(members), gens))
+    leads.sort()  # the keys differ, so the generators are never compared
+    classes = tuple(LCClass(Graph._wrap(n, canonical._unpack(lead[0])), lead[1]) for lead in leads)
     closure = _CENSUS_CACHE[(n, connected_only)] = (
-        ClassCensus(n, connected_only, classes), known
+        ClassCensus(n, connected_only, classes), known, tuple(lead[2:] for lead in leads)
     )
     return closure
 
@@ -527,31 +531,26 @@ def saturation_stats(n: int, force: bool = False) -> SaturationStatsRow:
 def symmetry_table(n: int, connected_only: bool = True, force: bool = False) -> list[tuple]:
     """Per-class symmetry rows: partition shape, aut orders, orbit sizes.
 
-    Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C, I,
-    each read from ``lc_automorphism_group`` of the class representative;
-    the class size C is counted on its orbit, not copied from the census.
+    Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C,
+    I = aut_order * C / L, each an invariant of the LC class, read from the
+    census (see ``lc_classes``) with no orbit enumerated and no search.  L
+    and the LC-automorphism generators are those of the labelled orbit the
+    census split the class from, a relabelling of the representative's
+    orbit, so L and the group order are the representative's; aut_order
+    lists that group once, under ``lc_automorphism_group``'s budget.  C is
+    the class's type count, and the partition, aut_in and aut_out_upper
+    come from ``aut_bounds`` of the representative's foliage partition.
     """
-    census = lc_classes(n, connected_only=connected_only, force=force)
+    _guard("lc_classes", n, _CLASS_GUARD, force)
+    census, _, groups = _census(n, connected_only)
     rows = []
-    for cid, cls in enumerate(census.classes, start=1):
-        rep = cls.representative
-        report = lc_automorphism_group(rep, force=force)
-        shape = "+".join(
-            str(s) for s in sorted(foliage_partition(rep).sizes())
-        )
-        rows.append(
-            (
-                cid,
-                n,
-                shape,
-                report.aut_in_order,
-                report.aut_out_upper_order,
-                report.order,
-                report.labeled_size,
-                report.class_size,
-                _fmt2(report.interplay),
-            )
-        )
+    for cid, (cls, (labeled_size, gens)) in enumerate(zip(census.classes, groups), start=1):
+        part = foliage_partition(cls.representative)
+        lower, upper = aut_bounds(part)
+        order = len(_greedy_generators(gens, n)[1])
+        shape = "+".join(str(s) for s in sorted(part.sizes()))
+        interplay = _fmt2(Fraction(order * cls.size, labeled_size))
+        rows.append((cid, n, shape, lower, upper // lower, order, labeled_size, cls.size, interplay))
     return rows
 
 

@@ -11,6 +11,7 @@ import lcfoliage
 from conftest import cpu_s_and_peak_rss_mb_under_1_gib, random_graph
 from lcfoliage.canonical import _search, _unpack, canonical_form, canonical_graph, canonical_key
 from lcfoliage.graph import Graph, _find
+from lcfoliage.graph6 import decode_graph6
 from lcfoliage.orbits import lc_automorphism_group, nonisomorphic_graphs
 
 
@@ -170,6 +171,83 @@ def test_search_labellings_are_frozen_over_a_seeded_corpus():
     # that refined every signature in full and knew no twin swaps
     assert corpus_digest(lambda g, key, perm, auts: (key, perm)) == (
         "179b7087ffa85f376f5f4545017f2b42e820c22ded72a50bdc4d3076298730e1"
+    )
+
+
+# every type whose search tree has leaves of two or more distinct keys,
+# in graph6 as the cold censuses first searched it: those met by the
+# connected census of orders 1 to 8, and the two the census of all graphs
+# of order 7 adds.  On the seeded corpus every search meets one key only,
+# so only these see which leaf the search keeps
+DISTINCT_LEAF_CORPUS = [
+    "F]w}g", "GQLTE?", "G?LT]W", "G?LTUW", "G_KgeC", "G_Gguo", "G`G]F{",
+    "GYUHKc", "GyGW[c", "GR`TQW", "GKguYg", "GKhVKo", "GRdTQW", "GqmRZg",
+    "GrSu\\W", "G[urQk", "GlMamO", "GFJRVO", "G]v`~{", "G^zP}[",
+    "F`G]?", "F^rHw",
+]
+
+
+def full_tree_leaves(g):
+    """Every leaf of the search tree, in search order, as ``(bits, label -> vertex)``.
+
+    No automorphism pruning and no backjump.  Refinement splits the first
+    cell whose vertices differ in their neighbour counts against every
+    current cell, into pieces ordered by those counts, until no cell splits;
+    the leftmost non-singleton cell is individualised vertex by vertex.
+    """
+    n = g.n
+    adj = [[g.rows[v] >> w & 1 for w in range(n)] for v in range(n)]
+
+    def refine(cells):
+        while True:
+            for idx, cell in enumerate(cells):
+                sig = {v: tuple(sum(adj[v][w] for w in c) for c in cells) for v in cell}
+                if len(set(sig.values())) > 1:
+                    pieces = [[v for v in cell if sig[v] == s] for s in sorted(set(sig.values()))]
+                    cells = cells[:idx] + pieces + cells[idx + 1 :]
+                    break
+            else:
+                return cells
+
+    def leaves(cells):
+        cells = refine(cells)
+        target = next((t for t, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            inv = [cell[0] for cell in cells]
+            bits = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    bits = bits << 1 | adj[inv[i]][inv[j]]
+            yield bits, inv
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            yield from leaves(cells[:target] + [[v], rest] + cells[target + 1 :])
+
+    return list(leaves([list(range(n))]))
+
+
+@pytest.mark.parametrize("g6", DISTINCT_LEAF_CORPUS)
+def test_search_keeps_the_first_least_leaf_of_the_full_tree(g6):
+    g = decode_graph6(g6)
+    leaves = full_tree_leaves(g)
+    assert len({bits for bits, _ in leaves}) > 1
+    bits, inv = min(leaves, key=lambda leaf: leaf[0])  # the first of the least
+    perm = [0] * g.n
+    for lab, v in enumerate(inv):
+        perm[v] = lab
+    key = g.n.to_bytes(4, "big") + bits.to_bytes((g.n * (g.n - 1) // 2 + 7) // 8, "big")
+    assert _search(g.n, g.rows)[:2] == (key, tuple(perm))
+
+
+def test_search_labellings_are_frozen_over_the_distinct_leaf_corpus():
+    digest = hashlib.sha256()
+    for g6 in DISTINCT_LEAF_CORPUS:
+        g = decode_graph6(g6)
+        digest.update(repr(_search(g.n, g.rows)[:2]).encode())
+    assert digest.hexdigest() == (
+        "c66ee3dbcc63a4faadb7f34ce71432151b3ffdca8d8642c3378b42311d9b095c"
     )
 
 

@@ -273,6 +273,26 @@ def test_classes_csv(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--n", "7"), "f92efd7dc0375c2bd56b55d3d6e7567cac2e29449c4704f92d24c4744c0282c9"),
+        (("--n", "7", "--all"), "09f6608dc1cc3ad9134e1dea693b045fa573b6fd05407a7b49495ad298098a9b"),
+        pytest.param(
+            ("--n", "8"),
+            "c74e43650cebef44fe31855abf321ac391e0b784ad6e013ca82af7d43af0648c",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_classes_csv_is_frozen(capsys, argv, digest):
+    # sha256 of the symmetry tables as they were when each row was read
+    # from lc_automorphism_group of the class representative
+    rc, out, _ = run(capsys, "classes", *argv, "--csv")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classes_reps(capsys, tmp_path):
     target = tmp_path / "reps.g6"
     rc, out, _ = run(capsys, "classes", "--n", "4", "--reps", str(target))

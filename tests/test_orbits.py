@@ -998,11 +998,19 @@ def test_symmetry_table_shape():
         assert isinstance(row[8], str) and len(row[8].split(".")[1]) == 2
 
 
-def test_symmetry_table_counts_class_sizes_that_match_the_census():
+@pytest.mark.parametrize(
+    "n, connected",
+    [pytest.param(n, True, id=f"connected-{n}") for n in range(1, 8)]
+    + [pytest.param(n, False, id=f"all-{n}") for n in range(1, 7)]
+    + [pytest.param(8, True, id="connected-8", marks=pytest.mark.slow)],
+)
+def test_symmetry_table_counts_class_sizes_that_match_the_census(n, connected):
     import lcfoliage.orbits as orbits_mod
 
+    # each row again from the representative's own labelled orbit and LC
+    # group, where the table reads the orbit the census grew the class from
     expected = []
-    for cid, cls in enumerate(lc_classes(6).classes, start=1):
+    for cid, cls in enumerate(lc_classes(n, connected_only=connected).classes, start=1):
         rep = cls.representative
         report = lc_automorphism_group(rep)
         assert report.class_size == cls.size
@@ -1010,7 +1018,7 @@ def test_symmetry_table_counts_class_sizes_that_match_the_census():
         expected.append(
             (
                 cid,
-                6,
+                n,
                 shape,
                 report.aut_in_order,
                 report.aut_out_upper_order,
@@ -1020,7 +1028,21 @@ def test_symmetry_table_counts_class_sizes_that_match_the_census():
                 orbits_mod._fmt2(report.interplay),
             )
         )
-    assert symmetry_table(6) == expected
+    assert symmetry_table(n, connected_only=connected) == expected
+
+
+@pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
+def test_symmetry_table_of_a_cached_census_enumerates_no_orbit_and_searches_nothing(monkeypatch, n):
+    import lcfoliage.orbits as orbits_mod
+
+    lc_classes(n)
+    enumerated = []
+    real = orbits_mod._orbit_members
+    monkeypatch.setattr(orbits_mod, "_orbit_members", lambda g: enumerated.append(g) or real(g))
+    searched = counted_searches(monkeypatch)
+    rows = symmetry_table(n)
+    assert len(rows) == lc_classes(n).count
+    assert (enumerated, searched) == ([], [])
 
 
 # ---------------------------------------------------------------------------
