@@ -3,9 +3,10 @@
 Graphs come in as graph6 (or the weighted text format), results go out as
 plain deterministic text; tabular reports offer ``--csv``.  Exit status is 0
 on success; 1, silently, when the reader closes stdout (``| head``); 2 on a
-usage error, bad input, or an unwritable output path or stdout; and 3 when a
-size limit trips or the computation runs out of memory.  ``construct`` exits
-2 before it builds anything when the part sizes sum above graph6's limit.
+usage error, bad input, or an unwritable output path or stdout; 3 when a
+size limit trips or the computation runs out of memory; and 130, with one
+``error: interrupted`` line, on SIGINT (Ctrl-C).  ``construct`` exits 2
+before it builds anything when the part sizes sum above graph6's limit.
 
 Limits that ``--force`` lifts:
 
@@ -413,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -19,7 +19,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import or_, sub, xor
 
 from . import _NAMES
@@ -220,16 +220,62 @@ class UniformityReport:
 def uniformity(g: Graph, force: bool = False) -> UniformityReport:
     """Largest k such that every k-subset is maximally entangled.
 
-    Checks subset sizes in increasing order and stops at the first failure;
-    entropy can only be maximal for larger sets if it is for smaller ones.
+    A subset has entropy below its size exactly when it holds the support
+    x | Gamma(x) of a stabilizer other than the identity, X on x and Z on
+    the XOR Gamma(x) of the rows in x (Scott, PRA 69, 052330, 2004).  So
+    k_max is min(n // 2, d - 1) for the least support weight d, and the
+    witness, the first failing subset by size and then in ``combinations``
+    order, is the lex-least support of weight d.  The x are read by size,
+    each one XOR from its prefix, until the size passes the least weight
+    found: one XOR per x of at most d vertices, and no rank.
     """
     _guard("uniformity", g.n, _UNIFORMITY_GUARD, force)
-    for k in range(1, g.n // 2 + 1):
-        for combo in combinations(range(g.n), k):
-            mask = mask_of(combo)
-            if entropy(g, mask) != k:
-                return UniformityReport(g.n, k - 1, mask)
-    return UniformityReport(g.n, g.n // 2, None)
+    half = g.n // 2
+    weight, best = half, 0  # while best is 0, any support of weight <= n // 2 wins
+    size = 1
+    while size <= weight:
+        weight, best = _least_support(g.rows, size, weight, best)
+        size += 1
+    if best:
+        return UniformityReport(g.n, weight - 1, best)
+    return UniformityReport(g.n, half, None)
+
+
+def _least_support(
+    rows: tuple[int, ...], size: int, weight: int, best: int
+) -> tuple[int, int]:
+    """``(weight, best)`` after the x of ``size`` vertices: the least of ``best`` and their supports.
+
+    While ``best`` is 0, any support of at most ``weight`` vertices is less.
+    Supports are ordered by weight, then as sorted vertex tuples: for masks
+    of equal weight, ``s`` comes first exactly when the lowest bit in which
+    ``s`` and ``best`` differ is in ``s``.  The x are read in lex order, by a
+    depth-first walk over their first ``size - 1`` vertices.
+    """
+    n = len(rows)
+    # (vertices left before the last, x so far, the XOR of its rows, least next vertex)
+    stack = [(size - 1, 0, 0, 0)]
+    while stack:
+        left, x, gamma, low = stack.pop()
+        if left:
+            for v in range(n - 1 - left, low - 1, -1):  # popped in increasing order
+                stack.append((left - 1, x | 1 << v, gamma ^ rows[v], v + 1))
+            continue
+        for v in range(low, n):
+            xv = x | 1 << v
+            support = xv | gamma ^ rows[v]
+            if size == weight:  # only x itself, before best, can still win
+                if best and not (diff := xv ^ best) & -diff & xv:
+                    return weight, best
+                if support == xv:
+                    return weight, xv
+            elif (w := support.bit_count()) < weight or (
+                w == weight and (diff := support ^ best) & -diff & support
+            ):
+                weight, best = w, support
+                if w == size:  # support is x, and every later x comes after it
+                    return weight, best
+    return weight, best
 
 
 def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: bool = False) -> int:

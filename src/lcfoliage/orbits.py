@@ -134,7 +134,12 @@ def _orbit_members(g: Graph) -> _Tree:
     packed by ``packed``, so its local complementation is one big-int
     expression.  ``members[0]`` packs ``g.rows`` and each later member ``h``
     is the complementation of ``members[parent[h]]`` at ``move[h]``, with
-    ``parent[h] < h``; ``index`` numbers the members.  Raises
+    ``parent[h] < h``; ``index`` numbers the members.  Complementing twice
+    at a vertex is the identity, so each edge of the orbit is examined from
+    one end only: when member ``i`` reaches a member ``j`` at ``a``, then
+    ``j > i``, and bit ``a`` of ``j``'s mask of known moves spares ``j`` the
+    move back.  The masks take two bytes per member up to 16 vertices, a
+    machine word up to 64, and one int each above.  Raises
     ``SizeGuardError`` once the orbit passes ``_ORBIT_MEMBERS`` members.
     """
     packed = _Packed(g.n)
@@ -143,22 +148,30 @@ def _orbit_members(g: Graph) -> _Tree:
     index = {root: 0}
     members = [root]
     parent, move = array("I", [0]), array("I", [0])
+    # n bits per member; two bytes rather than eight cut about 2 MiB off the
+    # n = 12 gate's peak, and a word cannot hold n > 64
+    known = array("H" if g.n <= 16 else "Q", [0]) if g.n <= 64 else [0]
+    moves = [(1 << a, a, shift) for a, shift in enumerate(packed.shifts)]
     for i, m in enumerate(members):  # the list grows while it is read
-        back = move[i] if i else -1  # complementing twice at a vertex is the identity
-        for a, shift in enumerate(packed.shifts):
+        done = known[i]
+        for bit, a, shift in moves:
+            if done & bit:
+                continue  # leads back to a member that reached this one at a
             nb = m >> shift & full
-            if nb & (nb - 1) == 0 or a == back:
-                continue  # degree 0 or 1, or back to the parent
+            if nb & (nb - 1) == 0:
+                continue  # degree 0 or 1: the move changes nothing
             image = m ^ packed[nb]
-            if image not in index:
-                index[image] = len(members)
-                members.append(image)
-                parent.append(i)
-                move.append(a)
-                if len(members) > _ORBIT_MEMBERS:
-                    raise SizeGuardError(
-                        f"lc_orbit passed {_ORBIT_MEMBERS} labelled members"
-                    )
+            j = index.get(image)
+            if j is not None:
+                known[j] |= bit
+                continue
+            index[image] = len(members)
+            members.append(image)
+            parent.append(i)
+            move.append(a)
+            known.append(bit)
+            if len(members) > _ORBIT_MEMBERS:
+                raise SizeGuardError(f"lc_orbit passed {_ORBIT_MEMBERS} labelled members")
     return packed, index, members, parent, move
 
 

@@ -4,8 +4,10 @@ import io
 import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,36 @@ def test_weighted_modulus_from_2_to_the_64_exits_2():
     proc = run_child(["foliage", "--weighted", "-"], f"d {(1 << 64) + 13} n 2\n", timeout=10)
     assert proc.returncode == 2
     assert proc.stderr == "error: modulus 18446744073709551629 is not below 2**64\n"
+
+
+def cpu_s_of(pid):
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")  # utime + stime
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the child's CPU time is read from Linux's /proc")
+def test_interrupt_ends_as_one_line_with_exit_130():
+    # the n = 9 census runs for about 20 CPU s; the child is interrupted once
+    # it has spent half a second, well past its imports
+    with subprocess.Popen(
+        [sys.executable, "-m", "lcfoliage", "classes", "--n", "9", "--force"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+        # a shell that starts the tests in the background ignores SIGINT for them
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and cpu_s_of(proc.pid) < 0.5 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # nothing, once the child has exited
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_lc(capsys):

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -126,11 +127,31 @@ def test_schmidt_vector_at_the_lane_width_boundary(n):
         assert [vec[mask] for mask in masks] == [entropy(g, mask) for mask in masks]
 
 
-@pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 40])
-def test_entropy_vector_rejects_masks_outside_the_vertex_range(mask):
-    vec = schmidt_vector(Graph.from_edges(3, [(0, 1), (1, 2)]))
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+SUBSET_READERS = {
+    "schmidt_vector": lambda mask: schmidt_vector(P3)[mask],
+    "entropy_via_foliage": lambda mask: entropy_via_foliage(complete(3), mask),  # K3 is in normal form
+    "statevector_entropy_oracle": lambda mask: statevector_entropy_oracle(P3, mask),
+}
+OUTSIDE_MASKS = (-1, -8, 8, 1 << 40)
+
+
+@pytest.mark.parametrize(
+    "reader, mask",
+    [(reader, mask) for reader in SUBSET_READERS for mask in OUTSIDE_MASKS],
+    # the EntropyVector cases keep the ids they had before the other readers joined
+    ids=[
+        str(mask) if reader == "schmidt_vector" else f"{reader}-{mask}"
+        for reader in SUBSET_READERS
+        for mask in OUTSIDE_MASKS
+    ],
+)
+def test_entropy_vector_rejects_masks_outside_the_vertex_range(reader, mask, monkeypatch):
+    # the oracle checks the subset before it imports numpy, so the check
+    # holds without numpy too
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match="subset has bits outside the vertex range"):
-        vec[mask]
+        SUBSET_READERS[reader](mask)
 
 
 SCHMIDT_PEAK_RSS = """
@@ -280,6 +301,48 @@ def test_uniformity_anchors():
     assert entropy(K23, rep.witness) < rep.witness.bit_count()
     assert uniformity(Graph.from_edges(3, [(0, 1)])).k_max == 0
     assert uniformity(Graph.from_edges(1, [])).k_max == 0
+
+
+def uniformity_by_cut_ranks(g):
+    """``(k_max, witness)``: the first k-subset, by size then ``combinations``, of entropy below k."""
+    for k in range(1, g.n // 2 + 1):
+        for combo in combinations(range(g.n), k):
+            mask = sum(1 << v for v in combo)
+            if entropy(g, mask) != k:
+                return k - 1, mask
+    return g.n // 2, None
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[v], perm[w]) for v in range(g.n) for w in range(v) if g.rows[v] >> w & 1]
+    return Graph.from_edges(g.n, edges)
+
+
+def uniformity_cases():
+    rng = random.Random(4207)
+    yield Graph.from_edges(0, [])
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            yield relabelled(g, rng)
+    for n in range(8, 17):
+        for p in (0.15, 0.5, 0.85):
+            yield random_graph(n, p, rng)
+        # two random blocks with no edge between them, relabelled
+        k = rng.randrange(1, n)
+        low, high = random_graph(k, 0.5, rng), random_graph(n - k, 0.5, rng)
+        yield relabelled(Graph(n, low.rows + tuple(row << k for row in high.rows)), rng)
+    for n in range(1, 13):
+        yield complete(n)
+        yield Graph.from_edges(n, [])
+
+
+def test_uniformity_matches_the_first_failing_cut():
+    for g in uniformity_cases():
+        rep = uniformity(g)
+        assert (rep.n, rep.k_max, rep.witness) == (g.n, *uniformity_by_cut_ranks(g)), g.rows
+    assert uniformity(cycle(5)).witness is None  # C5, among the cases, has none
 
 
 def test_uniformity_guard_and_force():

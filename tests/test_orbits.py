@@ -807,6 +807,53 @@ def test_orbit_members_is_a_bfs_tree_of_the_oracle_orbit():
             assert _lc_rows(rows[parent[h]], move[h]) == rows[h], (g.rows, h)
 
 
+def plain_bfs_tree(n, rows):
+    """``(members, parent, move)``: the BFS of the orbit with every move of every member tried."""
+    members, parent, move = [tuple(rows)], [0], [0]
+    index = {members[0]: 0}
+    for i, cur in enumerate(members):
+        for a in range(n):
+            nb = cur[a]
+            if nb & (nb - 1) == 0:
+                continue  # degree 0 or 1
+            out = list(cur)
+            for v in range(n):
+                if nb >> v & 1:
+                    out[v] ^= nb & ~(1 << v)
+            image = tuple(out)
+            if image not in index:
+                index[image] = len(members)
+                members.append(image)
+                parent.append(i)
+                move.append(a)
+    return members, parent, move
+
+
+def plain_bfs_cases():
+    for n in range(1, 7):
+        yield from nonisomorphic_graphs(n)
+    rng = random.Random(4208)
+    for n, densities in ((7, (0.15, 0.3, 0.5, 0.7)), (8, (0.3, 0.5, 0.7)), (9, (0.3, 0.5))):
+        for p in densities:
+            yield random_graph(n, p, rng)
+
+
+def test_orbit_members_is_the_plain_bfs_tree():
+    import lcfoliage.orbits as orbits_mod
+
+    for g in plain_bfs_cases():
+        packed, _, members, parent, move = orbits_mod._orbit_members(g)
+        assert ([packed.unpack(m) for m in members], list(parent), list(move)) == plain_bfs_tree(
+            g.n, g.rows
+        ), g.rows
+
+
+def test_forced_orbit_of_a_star_above_64_vertices():
+    # the masks of known moves no longer fit a machine word
+    report = lc_orbit(star(70), force=True)
+    assert (report.labeled_size, report.class_size) == (71, 2)
+
+
 def test_orbit_count_relabels_once_per_generator(monkeypatch):
     import lcfoliage.canonical as canonical_mod
     import lcfoliage.orbits as orbits_mod
