@@ -11,14 +11,16 @@ before it builds anything when the part sizes sum above graph6's limit.
 Limits that ``--force`` lifts:
 
 - ``orbit``: n <= 16;
-- ``classes``, ``stats`` and ``aut``: n <= 8;
-- ``schmidt``: n <= 24;
-- ``uniformity``: n <= 20.
+- ``aut``: n <= 8.
 
-Limits that it does not lift:
+Limits that it does not lift, each checked before the work it bounds:
 
 - 2^20 orbit members;
 - an ``aut`` group order <= 9!;
+- for ``classes`` and ``stats``, 2^20 isomorphism types of orders 1 to n
+  (OEIS A001349 and A000088), which admits n <= 9;
+- ``schmidt``: 2^26 lane bytes, n <= 24;
+- ``uniformity``: 2^20 vertex sets read, which every n <= 20 fits;
 - weighted text n <= 8192;
 - the canonical search behind ``orbit`` and ``aut``: n <= 800;
 - ``bound --n`` <= 240000.
@@ -210,14 +212,14 @@ def _cmd_schmidt(args: argparse.Namespace) -> str:
     from .entanglement import schmidt_vector
 
     g = _load_graph(args)
-    return schmidt_vector(g, force=args.force).to_csv()
+    return schmidt_vector(g).to_csv()
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> str:
     from .entanglement import uniformity
 
     g = _load_graph(args)
-    rep = uniformity(g, force=args.force)
+    rep = uniformity(g)
     witness = "none" if rep.witness is None else _set_str(rep.witness)
     return f"k_max={rep.k_max} witness={witness}\n"
 
@@ -257,12 +259,12 @@ def _cmd_classes(args: argparse.Namespace) -> str:
 
     connected = not args.all
     if args.csv:
-        rows = symmetry_table(args.n, connected_only=connected, force=args.force)
+        rows = symmetry_table(args.n, connected_only=connected)
         lines = [_CSV_HEADER]
         for row in rows:
             lines.append(",".join(str(x) for x in row))
         return "\n".join(lines) + "\n"
-    census = lc_classes(args.n, connected_only=connected, force=args.force)
+    census = lc_classes(args.n, connected_only=connected)
     if args.reps is not None:
         from .graph6 import encode_graph6
 
@@ -278,7 +280,7 @@ def _cmd_classes(args: argparse.Namespace) -> str:
 def _cmd_stats(args: argparse.Namespace) -> str:
     from .orbits import saturation_stats
 
-    row = saturation_stats(args.n, force=args.force)
+    row = saturation_stats(args.n)
     t, s, r, f = row.two_decimals()
     if args.csv:
         return f"{t},{s},{r},{f}\n"
@@ -353,12 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schmidt", help="entropies of all bipartitions (CSV)")
     _add_graph_input(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_schmidt)
 
     p = sub.add_parser("uniformity", help="largest k with all k-subsets maximal")
     _add_graph_input(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_uniformity)
 
     p = sub.add_parser("orbit", help="labelled LC orbit and class size")
@@ -378,13 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--csv", action="store_true", help="per-class symmetry table")
     grp.add_argument("--reps", help="write class representatives as graph6 to this path")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("stats", help="average saturation statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("bound", help="partition-count lower bound on classes")

@@ -29,13 +29,15 @@ from .graph import Graph, WeightedGraph, _guard, connected_components, iter_bits
 
 __all__ = _NAMES["entanglement"]
 
-_SCHMIDT_GUARD = 24
+# bytes of lanes schmidt_vector may allocate, 4 * 2^24: n <= 24
+_SCHMIDT_LANE_BYTES = 1 << 26
 # Vertices whose subset-sum step runs inside one int of 2^14 lanes.  Whole
 # ints are added for the rest, so no temporary is larger than one chunk:
 # G(24, 1/2) peaks at 175 MB RSS this way and at 316 MB with a single int.
 _ZETA_CHUNK = 14
-_UNIFORMITY_GUARD = 20
-_STATEVECTOR_GUARD = 1 << 20
+# vertex sets uniformity may read: every graph with n <= 20 fits
+_UNIFORMITY_SETS = 1 << 20
+_STATEVECTOR_AMPLITUDES = 1 << 20
 
 
 def entropy(g: Graph, subset: int) -> int:
@@ -70,7 +72,7 @@ class EntropyVector:
         return "\n".join(lines) + "\n"
 
 
-def schmidt_vector(g: Graph, force: bool = False) -> EntropyVector:
+def schmidt_vector(g: Graph) -> EntropyVector:
     """Entropies for all 2^n bipartitions.
 
     The stabilizer with X on x and Z on the XOR of the rows in x has support
@@ -82,12 +84,14 @@ def schmidt_vector(g: Graph, force: bool = False) -> EntropyVector:
     The lanes go into ints of 2^14 lanes each; inside one, a vertex is one
     mask, shift and add, and a vertex above those adds whole ints.
     A random G(20, 1/2) takes about 0.5 CPU s and 27 MB peak RSS, and
-    G(24, 1/2) about 9 s and 175 MB (2 shared vCPUs, Python 3.11).
+    G(24, 1/2) about 9 s and 175 MB (2 shared vCPUs, Python 3.11).  Raises
+    ``SizeGuardError`` before any array is built when the lanes would pass
+    ``_SCHMIDT_LANE_BYTES``, that is for ``n`` above 24.
     """
     n = g.n
-    _guard("schmidt_vector", n, _SCHMIDT_GUARD, force)
     size = 1 << n
     code, lane_bits = ("H", 16) if n < 16 else ("I", 32)
+    _guard("schmidt_vector", size * lane_bits // 8, _SCHMIDT_LANE_BYTES, unit="lane bytes")
     gamma = array(code, [0])  # gamma[x] is the XOR of the rows in x
     for row in g.rows:
         gamma.extend(array(code, map(xor, gamma, repeat(row))))
@@ -217,7 +221,7 @@ class UniformityReport:
     witness: int | None  # smallest failing subset, as a bitmask
 
 
-def uniformity(g: Graph, force: bool = False) -> UniformityReport:
+def uniformity(g: Graph) -> UniformityReport:
     """Largest k such that every k-subset is maximally entangled.
 
     A subset has entropy below its size exactly when it holds the support
@@ -227,14 +231,16 @@ def uniformity(g: Graph, force: bool = False) -> UniformityReport:
     witness, the first failing subset by size and then in ``combinations``
     order, is the lex-least support of weight d.  The x are read by size,
     each one XOR from its prefix, until the size passes the least weight
-    found: one XOR per x of at most d vertices, and no rank.
+    found: one XOR per x of at most d vertices, and no rank.  Raises
+    ``SizeGuardError`` once the x read would pass ``_UNIFORMITY_SETS``,
+    checked before each run of at most n of them; every graph with n <= 20
+    fits, since it reads at most 616,665.
     """
-    _guard("uniformity", g.n, _UNIFORMITY_GUARD, force)
     half = g.n // 2
     weight, best = half, 0  # while best is 0, any support of weight <= n // 2 wins
-    size = 1
+    size, reads = 1, 0
     while size <= weight:
-        weight, best = _least_support(g.rows, size, weight, best)
+        weight, best, reads = _least_support(g.rows, size, weight, best, reads)
         size += 1
     if best:
         return UniformityReport(g.n, weight - 1, best)
@@ -242,15 +248,16 @@ def uniformity(g: Graph, force: bool = False) -> UniformityReport:
 
 
 def _least_support(
-    rows: tuple[int, ...], size: int, weight: int, best: int
-) -> tuple[int, int]:
-    """``(weight, best)`` after the x of ``size`` vertices: the least of ``best`` and their supports.
+    rows: tuple[int, ...], size: int, weight: int, best: int, reads: int
+) -> tuple[int, int, int]:
+    """``(weight, best, reads)`` after the x of ``size`` vertices: the least of ``best`` and their supports.
 
     While ``best`` is 0, any support of at most ``weight`` vertices is less.
     Supports are ordered by weight, then as sorted vertex tuples: for masks
     of equal weight, ``s`` comes first exactly when the lowest bit in which
     ``s`` and ``best`` differ is in ``s``.  The x are read in lex order, by a
-    depth-first walk over their first ``size - 1`` vertices.
+    depth-first walk over their first ``size - 1`` vertices.  ``reads``
+    counts the x read so far, each inner loop's before it runs.
     """
     n = len(rows)
     # (vertices left before the last, x so far, the XOR of its rows, least next vertex)
@@ -261,41 +268,37 @@ def _least_support(
             for v in range(n - 1 - left, low - 1, -1):  # popped in increasing order
                 stack.append((left - 1, x | 1 << v, gamma ^ rows[v], v + 1))
             continue
+        reads += n - low
+        _guard("uniformity", reads, _UNIFORMITY_SETS, unit="vertex sets read")
         for v in range(low, n):
             xv = x | 1 << v
             support = xv | gamma ^ rows[v]
             if size == weight:  # only x itself, before best, can still win
                 if best and not (diff := xv ^ best) & -diff & xv:
-                    return weight, best
+                    return weight, best, reads
                 if support == xv:
-                    return weight, xv
+                    return weight, xv, reads
             elif (w := support.bit_count()) < weight or (
                 w == weight and (diff := support ^ best) & -diff & support
             ):
                 weight, best = w, support
                 if w == size:  # support is x, and every later x comes after it
-                    return weight, best
-    return weight, best
+                    return weight, best, reads
+    return weight, best, reads
 
 
-def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: bool = False) -> int:
+def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int) -> int:
     """Entropy via explicit amplitudes and a singular value decomposition.
 
-    Builds the full d^n statevector, so only small systems are allowed.
-    The answer must come out as log_d of an exact power of d; anything else
-    means a bug somewhere and raises.  Needs numpy (the ``oracle`` extra);
-    without it the call raises ``ImportError``.
+    Builds the full d^n statevector, so only small systems are allowed:
+    ``SizeGuardError`` is raised before any table is built when d^n passes
+    ``_STATEVECTOR_AMPLITUDES``.  The answer must come out as log_d of an
+    exact power of d; anything else means a bug somewhere and raises.  Needs
+    numpy (the ``oracle`` extra); without it the call raises ``ImportError``.
     """
-    if isinstance(g, WeightedGraph):
-        d = g.d
-        weights = g.weights
-    else:
-        d = 2
-        weights = [
-            [(g.rows[v] >> w) & 1 for w in range(g.n)] for v in range(g.n)
-        ]
     n = g.n
-    _guard("statevector oracle", d**n, _STATEVECTOR_GUARD, force, unit="d^n")
+    d = g.d if isinstance(g, WeightedGraph) else 2
+    _guard("statevector oracle", d**n, _STATEVECTOR_AMPLITUDES, unit="d^n")
     full = (1 << n) - 1
     if subset & ~full:
         raise ValueError("subset has bits outside the vertex range")
@@ -307,6 +310,10 @@ def statevector_entropy_oracle(g: Graph | WeightedGraph, subset: int, force: boo
             "pip install 'lcfoliage[oracle]'"
         ) from None
 
+    if isinstance(g, WeightedGraph):
+        weights = g.weights
+    else:
+        weights = [[(g.rows[v] >> w) & 1 for w in range(n)] for v in range(n)]
     size = d**n
     idx = np.arange(size)
     digits = [(idx // d ** (n - 1 - v)) % d for v in range(n)]

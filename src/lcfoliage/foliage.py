@@ -320,9 +320,7 @@ def lifted_local_complement(rep: FoliageRepresentation, a: int) -> FoliageRepres
     local complementation at the touched part.
     """
     part = rep.partition
-    if not (0 <= a < part.n):
-        raise ValueError(f"vertex {a} out of range")
-    i = part.part_of(a)
+    i = part.part_of(a)  # raises ValueError for a vertex out of range
     t = rep.types[i]
     axil_set = set(rep.axils)
     if t is PartType.AL and a not in axil_set:

@@ -151,15 +151,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls._wrap(n, tuple(rows))
 
-    def neighbors(self, v: int) -> int:
-        return self.rows[v]
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -294,14 +285,6 @@ class WeightedGraph:
     def weights(self) -> tuple[tuple[int, ...], ...]:
         """Dense weight matrix, 0 for no edge; O(n^2) on each access, for oracles and tests."""
         return tuple(tuple(row.get(w, 0) for w in range(self.n)) for row in self._nbrs)
-
-    def weight(self, u: int, v: int) -> int:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise IndexError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
-        return self._nbrs[u].get(v, 0)
-
-    def degree(self, v: int) -> int:
-        return self.supports[v].bit_count()
 
     def edges(self) -> list[tuple[int, int, int]]:
         return [

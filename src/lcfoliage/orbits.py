@@ -47,6 +47,16 @@ _ORBIT_GUARD = 16
 # labelled members an orbit BFS may hold; force does not lift this budget
 _ORBIT_MEMBERS = 1 << 20
 _CLASS_GUARD = 8
+# isomorphism types of each order from 0 up: connected graphs (OEIS A001349)
+# and all graphs (A000088)
+_TYPES = {
+    True: (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571),
+    False: (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168),
+}
+# types of orders 1 to n that a census may key: orders 1 to 9 hold 273,193
+# connected types and 288,266 in all, and a whole table passes it, so every
+# n >= 10 does too
+_CENSUS_TYPES = 1 << 20
 # LC automorphisms a report may list, 9!: no graph with n <= 9 has more;
 # force does not lift this budget
 _AUT_ELEMENTS = 362880
@@ -240,7 +250,7 @@ def _seed_masks(k: int, auts: list[tuple[int, ...]], low: int) -> list[int]:
     return list(least.values())
 
 
-def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> ClassCensus:
+def lc_classes(n: int, connected_only: bool = True) -> ClassCensus:
     """Partition the isomorphism types of order ``n`` into LC classes.
 
     The seeds are the one-vertex extensions of the representatives of the
@@ -258,9 +268,9 @@ def lc_classes(n: int, connected_only: bool = True, force: bool = False) -> Clas
     of every lower order, and with the keys of its types and, per class,
     the size and LC-automorphism generators of the labelled orbit it was
     split from, which ``symmetry_table`` reads.  Raises ``ValueError`` for
-    ``n`` below 1.
+    ``n`` below 1, and ``SizeGuardError`` before any search when the types
+    of orders 1 to ``n`` pass ``_CENSUS_TYPES``, which admits ``n <= 9``.
     """
-    _guard("lc_classes", n, _CLASS_GUARD, force)
     return _census(n, connected_only)[0]
 
 
@@ -269,15 +279,9 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> list[Graph]:
 
     These are the types that the class census of order ``n`` keys (see
     ``lc_classes``), read from the same per-process cache, so a cold call
-    costs that census: about one canonical search per type.  A cached
-    census of any order is read; computing one above the census guard
-    raises ``SizeGuardError``: the type count grows like 2^(n(n-1)/2) / n!.
+    costs that census, about one canonical search per type, under the same
+    budget on the type count.
     """
-    if n > _CLASS_GUARD and (n, connected) not in _CENSUS_CACHE:
-        raise SizeGuardError(
-            f"nonisomorphic_graphs is limited to n <= {_CLASS_GUARD} until "
-            f"lc_classes({n}, connected_only={connected}, force=True) has run"
-        )
     keys = _census(n, connected)[1]
     return [Graph._wrap(n, canonical._unpack(key)) for key in sorted(keys)]
 
@@ -288,6 +292,8 @@ def _census(n: int, connected_only: bool) -> _Closure:
     cached = _CENSUS_CACHE.get((n, connected_only))
     if cached is not None:
         return cached
+    types = sum(_TYPES[connected_only][1 : n + 1])
+    _guard("class census", types, _CENSUS_TYPES, unit="isomorphism types")
     if n == 1:
         reps, low = [()], 0  # the one extension of the empty graph
     else:
@@ -514,9 +520,12 @@ def _fmt2(x: Fraction) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def saturation_stats(n: int, force: bool = False) -> SaturationStatsRow:
-    """Average saturation behaviour over the connected LC classes of order ``n``."""
-    census = lc_classes(n, connected_only=True, force=force)
+def saturation_stats(n: int) -> SaturationStatsRow:
+    """Average saturation behaviour over the connected LC classes of order ``n``.
+
+    The census is ``lc_classes(n)``'s, under its budget on the type count.
+    """
+    census = lc_classes(n)
     times = []
     sizes = []
     reducible = 0
@@ -541,7 +550,7 @@ def saturation_stats(n: int, force: bool = False) -> SaturationStatsRow:
     )
 
 
-def symmetry_table(n: int, connected_only: bool = True, force: bool = False) -> list[tuple]:
+def symmetry_table(n: int, connected_only: bool = True) -> list[tuple]:
     """Per-class symmetry rows: partition shape, aut orders, orbit sizes.
 
     Columns: class_id, n, partition, aut_in, aut_out_upper, aut_order, L, C,
@@ -553,8 +562,8 @@ def symmetry_table(n: int, connected_only: bool = True, force: bool = False) -> 
     lists that group once, under ``lc_automorphism_group``'s budget.  C is
     the class's type count, and the partition, aut_in and aut_out_upper
     come from ``aut_bounds`` of the representative's foliage partition.
+    The census is ``lc_classes``', under its budget on the type count.
     """
-    _guard("lc_classes", n, _CLASS_GUARD, force)
     census, _, groups = _census(n, connected_only)
     rows = []
     for cid, (cls, (labeled_size, gens)) in enumerate(zip(census.classes, groups), start=1):

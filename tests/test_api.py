@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, every public function
-is named in the README or the CLI, every private module-level definition
+is named in the README or the CLI, every public member of a public class is
+read, every private module-level definition
 has a caller, and importing the package, every CLI command and every query
 but the state-vector oracle stay free of numpy and of the process pool."""
 
@@ -9,15 +10,18 @@ import inspect
 import os
 import pkgutil
 import re
+import random
 import subprocess
 import sys
 from dataclasses import astuple
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import lcfoliage
+from conftest import random_graph
 from lcfoliage import canonical, entanglement, foliage, gf2, graph, graph6, orbits
 
 MODULES = ["lcfoliage"] + [
@@ -68,13 +72,31 @@ def test_every_private_definition_is_referenced():
 
 def test_every_public_function_is_named_in_the_readme_or_the_cli():
     # a public function that neither the README nor a command names has no
-    # documented use
+    # documented use, and neither has a public method or property of a
+    # public class that the README does not name as ``.member`` and that no
+    # module of the package reads
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     cli = (Path(lcfoliage.__file__).parent / "cli.py").read_text()
     named = set(re.findall(r"\w+", readme + cli))
     functions = [name for name in lcfoliage.__all__ if inspect.isfunction(getattr(lcfoliage, name))]
     assert functions
     assert [name for name in functions if name not in named] == []
+    read = set(re.findall(r"\.(\w+)", readme)) | {
+        node.attr
+        for path in Path(lcfoliage.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    kinds = (type(lambda: None), property, cached_property, classmethod, staticmethod)
+    members = [
+        (name, attr)
+        for name in lcfoliage.__all__
+        if inspect.isclass(getattr(lcfoliage, name))
+        for attr, value in vars(getattr(lcfoliage, name)).items()
+        if not attr.startswith("_") and isinstance(value, kinds)
+    ]
+    assert ("Graph", "edges") in members and ("OrbitReport", "members") in members
+    assert [f"{name}.{attr}" for name, attr in members if attr not in read] == []
 
 
 def test_only_the_guard_function_words_the_force_hint():
@@ -99,19 +121,12 @@ path9 = graph.Graph.from_edges(9, [(v, v + 1) for v in range(8)])
     "call, message",
     [
         (lambda: orbits.lc_orbit(empty(17)), "lc_orbit is limited to n <= 16 (force to override)"),
-        (lambda: orbits.lc_classes(9), "lc_classes is limited to n <= 8 (force to override)"),
         (
             lambda: orbits.lc_automorphism_group(empty(9)),
             "lc_automorphism_group is limited to n <= 8 (force to override)",
         ),
-        (lambda: entanglement.schmidt_vector(empty(25)), "schmidt_vector is limited to n <= 24 (force to override)"),
-        (lambda: entanglement.uniformity(empty(21)), "uniformity is limited to n <= 20 (force to override)"),
-        (
-            lambda: entanglement.statevector_entropy_oracle(empty(21), 0),
-            "statevector oracle is limited to d^n <= 1048576 (force to override)",
-        ),
     ],
-    ids=["lc_orbit", "lc_classes", "lc_automorphism_group", "schmidt_vector", "uniformity", "statevector_oracle"],
+    ids=["lc_orbit", "lc_automorphism_group"],
 )
 def test_each_forceable_guard_keeps_its_message(call, message):
     with pytest.raises(graph.SizeGuardError) as exc:
@@ -119,11 +134,51 @@ def test_each_forceable_guard_keeps_its_message(call, message):
     assert str(exc.value) == message
 
 
+# each budget on the work that replaced an n-guard, one input above it, with
+# its message frozen
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: orbits.lc_classes(10), "class census is limited to isomorphism types <= 1048576"),
+        (lambda: entanglement.schmidt_vector(empty(25)), "schmidt_vector is limited to lane bytes <= 67108864"),
+        (
+            # reads past 2^20 sets: see test_entanglement.py::test_uniformity_guard_and_force
+            lambda: entanglement.uniformity(random_graph(40, 0.5, random.Random(40))),
+            "uniformity is limited to vertex sets read <= 1048576",
+        ),
+        (
+            lambda: entanglement.statevector_entropy_oracle(empty(21), 0),
+            "statevector oracle is limited to d^n <= 1048576",
+        ),
+    ],
+    ids=["lc_classes", "schmidt_vector", "uniformity", "statevector_oracle"],
+)
+def test_each_budget_keeps_its_message(call, message):
+    with pytest.raises(graph.SizeGuardError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# inputs of many vertices and little work, which budgets on the work admit
+@pytest.mark.parametrize(
+    "call, result",
+    [
+        (lambda: astuple(entanglement.uniformity(empty(21))), (21, 0, 1)),
+        (
+            lambda: astuple(entanglement.uniformity(graph.Graph.from_edges(2000, [(v, v + 1) for v in range(1999)]))),
+            (2000, 1, 0b11),
+        ),
+    ],
+    ids=["uniformity", "uniformity_path"],
+)
+def test_budgets_admit_large_inputs_of_little_work(call, result):
+    assert call() == result
+
+
 @pytest.mark.parametrize(
     "call, result",
     [
         (lambda: orbits.lc_orbit(empty(17), force=True).labeled_size, 1),
-        (lambda: entanglement.uniformity(empty(21), force=True).k_max, 0),
         (
             lambda: astuple(orbits.lc_automorphism_group(path9, force=True)),
             (
@@ -133,7 +188,7 @@ def test_each_forceable_guard_keeps_its_message(call, message):
             ),
         ),
     ],
-    ids=["lc_orbit", "uniformity", "lc_automorphism_group"],
+    ids=["lc_orbit", "lc_automorphism_group"],
 )
 def test_force_lifts_the_guard(call, result):
     assert call() == result

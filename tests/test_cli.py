@@ -121,7 +121,7 @@ def test_interrupt_ends_as_one_line_with_exit_130():
     # the n = 9 census runs for about 20 CPU s; the child is interrupted once
     # it has spent half a second, well past its imports
     with subprocess.Popen(
-        [sys.executable, "-m", "lcfoliage", "classes", "--n", "9", "--force"],
+        [sys.executable, "-m", "lcfoliage", "classes", "--n", "9"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -218,6 +218,20 @@ def test_entropy(capsys):
     assert out == "subset={0,1} entropy=2\n"
     rc, out, _ = run(capsys, "entropy", "--subset", "", "--g6", C5)
     assert out == "subset={} entropy=0\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--subset", "0,x", "bad subset entry 'x'"),
+        ("--subset", "0,5", "subset vertex 5 out of range"),
+        ("--mask", "0x20", "subset mask has bits outside the vertex range"),
+        ("--mask", "-1", "subset mask must be nonnegative"),
+    ],
+    ids=["entry", "vertex", "mask-above", "mask-negative"],
+)
+def test_entropy_subset_errors_exit_2(capsys, option, value, message):
+    assert run(capsys, "entropy", option, value, "--g6", C5) == (2, "", f"error: {message}\n")
 
 
 def test_schmidt(capsys):
@@ -505,13 +519,26 @@ def test_guard_exits_3_and_force_overrides(capsys):
     rc, _, err = run(capsys, "orbit", "--g6", big_empty)
     assert rc == 3
     assert "force" in err
-    rc, _, err = run(capsys, "classes", "--n", "9")
-    assert rc == 3
-    huge_empty = "T" + "?" * 35  # 21 isolated vertices
-    rc, _, err = run(capsys, "uniformity", "--g6", huge_empty)
-    assert rc == 3
-    rc, out, _ = run(capsys, "uniformity", "--force", "--g6", huge_empty)
-    assert (rc, out) == (0, "k_max=0 witness={0}\n")
+    assert run(capsys, "orbit", "--force", "--g6", big_empty) == (0, "labeled=1 classes=1\n", "")
+    # a budget, which names no force
+    rc, out, err = run(capsys, "classes", "--n", "10")
+    assert (rc, out) == (3, "")
+    assert "force" not in err
+    # 21 isolated vertices: uniformity's budget counts the sets it reads, not n
+    huge_empty = "T" + "?" * 35
+    assert run(capsys, "uniformity", "--g6", huge_empty) == (0, "k_max=0 witness={0}\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classes", "--n", "5"], ["stats", "--n", "5"], ["schmidt", "--g6", C5], ["uniformity", "--g6", C5]],
+    ids=["classes", "stats", "schmidt", "uniformity"],
+)
+def test_force_is_a_usage_error_where_only_budgets_limit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -562,14 +589,16 @@ def test_memory_error_is_one_line_with_exit_3(capsys, monkeypatch):
     assert run(capsys, "aut", "--g6", K5) == (3, "", "error: out of memory\n")
 
 
+def quarter_gib_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
 def test_aut_out_of_address_space_exits_3():
-    resource = pytest.importorskip("resource")
-
-    def quarter_gib_address_space():
-        # the edgeless graph's group has 10! elements; the group-order
-        # budget refuses it before its listing could fill this
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
+    pytest.importorskip("resource")
+    # the edgeless graph's group has 10! elements; the group-order budget
+    # refuses it before its listing could fill a quarter GiB
     proc = run_child(
         ["aut", "--force", "--g6", "I????????"], "", preexec_fn=quarter_gib_address_space, timeout=120
     )
@@ -578,20 +607,77 @@ def test_aut_out_of_address_space_exits_3():
     assert proc.stderr.startswith("error: ")
 
 
-def test_schmidt_out_of_address_space_reaches_the_memory_error_handler():
-    # no budget refuses a forced Schmidt vector, and its two arrays of 2^25
-    # 32-bit lanes do not fit in a quarter GiB, so the MemoryError handler
-    # words the error
-    resource = pytest.importorskip("resource")
-
-    def quarter_gib_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
-    g6 = encode_graph6(random_graph(25, 0.5, random.Random(25)))
-    proc = run_child(
-        ["schmidt", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120
-    )
+def test_orbit_out_of_address_space_reaches_the_memory_error_handler():
+    # graph_for_partition((10,) * 6) has 1,951,581 labelled LC members, and
+    # its forced BFS runs out of a quarter GiB before the 2^20-member budget
+    # stops it, so the MemoryError handler words the error
+    pytest.importorskip("resource")
+    g6 = encode_graph6(graph_for_partition((10,) * 6))
+    proc = run_child(["orbit", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+
+
+ORACLE_ABOVE_ITS_BUDGET = """
+import sys
+from lcfoliage.entanglement import statevector_entropy_oracle
+from lcfoliage.graph import Graph, SizeGuardError
+
+try:
+    statevector_entropy_oracle(Graph.from_edges(4000, [(v, v + 1) for v in range(3999)]), 1)
+except SizeGuardError as exc:
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(3)
+"""
+
+
+# each budget that replaced an n-guard, one input above it: refused before
+# the work it bounds.  The seeded G(40, 1/2) reads past 2^20 vertex sets
+# (see test_entanglement.py::test_uniformity_guard_and_force)
+@pytest.mark.parametrize(
+    "args, stdin, message",
+    [
+        (["-m", "lcfoliage", "classes", "--n", "10"], "", "class census is limited to isomorphism types <= 1048576"),
+        (
+            ["-m", "lcfoliage", "classes", "--n", "10", "--all"],
+            "",
+            "class census is limited to isomorphism types <= 1048576",
+        ),
+        (
+            ["-m", "lcfoliage", "classes", "--n", "10", "--csv"],
+            "",
+            "class census is limited to isomorphism types <= 1048576",
+        ),
+        (["-m", "lcfoliage", "stats", "--n", "10"], "", "class census is limited to isomorphism types <= 1048576"),
+        (
+            ["-m", "lcfoliage", "schmidt", "-"],
+            encode_graph6(random_graph(25, 0.5, random.Random(25))),
+            "schmidt_vector is limited to lane bytes <= 67108864",
+        ),
+        (
+            ["-m", "lcfoliage", "uniformity", "-"],
+            encode_graph6(random_graph(40, 0.5, random.Random(40))),
+            "uniformity is limited to vertex sets read <= 1048576",
+        ),
+        (["-c", ORACLE_ABOVE_ITS_BUDGET], "", "statevector oracle is limited to d^n <= 1048576"),
+    ],
+    ids=["classes", "classes-all", "classes-csv", "stats", "schmidt", "uniformity", "oracle"],
+)
+def test_each_budget_refuses_before_its_work(args, stdin, message):
+    resource = pytest.importorskip("resource")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=quarter_gib_address_space,
+        timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+    assert cpu_s < 1.0
 
 
 @pytest.mark.parametrize("g6", ["I????????", "I~~~~~~~w"])
@@ -599,10 +685,6 @@ def test_forced_aut_above_the_group_order_budget_exits_3(g6):
     # the empty graph on 10 vertices passes the budget on Aut_in and is
     # refused while its group is listed; K_10 is refused before its orbit
     resource = pytest.importorskip("resource")
-
-    def quarter_gib_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = run_child(["aut", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)

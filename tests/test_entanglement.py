@@ -1,11 +1,15 @@
 import random
 import sys
+import time
+from functools import reduce
 from itertools import combinations
+from operator import or_, xor
 
 import pytest
 
-from conftest import complete, cycle, peak_rss_mb_under_1_gib, random_graph, random_weighted, star
+from conftest import complete, cycle, path, peak_rss_mb_under_1_gib, random_graph, random_weighted, star
 from lcfoliage.entanglement import (
+    UniformityReport,
     e_matrix,
     entropy,
     entropy_via_foliage,
@@ -18,6 +22,7 @@ from lcfoliage.foliage import foliage_partition, foliage_representation, normal_
 from lcfoliage.graph import (
     Graph,
     SizeGuardError,
+    WeightedGraph,
     connected_components,
     local_complement,
     qudit_scale,
@@ -78,8 +83,11 @@ def test_schmidt_singletons_on_connected_graphs():
 
 
 def test_schmidt_guard():
-    with pytest.raises(SizeGuardError):
+    # 2^25 lanes of four bytes: refused before any array is built
+    start = time.process_time()
+    with pytest.raises(SizeGuardError, match="lane bytes <= 67108864$"):
         schmidt_vector(Graph.from_edges(25, []))
+    assert time.process_time() - start < 0.1
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -345,13 +353,40 @@ def test_uniformity_matches_the_first_failing_cut():
     assert uniformity(cycle(5)).witness is None  # C5, among the cases, has none
 
 
+def first_sets(g, count):
+    """``(size, least)``: the size of the ``count``-th vertex set x by size, then in
+    ``combinations`` order, and the least support weight |x | Gamma(x)| up to it."""
+    bits = [1 << v for v in range(g.n)]
+    seen, least = 0, g.n + 1
+    for size in range(1, g.n + 1):
+        for x in combinations(range(g.n), size):
+            support = reduce(or_, map(bits.__getitem__, x), reduce(xor, map(g.rows.__getitem__, x)))
+            least = min(least, support.bit_count())
+            seen += 1
+            if seen == count:
+                return size, least
+    raise ValueError("fewer sets than count")
+
+
+UNIFORMITY_SETS = 1 << 20
+
+
 def test_uniformity_guard_and_force():
-    big = Graph.from_edges(21, [])
-    with pytest.raises(SizeGuardError):
-        uniformity(big)
-    rep = uniformity(big, force=True)
-    assert rep.k_max == 0
-    assert rep.witness == 1
+    # the budget counts the vertex sets read, not n.  uniformity reads every
+    # set of a size below both n // 2 and the least support weight met so
+    # far, in this order, so a seeded G(40, 1/2) must pass the budget: no
+    # support among its first 2^20 + 1 sets has a weight at or below their
+    # largest size
+    g = random_graph(40, 0.5, random.Random(40))
+    size, least = first_sets(g, UNIFORMITY_SETS + 1)
+    assert size < min(g.n // 2, least), (size, least)
+    with pytest.raises(SizeGuardError, match="vertex sets read <= 1048576$"):
+        uniformity(g)
+    # many vertices and few sets read, with no force to ask for
+    assert uniformity(Graph.from_edges(21, [])) == UniformityReport(21, 0, 0b1)
+    assert uniformity(path(2000)) == UniformityReport(2000, 1, 0b11)
+    with pytest.raises(TypeError):
+        uniformity(g, force=True)
 
 
 def test_two_uniform_iff_trivial_partition():
@@ -376,8 +411,22 @@ def weighted_triangle():
 
 
 def test_oracle_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"d\^n <= 1048576$"):
         statevector_entropy_oracle(Graph.from_edges(21, []), 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path(4000), WeightedGraph.from_edges(4000, 5, [(v, v + 1, 1 + v % 4) for v in range(3999)])],
+    ids=["qubit", "weighted"],
+)
+def test_oracle_refuses_before_its_weight_table(g):
+    # the n x n weight table of a 4000-vertex path takes about a CPU second
+    # to build, so the budget must be checked before it
+    start = time.process_time()
+    with pytest.raises(SizeGuardError):
+        statevector_entropy_oracle(g, 1)
+    assert time.process_time() - start < 0.1
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -379,8 +379,27 @@ def test_reconstruct_rejects_malformed_axils():
         reconstruct_graph(broken_k)
 
 
+def test_reconstruct_rejects_a_z_part_of_two_vertices():
+    rep = foliage_representation(complete(2))
+    assert rep.types == (PartType.K,)
+    with pytest.raises(ValueError, match="^Z part 0 must be a singleton$"):
+        reconstruct_graph(type(rep)(rep.partition, rep.quotient, (PartType.Z,), ()))
+
+
+@pytest.mark.parametrize("typed", [foliage_representation, normal_form])
+def test_part_typing_refuses_a_weighted_graph(typed):
+    with pytest.raises(TypeError, match="^part typing is defined for qubit graphs$"):
+        typed(WeightedGraph.from_edges(2, 3, [(0, 1, 2)]))
+
+
 # ---------------------------------------------------------------------------
 # lifted local complementation
+
+@pytest.mark.parametrize("a", [5, -1])
+def test_lifted_move_refuses_a_vertex_out_of_range(a):
+    with pytest.raises(ValueError, match=rf"^vertex {a} out of range$"):
+        lifted_local_complement(foliage_representation(K23), a)
+
 
 def test_lifted_matches_recomputation_exhaustively():
     for n in range(1, 7):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -297,25 +298,32 @@ def test_all_graph_class_counts_are_the_euler_transform_of_connected_counts():
 
 
 def test_census_guard():
-    with pytest.raises(SizeGuardError):
-        lc_classes(9)
+    # 11,989,764 connected types of orders 1 to 10 and 12,293,434 in all,
+    # against a budget of 2^20: refused before any search
+    for connected in (True, False):
+        start = time.process_time()
+        with pytest.raises(SizeGuardError, match="isomorphism types <= 1048576$"):
+            lc_classes(10, connected_only=connected)
+        assert time.process_time() - start < 0.1
 
 
 @pytest.mark.parametrize("connected", [False, True])
 def test_cold_type_enumeration_above_the_guard_is_refused(monkeypatch, connected):
     import lcfoliage.orbits as orbits_mod
 
-    monkeypatch.setattr(orbits_mod, "_CLASS_GUARD", 5)
+    # the budget counts the types of every order from 1 to 6, not of order
+    # 6 alone: 143 connected types and 208 in all
+    types = 143 if connected else 208
+    monkeypatch.setattr(orbits_mod, "_CENSUS_TYPES", types - 1)
     orbits_mod._CENSUS_CACHE.pop((6, connected), None)
     with pytest.raises(SizeGuardError) as err:
         nonisomorphic_graphs(6, connected=connected)
-    assert str(err.value) == (
-        "nonisomorphic_graphs is limited to n <= 5 until "
-        f"lc_classes(6, connected_only={connected}, force=True) has run"
-    )
+    assert str(err.value) == f"class census is limited to isomorphism types <= {types - 1}"
     assert (6, connected) not in orbits_mod._CENSUS_CACHE
-    # once the census is cached, the types are read at any order
-    lc_classes(6, connected_only=connected, force=True)
+    monkeypatch.setattr(orbits_mod, "_CENSUS_TYPES", types)
+    assert len(nonisomorphic_graphs(6, connected=connected)) == (112 if connected else 156)
+    # the budget bounds the work, and a cached census costs none
+    monkeypatch.setattr(orbits_mod, "_CENSUS_TYPES", 0)
     assert len(nonisomorphic_graphs(6, connected=connected)) == (112 if connected else 156)
 
 
@@ -444,8 +452,8 @@ def test_n9_census_gate():
         "canonical._search = search\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    assert main(['classes', '--n', '9', '--force', '--reps', '-']) == 0\n"
-        "census = lc_classes(9, force=True)\n"  # the cached census
+        "    assert main(['classes', '--n', '9', '--reps', '-']) == 0\n"
+        "census = lc_classes(9)\n"  # the cached census
         "with open('/proc/self/status') as fh:\n"
         "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
         "reps = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
@@ -466,7 +474,7 @@ def test_n9_census_gate():
     # Closing the seeds under one move per automorphism orbit made 1085644
     assert int(searches) == 290158
     assert int(peak_kib) < 100 * 1024
-    # sha256 of `classes --n 9 --force --reps -`, frozen from the move closure
+    # sha256 of `classes --n 9 --reps -`, frozen from the move closure
     assert reps == "2c890990739b7e5f5ef211b3c2e1e06cd0df489fbeadb72634ce80ee1a9c5b5c"
 
 
