@@ -29,7 +29,7 @@ generate the automorphism group, which the LC automorphisms build on.
 The search recurses through module-level functions, so it leaves no
 reference cycle and its memory goes as soon as it returns.  It recurses
 once per individualised vertex, up to n - 1 deep, so it refuses n above
-``_MAX_ORDER`` with ``SizeGuardError``, forced or not.  Nothing is
+``_MAX_ORDER`` with ``SizeGuardError``.  Nothing is
 cached: a labelled graph is rarely searched twice, and the class census
 keeps the key of every type it meets itself.
 """

@@ -8,21 +8,19 @@ size limit trips or the computation runs out of memory; and 130, with one
 ``error: interrupted`` line, on SIGINT (Ctrl-C).  ``construct`` exits 2
 before it builds anything when the part sizes sum above graph6's limit.
 
-Limits that ``--force`` lifts:
+Limits, none of which can be lifted, each checked before the work it bounds:
 
-- ``orbit``: n <= 16;
-- ``aut``: n <= 8.
-
-Limits that it does not lift, each checked before the work it bounds:
-
-- 2^20 orbit members;
-- an ``aut`` group order <= 9!;
+- for ``orbit`` and ``aut``, 2^20 labelled orbit members, and fewer from
+  n = 17 on, so that they hold at most 2^28 packed bits (n^2 each);
+- an ``aut`` group order <= 9!, checked before the orbit and as the group
+  is listed;
 - for ``classes`` and ``stats``, 2^20 isomorphism types of orders 1 to n
   (OEIS A001349 and A000088), which admits n <= 9;
 - ``schmidt``: 2^26 lane bytes, n <= 24;
 - ``uniformity``: 2^20 vertex sets read, which every n <= 20 fits;
 - weighted text n <= 8192;
-- the canonical search behind ``orbit`` and ``aut``: n <= 800;
+- the canonical search behind ``orbit`` and ``aut``, run before the
+  orbit: n <= 800;
 - ``bound --n`` <= 240000.
 """
 
@@ -229,7 +227,7 @@ def _cmd_orbit(args: argparse.Namespace) -> str:
     from .orbits import lc_orbit
 
     g = _load_graph(args)
-    rep = lc_orbit(g, force=args.force)
+    rep = lc_orbit(g)
     if args.members is not None:
         lines = "".join(
             encode_graph6(h) + "\n" for h in rep.member_graphs()
@@ -244,7 +242,7 @@ def _cmd_aut(args: argparse.Namespace) -> str:
     from .orbits import lc_automorphism_group
 
     g = _load_graph(args)
-    rep = lc_automorphism_group(g, force=args.force)
+    rep = lc_automorphism_group(g)
     gens = ",".join(_cycle_str(p) for p in rep.generators)
     return (
         f"order={rep.order} aut_in={rep.aut_in_order} "
@@ -364,12 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="labelled LC orbit and class size")
     _add_graph_input(p)
     p.add_argument("--members", help="write orbit members as graph6 to this path (- for stdout)")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("aut", help="LC automorphism group report")
     _add_graph_input(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("classes", help="LC class census for a given order")

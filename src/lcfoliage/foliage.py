@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 
 from . import _NAMES
 from .graph import Graph, WeightedGraph, _is_sparse, _support_rows, iter_bits, local_complement, mask_of
@@ -145,7 +145,8 @@ def _sweep(g: Graph | WeightedGraph) -> tuple[FoliagePartition, tuple, tuple[int
     neighbour, or K if both are leaves); a vertex with leaves takes them
     (AL); any other pivot takes its twin class, found by bucketing
     neighbourhood masks (Z if it has no twin, else K if adjacent, D if not).
-    That is O(n + m) big-int operations, but on rows of up to n bits: a
+    That is O(n + m) big-int operations and, where many vertices share a
+    bucket, O(n log n) whole-row comparisons, on rows of up to n bits: a
     sparse graph's rows alone take about n²/15 bytes.
     """
     n = g.n
@@ -158,17 +159,9 @@ def _sweep(g: Graph | WeightedGraph) -> tuple[FoliagePartition, tuple, tuple[int
     # collide (a path of 20000 vertices takes over a second).  Twins share
     # the top vertex and the head, the 64 bits below it, of their open or
     # closed neighbourhood, which take O(1) to read off a mask.  Only
-    # vertices that share such a key have whole masks compared.
-    first: dict[int, int] = {}  # (top, head, closed?) packed -> first vertex, -1 once shared
-    by_mask: dict[int, int] = {}  # open or closed mask -> first vertex
-
-    def compare(v: int, closed: int) -> None:
-        u = by_mask.setdefault(sup[v] | 1 << v if closed else sup[v], v)
-        if u != v:
-            cls = twins.setdefault(u, [u])
-            cls.append(v)
-            twins[v] = cls
-
+    # vertices that share such a key have whole masks compared, by sorting.
+    first: dict[int, int] = {}  # (top, head, closed?) packed -> first vertex
+    shared: dict[int, list[int]] = {}  # such a key met again -> its vertices
     for v, s in enumerate(sup):
         if not s:
             continue
@@ -186,10 +179,15 @@ def _sweep(g: Graph | WeightedGraph) -> tuple[FoliagePartition, tuple, tuple[int
         for key in (top << 65 | head << 1, closed_top << 65 | closed_head << 1 | 1):
             u = first.setdefault(key, v)
             if u != v:
-                if u >= 0:
-                    compare(u, key & 1)
-                    first[key] = -1
-                compare(v, key & 1)
+                shared.setdefault(key, [u]).append(v)
+    for key, bucket in shared.items():
+        mask = {v: sup[v] | 1 << v for v in bucket}.__getitem__ if key & 1 else sup.__getitem__
+        bucket.sort(key=mask)  # stable: each run of equal masks stays in vertex order
+        for _, run in groupby(bucket, mask):
+            cls = list(run)
+            if len(cls) > 1:
+                for w in cls:
+                    twins[w] = cls
 
     qubit = isinstance(g, Graph)
     assigned = [False] * n

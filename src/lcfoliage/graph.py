@@ -5,8 +5,10 @@ the edge ``vw``).  Qudit graphs over Z_d, d prime, add a map per vertex from
 neighbour to nonzero weight.  Both are immutable; operators return new ones.
 
 The row primitives that other modules share are here too, one
-implementation each: ``_lc_rows`` (local complementation of a row tuple),
-``_relabel_rows``, ``iter_bits`` and the union-find ``_find``.
+implementation each: ``_relabel_rows``, ``iter_bits``, ``mask_of``, the
+union-find ``_find`` and the budget check ``_guard``.  ``_lc_rows``
+(local complementation of a row tuple) serves ``local_complement`` alone;
+the orbit loops complement packed members instead (``orbits._Packed``).
 
 Everything here works on Python ints and strings; no module of the package
 but the state-vector oracle imports numpy.
@@ -23,18 +25,13 @@ __all__ = _NAMES["graph"]
 
 
 class SizeGuardError(Exception):
-    """An operation exceeds its default size guard or a work budget."""
+    """An operation exceeds a size limit or a work budget."""
 
 
-def _guard(what: str, size: int, limit: int, force: bool | None = None, unit: str = "n") -> None:
-    """Raise ``SizeGuardError`` when ``size`` passes ``limit`` and ``force`` is not set.
-
-    A bool ``force`` marks a guard that it lifts, and the message says so;
-    ``None`` marks a budget that nothing lifts.
-    """
-    if size > limit and not force:
-        hint = "" if force is None else " (force to override)"
-        raise SizeGuardError(f"{what} is limited to {unit} <= {limit}{hint}")
+def _guard(what: str, size: int, limit: int, unit: str) -> None:
+    """Raise ``SizeGuardError`` when ``size``, in ``unit``, passes the budget ``limit``."""
+    if size > limit:
+        raise SizeGuardError(f"{what} is limited to {unit} <= {limit}")
 
 
 def _is_int(x: object) -> bool:

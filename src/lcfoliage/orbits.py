@@ -43,10 +43,10 @@ from .graph import Graph, SizeGuardError, _find, _guard, _relabel_rows, iter_bit
 
 __all__ = _NAMES["orbits"]
 
-_ORBIT_GUARD = 16
-# labelled members an orbit BFS may hold; force does not lift this budget
+# labelled members an orbit BFS may hold, and packed bits: members of n^2
+# bits each, so the member budget falls below 2^20 from n = 17 on
 _ORBIT_MEMBERS = 1 << 20
-_CLASS_GUARD = 8
+_ORBIT_BITS = 1 << 28
 # isomorphism types of each order from 0 up: connected graphs (OEIS A001349)
 # and all graphs (A000088)
 _TYPES = {
@@ -57,8 +57,7 @@ _TYPES = {
 # connected types and 288,266 in all, and a whole table passes it, so every
 # n >= 10 does too
 _CENSUS_TYPES = 1 << 20
-# LC automorphisms a report may list, 9!: no graph with n <= 9 has more;
-# force does not lift this budget
+# LC automorphisms a report may list, 9!: no graph with n <= 9 has more
 _AUT_ELEMENTS = 362880
 
 
@@ -149,9 +148,14 @@ def _orbit_members(g: Graph) -> _Tree:
     one end only: when member ``i`` reaches a member ``j`` at ``a``, then
     ``j > i``, and bit ``a`` of ``j``'s mask of known moves spares ``j`` the
     move back.  The masks take two bytes per member up to 16 vertices, a
-    machine word up to 64, and one int each above.  Raises
-    ``SizeGuardError`` once the orbit passes ``_ORBIT_MEMBERS`` members.
+    machine word up to 64, and one int each above.
+
+    The budget is ``_ORBIT_MEMBERS`` members, and fewer from n = 17 on, so
+    that the members hold at most ``_ORBIT_BITS`` packed bits; it caps the
+    complementation table's entries too.  Raises ``SizeGuardError`` once the
+    orbit passes it, or the table does as a member's moves are tried.
     """
+    budget = min(_ORBIT_MEMBERS, _ORBIT_BITS // (g.n * g.n or 1))
     packed = _Packed(g.n)
     full = packed.full
     root = packed.pack(g.rows)
@@ -163,6 +167,8 @@ def _orbit_members(g: Graph) -> _Tree:
     known = array("H" if g.n <= 16 else "Q", [0]) if g.n <= 64 else [0]
     moves = [(1 << a, a, shift) for a, shift in enumerate(packed.shifts)]
     for i, m in enumerate(members):  # the list grows while it is read
+        if len(packed) > budget:
+            raise SizeGuardError(f"lc_orbit passed {budget} complementation-table entries")
         done = known[i]
         for bit, a, shift in moves:
             if done & bit:
@@ -180,12 +186,12 @@ def _orbit_members(g: Graph) -> _Tree:
             parent.append(i)
             move.append(a)
             known.append(bit)
-            if len(members) > _ORBIT_MEMBERS:
-                raise SizeGuardError(f"lc_orbit passed {_ORBIT_MEMBERS} labelled members")
+            if len(members) > budget:
+                raise SizeGuardError(f"lc_orbit passed {budget} labelled members")
     return packed, index, members, parent, move
 
 
-def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
+def lc_orbit(g: Graph) -> OrbitReport:
     """Breadth-first closure of ``g`` under single local complementations.
 
     ``class_size`` counts isomorphism types inside the orbit, the size of
@@ -193,13 +199,13 @@ def lc_orbit(g: Graph, force: bool = False) -> OrbitReport:
     BFS tree: one union-find pass over the tree (``_lc_group``) joins each
     member with its images as the generators are found, and its groups are
     the types.  The report keeps the tree's packed members, sorted as ints,
-    which is the order of their rows.  Raises ``SizeGuardError`` for ``n``
-    above the guard unless forced, and in any case once the orbit passes
-    ``_ORBIT_MEMBERS`` members.
+    which is the order of their rows.  The canonical search runs first, so
+    its ``n <= 800`` refuses a large graph before a member is packed; the
+    BFS then raises ``SizeGuardError`` past its budget (``_orbit_members``).
     """
-    _guard("lc_orbit", g.n, _ORBIT_GUARD, force)
+    found = canonical._search(g.n, g.rows)
     _, _, members, _, _ = tree = _orbit_members(g)
-    class_size = len(_lc_group(g, tree, canonical._search(g.n, g.rows))[1])
+    class_size = len(_lc_group(g, tree, found)[1])
     members.sort()
     return OrbitReport(g, len(members), class_size, tuple(members))
 
@@ -349,7 +355,9 @@ def _greedy_generators(
     closed when a new generator comes, so the larger group is the union of
     the cosets reached from the identity coset by multiplying on the right
     with generators.  Each element costs one composition, and each coset
-    one more per generator to find its neighbours.
+    one more per generator to find its neighbours.  Raises
+    ``SizeGuardError`` before a coset would take the group past
+    ``_AUT_ELEMENTS``.
     """
     ident = tuple(range(n))
     gens: list[tuple[int, ...]] = []
@@ -358,8 +366,6 @@ def _greedy_generators(
     for p in elements:
         if p in known:
             continue
-        # p lies outside the group, so it at least doubles it (Lagrange)
-        _guard("lc_automorphism_group", 2 * len(known), _AUT_ELEMENTS, unit="group order")
         gens.append(p)
         sub = group[:]
         start = 0
@@ -368,6 +374,8 @@ def _greedy_generators(
             for s in gens:
                 r = tuple(map(rep.__getitem__, s))
                 if r not in known:
+                    size = len(group) + len(sub)
+                    _guard("lc_automorphism_group", size, _AUT_ELEMENTS, unit="group order")
                     coset = [tuple(map(h.__getitem__, r)) for h in sub]
                     group += coset
                     known.update(coset)
@@ -438,30 +446,30 @@ def _lc_group(
     return gens, array("I", (h for h, root in enumerate(up) if h == root)), keyed
 
 
-def lc_automorphism_group(g: Graph, force: bool = False) -> AutReport:
+def lc_automorphism_group(g: Graph) -> AutReport:
     """Permutations whose relabelling of ``g`` stays inside its LC orbit.
 
     The labelled orbit is enumerated once, and one union-find pass over its
     BFS tree (``_lc_group``) finds the group's generators and counts its
     orbits on the members, the class size, as in ``lc_orbit``.  The report
     holds only the group's order and generators, but the group itself, up
-    to ``n!`` permutations, is listed to pick those generators.  So this is
-    kept to small orders, as the orbit grows quickly with ``n``.
+    to ``n!`` permutations, is listed to pick those generators.
 
-    Raises ``SizeGuardError`` above these limits:
+    Raises ``SizeGuardError`` past these budgets, each checked before the
+    work it bounds:
 
-    - lifted by ``force``: ``n <= 8`` (``_CLASS_GUARD``);
-    - not lifted: group order ``<= 9!`` (``_AUT_ELEMENTS``), checked on the
-      within-part permutations before the orbit and on every new generator
-      while the group is listed; ``_ORBIT_MEMBERS`` orbit members; and the
-      canonical search's ``n <= 800``.
+    - group order ``<= 9!`` (``_AUT_ELEMENTS``), checked on the within-part
+      permutations before the orbit and before each coset while the group
+      is listed;
+    - the canonical search's ``n <= 800``, run before the orbit;
+    - the orbit BFS's budget on members (``_orbit_members``).
     """
-    _guard("lc_automorphism_group", g.n, _CLASS_GUARD, force)
     lower, upper = aut_bounds(foliage_partition(g))
     _guard("lc_automorphism_group", lower, _AUT_ELEMENTS, unit="group order")  # Aut_in is a subgroup
+    found = canonical._search(g.n, g.rows)
     tree = _orbit_members(g)
     labeled_size = len(tree[2])
-    lc_gens, roots, _ = _lc_group(g, tree, canonical._search(g.n, g.rows))
+    lc_gens, roots, _ = _lc_group(g, tree, found)
     class_size = len(roots)
     auts = sorted(_greedy_generators(lc_gens, g.n)[1])
     gens = _greedy_generators(auts, g.n)[0]
@@ -580,9 +588,9 @@ def symmetry_table(n: int, connected_only: bool = True) -> list[tuple]:
 # integer partitions and the counting bound
 
 _PARTITION_NUMBERS = [1]
-# largest n that partition_number accepts, forced or not: the recurrence
-# costs about n**2 bit operations, and a cold p(240000) took 51 and 69 CPU s
-# in two runs, with a 62 MB peak, on a shared 2-vCPU host
+# largest n that partition_number accepts: the recurrence costs about n**2
+# bit operations, and a cold p(240000) took 51 and 69 CPU s in two runs,
+# with a 62 MB peak, on a shared 2-vCPU host
 _MAX_PARTITION_N = 240000
 
 

@@ -309,6 +309,29 @@ def test_criterion_11_sparse_performance():
     )
 
 
+def test_criterion_11_hub_partition():
+    # every vertex but the hub n - 1 is joined to it and to one partner, so
+    # all rows share their top bit and an empty 64-bit head: one bucket of
+    # n - 1 vertices, on whose whole masks a dict would collide modulo
+    # 2**61 - 1
+    def hub(n):
+        pairs = [(2 * i, 2 * i + 1) for i in range((n - 1) // 2)]
+        return Graph.from_edges(n, [(v, n - 1) for v in range(n - 1)] + pairs)
+
+    def body():
+        graphs = {n: hub(n) for n in (2500, 5000, 10000, 20000)}
+        best = dict.fromkeys(graphs, math.inf)
+        for _ in range(5):
+            for n, g in graphs.items():
+                start = time.perf_counter()
+                foliage_partition(g)
+                best[n] = min(best[n], time.perf_counter() - start)
+        assert best[20000] < 0.5, best
+        assert _loglog_slope(best) < 2, best
+
+    _check("11", "hub partition under 0.5 s at n=20000, slope < 2", body)
+
+
 def test_criterion_11_representation_writers_scale():
     # the writers list the quotient's edges row by row; each row's labels
     # are cut at its last neighbour, so a long sparse row costs its span

@@ -99,14 +99,15 @@ def test_every_public_function_is_named_in_the_readme_or_the_cli():
     assert [f"{name}.{attr}" for name, attr in members if attr not in read] == []
 
 
-def test_only_the_guard_function_words_the_force_hint():
-    # every limit that force lifts goes through graph._guard, which alone
-    # says so in its message
-    counts = {
-        path.name: path.read_text().count("(force to override)")
-        for path in Path(lcfoliage.__file__).parent.glob("*.py")
-    }
-    assert {name: count for name, count in counts.items() if count} == {"graph.py": 1}
+def test_no_public_function_takes_a_force_flag():
+    # every limit is a budget that nothing lifts
+    takes_force = [
+        name
+        for name in lcfoliage.__all__
+        if inspect.isfunction(getattr(lcfoliage, name))
+        and "force" in inspect.signature(getattr(lcfoliage, name)).parameters
+    ]
+    assert takes_force == []
 
 
 def empty(n):
@@ -116,26 +117,7 @@ def empty(n):
 path9 = graph.Graph.from_edges(9, [(v, v + 1) for v in range(8)])
 
 
-# each limit that force lifts, one above it, with its message frozen
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: orbits.lc_orbit(empty(17)), "lc_orbit is limited to n <= 16 (force to override)"),
-        (
-            lambda: orbits.lc_automorphism_group(empty(9)),
-            "lc_automorphism_group is limited to n <= 8 (force to override)",
-        ),
-    ],
-    ids=["lc_orbit", "lc_automorphism_group"],
-)
-def test_each_forceable_guard_keeps_its_message(call, message):
-    with pytest.raises(graph.SizeGuardError) as exc:
-        call()
-    assert str(exc.value) == message
-
-
-# each budget on the work that replaced an n-guard, one input above it, with
-# its message frozen
+# each budget that nothing lifts, one input above it, with its message frozen
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -150,8 +132,12 @@ def test_each_forceable_guard_keeps_its_message(call, message):
             lambda: entanglement.statevector_entropy_oracle(empty(21), 0),
             "statevector oracle is limited to d^n <= 1048576",
         ),
+        # the canonical search runs before the orbit BFS packs a member
+        (lambda: orbits.lc_orbit(empty(1200)), "canonical search is limited to n <= 800 by its recursion depth"),
+        # S_10, refused as its listing passes 9!
+        (lambda: orbits.lc_automorphism_group(empty(10)), "lc_automorphism_group is limited to group order <= 362880"),
     ],
-    ids=["lc_classes", "schmidt_vector", "uniformity", "statevector_oracle"],
+    ids=["lc_classes", "schmidt_vector", "uniformity", "statevector_oracle", "lc_orbit", "lc_automorphism_group"],
 )
 def test_each_budget_keeps_its_message(call, message):
     with pytest.raises(graph.SizeGuardError) as exc:
@@ -168,19 +154,9 @@ def test_each_budget_keeps_its_message(call, message):
             lambda: astuple(entanglement.uniformity(graph.Graph.from_edges(2000, [(v, v + 1) for v in range(1999)]))),
             (2000, 1, 0b11),
         ),
-    ],
-    ids=["uniformity", "uniformity_path"],
-)
-def test_budgets_admit_large_inputs_of_little_work(call, result):
-    assert call() == result
-
-
-@pytest.mark.parametrize(
-    "call, result",
-    [
-        (lambda: orbits.lc_orbit(empty(17), force=True).labeled_size, 1),
+        (lambda: orbits.lc_orbit(empty(17)).labeled_size, 1),
         (
-            lambda: astuple(orbits.lc_automorphism_group(path9, force=True)),
+            lambda: astuple(orbits.lc_automorphism_group(path9)),
             (
                 8,
                 ((0, 1, 2, 3, 4, 5, 6, 8, 7), (1, 0, 2, 3, 4, 5, 6, 7, 8), (7, 8, 6, 5, 4, 3, 2, 0, 1)),
@@ -188,9 +164,9 @@ def test_budgets_admit_large_inputs_of_little_work(call, result):
             ),
         ),
     ],
-    ids=["lc_orbit", "lc_automorphism_group"],
+    ids=["uniformity", "uniformity_path", "lc_orbit", "lc_automorphism_group"],
 )
-def test_force_lifts_the_guard(call, result):
+def test_budgets_admit_large_inputs_of_little_work(call, result):
     assert call() == result
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cpu_s_and_peak_rss_mb_under_1_gib, random_graph
+from conftest import cpu_s_and_peak_rss_mb_under_1_gib, random_graph, star
 from lcfoliage.cli import main
 from lcfoliage.graph import Graph
 from lcfoliage.graph6 import decode_graph6, decode_weighted, encode_graph6
@@ -514,25 +514,43 @@ def test_order_below_one_exits_2(capsys, argv):
     assert (rc, out, err) == (2, "", "error: need at least one vertex\n")
 
 
-def test_guard_exits_3_and_force_overrides(capsys):
-    big_empty = "P" + "?" * 23  # 17 isolated vertices
-    rc, _, err = run(capsys, "orbit", "--g6", big_empty)
-    assert rc == 3
-    assert "force" in err
-    assert run(capsys, "orbit", "--force", "--g6", big_empty) == (0, "labeled=1 classes=1\n", "")
-    # a budget, which names no force
-    rc, out, err = run(capsys, "classes", "--n", "10")
-    assert (rc, out) == (3, "")
-    assert "force" not in err
-    # 21 isolated vertices: uniformity's budget counts the sets it reads, not n
-    huge_empty = "T" + "?" * 35
-    assert run(capsys, "uniformity", "--g6", huge_empty) == (0, "k_max=0 witness={0}\n", "")
+# inputs of many vertices and little work: each budget counts the work
+# (orbit members, vertex sets read), not n
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["orbit", "--g6", encode_graph6(star(40))], "labeled=41 classes=2\n"),
+        (["orbit", "--g6", "P" + "?" * 23], "labeled=1 classes=1\n"),  # 17 isolated vertices
+        (["uniformity", "--g6", "T" + "?" * 35], "k_max=0 witness={0}\n"),  # 21 isolated vertices
+    ],
+    ids=["orbit-star40", "orbit-empty17", "uniformity-empty21"],
+)
+def test_budgets_admit_large_inputs_of_little_work(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["classes", "--n", "5"], ["stats", "--n", "5"], ["schmidt", "--g6", C5], ["uniformity", "--g6", C5]],
-    ids=["classes", "stats", "schmidt", "uniformity"],
+    [
+        ["classes", "--n", "5"],
+        ["stats", "--n", "5"],
+        ["schmidt", "--g6", C5],
+        ["uniformity", "--g6", C5],
+        ["orbit", "--g6", C5],
+        ["aut", "--g6", C5],
+        ["foliage", "--g6", C5],
+        ["lc", "0", "--g6", C5],
+        ["qlc", "star", "0", "1", "-"],
+        ["normal-form", "--g6", C5],
+        ["saturation", "--g6", C5],
+        ["entropy", "--g6", C5, "--subset", "0"],
+        ["bound", "--n", "5"],
+        ["construct", "--partition", "2,3"],
+    ],
+    ids=[
+        "classes", "stats", "schmidt", "uniformity", "orbit", "aut", "foliage", "lc", "qlc",
+        "normal-form", "saturation", "entropy", "bound", "construct",
+    ],
 )
 def test_force_is_a_usage_error_where_only_budgets_limit(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -571,14 +589,27 @@ def test_weighted_header_above_the_bound_exits_3():
     assert proc.stderr == "error: weighted graph text is limited to n <= 8192, header says n = 100000\n"
 
 
+def child_cpu_s(call):
+    """``(result, CPU seconds)`` of ``call``, which runs one child process and waits for it."""
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = call()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return result, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
 @pytest.mark.parametrize("command", ["orbit", "aut"])
 def test_forced_canonical_search_above_the_depth_bound_exits_3(command):
     # the search recurses once per individualised vertex, so this graph
-    # would otherwise end in a RecursionError traceback
+    # would otherwise end in a RecursionError traceback; it runs before the
+    # orbit BFS, so no member of n^2 bits is packed first
+    pytest.importorskip("resource")
     empty = encode_graph6(Graph.from_edges(1200, []))
-    proc = run_child([command, "--force", "-"], empty + "\n", timeout=60)
-    assert proc.returncode == 3
+    proc, cpu_s = child_cpu_s(lambda: run_child([command, "-"], empty + "\n", timeout=60))
+    assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: canonical search is limited to n <= 800 by its recursion depth\n"
+    assert cpu_s < 1.0
 
 
 def test_memory_error_is_one_line_with_exit_3(capsys, monkeypatch):
@@ -599,22 +630,41 @@ def test_aut_out_of_address_space_exits_3():
     pytest.importorskip("resource")
     # the edgeless graph's group has 10! elements; the group-order budget
     # refuses it before its listing could fill a quarter GiB
-    proc = run_child(
-        ["aut", "--force", "--g6", "I????????"], "", preexec_fn=quarter_gib_address_space, timeout=120
-    )
+    proc = run_child(["aut", "--g6", "I????????"], "", preexec_fn=quarter_gib_address_space, timeout=120)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
 
 
-def test_orbit_out_of_address_space_reaches_the_memory_error_handler():
-    # graph_for_partition((10,) * 6) has 1,951,581 labelled LC members, and
-    # its forced BFS runs out of a quarter GiB before the 2^20-member budget
-    # stops it, so the MemoryError handler words the error
+def test_schmidt_out_of_address_space_reaches_the_memory_error_handler():
+    # a seeded G(23, 1/2) has 2^25 lane bytes, within the budget, but the
+    # arrays and big ints built around the lanes pass a quarter GiB, so the
+    # MemoryError handler words the error
     pytest.importorskip("resource")
-    g6 = encode_graph6(graph_for_partition((10,) * 6))
-    proc = run_child(["orbit", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
+    g6 = encode_graph6(random_graph(23, 0.5, random.Random(23)))
+    proc = run_child(["schmidt", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+
+
+# orbits whose BFS the member budget stops, n^2 bits a member: each refusal
+# comes in a few CPU seconds and within a quarter GiB
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (random_graph(17, 0.5, random.Random(17)), "lc_orbit passed 928842 labelled members"),
+        (random_graph(24, 0.5, random.Random(24)), "lc_orbit passed 466033 labelled members"),
+        (random_graph(100, 0.5, random.Random(100)), "lc_orbit passed 26843 labelled members"),
+        (graph_for_partition((10,) * 6), "lc_orbit passed 74565 labelled members"),
+    ],
+    ids=["G(17)", "G(24)", "G(100)", "parts-10x6"],
+)
+def test_orbit_member_budget_refuses_within_a_quarter_gib(graph, message):
+    pytest.importorskip("resource")
+    proc, cpu_s = child_cpu_s(
+        lambda: run_child(["orbit", "-"], encode_graph6(graph), preexec_fn=quarter_gib_address_space, timeout=120)
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+    assert cpu_s < 5.0
 
 
 ORACLE_ABOVE_ITS_BUDGET = """
@@ -663,32 +713,33 @@ except SizeGuardError as exc:
     ids=["classes", "classes-all", "classes-csv", "stats", "schmidt", "uniformity", "oracle"],
 )
 def test_each_budget_refuses_before_its_work(args, stdin, message):
-    resource = pytest.importorskip("resource")
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        preexec_fn=quarter_gib_address_space,
-        timeout=60,
+    pytest.importorskip("resource")
+    proc, cpu_s = child_cpu_s(
+        lambda: subprocess.run(
+            [sys.executable, *args],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=quarter_gib_address_space,
+            timeout=60,
+        )
     )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
     assert cpu_s < 1.0
 
 
-@pytest.mark.parametrize("g6", ["I????????", "I~~~~~~~w"])
+# construct --partition 3,3,3,3,3,3: Aut_in has (3!)^6 elements and the
+# group 559,872, so one generator takes the listing past 9! from below it
+@pytest.mark.parametrize("g6", ["I????????", "I~~~~~~~w", "QsCO_CA?_?_A?C??_?S?C??C??O"])
 def test_forced_aut_above_the_group_order_budget_exits_3(g6):
-    # the empty graph on 10 vertices passes the budget on Aut_in and is
-    # refused while its group is listed; K_10 is refused before its orbit
-    resource = pytest.importorskip("resource")
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = run_child(["aut", "--force", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    # the empty graph on 10 vertices and the 3^6 profile pass the budget on
+    # Aut_in and are refused while their group is listed, before a coset
+    # would take it past 9!; K_10 is refused before its orbit
+    pytest.importorskip("resource")
+    proc, cpu_s = child_cpu_s(
+        lambda: run_child(["aut", "--g6", g6], "", preexec_fn=quarter_gib_address_space, timeout=120)
+    )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "error: lc_automorphism_group is limited to group order <= 362880\n"
     )

@@ -571,6 +571,17 @@ def test_partition_matches_definition_past_64_vertices():
         assert parts_as_sets(foliage_partition(g).parts) == partition_by_pairs(g)
 
 
+def test_partition_matches_definition_when_a_hub_fills_one_bucket():
+    # a new vertex joined to all others gives every row the same top bit
+    # and, past 64 vertices, mostly the same head: one bucket of twin
+    # candidates, split by whole masks
+    rng = random.Random(65)
+    for _ in range(40):
+        g = sparse_with_twins(rng, largest=160)
+        hub = Graph.from_edges(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n)])
+        assert parts_as_sets(foliage_partition(hub).parts) == partition_by_pairs(hub)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_weighted_quotient_matches_definition(d):
     rng = random.Random(d)

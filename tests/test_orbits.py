@@ -92,18 +92,13 @@ def test_orbit_size_is_relabeling_invariant():
         assert (a.labeled_size, a.class_size) == (b.labeled_size, b.class_size)
 
 
-def test_orbit_guard():
-    with pytest.raises(SizeGuardError):
-        lc_orbit(Graph.from_edges(17, []))
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
 def test_forced_orbit_above_the_guard_fills_no_table_of_2_to_the_n():
     # K_{1,39}: a table with an entry per neighbourhood would have 2^40
     code = (
         "from lcfoliage.orbits import lc_orbit\n"
         "from lcfoliage.graph import Graph\n"
-        "report = lc_orbit(Graph.from_edges(40, [(0, v) for v in range(1, 40)]), force=True)\n"
+        "report = lc_orbit(Graph.from_edges(40, [(0, v) for v in range(1, 40)]))\n"
         "assert (report.labeled_size, report.class_size) == (41, 2)\n"
     )
     assert peak_rss_mb_under_1_gib(code) < 64
@@ -152,16 +147,40 @@ def test_orbit_member_budget(monkeypatch):
     monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", labeled - 1)
     with pytest.raises(SizeGuardError, match=f"passed {labeled - 1} labelled members"):
         lc_orbit(cycle(5))
-    # force lifts the size guard on n, not the member budget
-    with pytest.raises(SizeGuardError):
-        lc_orbit(cycle(5), force=True)
+
+
+def test_orbit_member_budget_falls_with_n_squared(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    # members of n^2 bits each: 2^28 bits hold 2^20 members up to n = 16
+    assert orbits_mod._ORBIT_BITS // (16 * 16) == orbits_mod._ORBIT_MEMBERS
+    labeled = lc_orbit(cycle(5)).labeled_size
+    monkeypatch.setattr(orbits_mod, "_ORBIT_BITS", 25 * labeled)
+    assert lc_orbit(cycle(5)).labeled_size == labeled
+    monkeypatch.setattr(orbits_mod, "_ORBIT_BITS", 25 * labeled - 1)
+    with pytest.raises(SizeGuardError, match=f"passed {labeled - 1} labelled members"):
+        lc_orbit(cycle(5))
+
+
+def test_orbit_budget_caps_the_complementation_table(monkeypatch):
+    import lcfoliage.orbits as orbits_mod
+
+    # the orbit of this graph has 50 members, and its table 65 entries
+    g = Graph(7, (120, 120, 120, 103, 103, 95, 63))
+    packed, _, members, _, _ = orbits_mod._orbit_members(g)
+    assert (len(members), len(packed)) == (50, 65)
+    monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", 65)
+    assert lc_orbit(g).labeled_size == 50
+    monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", 50)
+    with pytest.raises(SizeGuardError, match="passed 50 complementation-table entries$"):
+        lc_orbit(g)
 
 
 def test_orbit_member_budget_exits_3(monkeypatch, capsys):
     import lcfoliage.orbits as orbits_mod
 
     monkeypatch.setattr(orbits_mod, "_ORBIT_MEMBERS", 10)
-    assert main(["orbit", "--force", "--g6", "Dhc"]) == 3  # the 5-cycle
+    assert main(["orbit", "--g6", "Dhc"]) == 3  # the 5-cycle
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: lc_orbit passed 10 labelled members\n"
@@ -858,7 +877,7 @@ def test_orbit_members_is_the_plain_bfs_tree():
 
 def test_forced_orbit_of_a_star_above_64_vertices():
     # the masks of known moves no longer fit a machine word
-    report = lc_orbit(star(70), force=True)
+    report = lc_orbit(star(70))
     assert (report.labeled_size, report.class_size) == (71, 2)
 
 
@@ -1010,8 +1029,15 @@ def test_canonical_search_automorphisms_generate_the_automorphism_group():
 
 
 def test_aut_guard():
-    with pytest.raises(SizeGuardError):
-        lc_automorphism_group(Graph.from_edges(9, []))
+    with pytest.raises(SizeGuardError, match="group order <= 362880$"):
+        lc_automorphism_group(Graph.from_edges(10, []))
+
+
+@pytest.mark.parametrize("g", [Graph.from_edges(9, []), complete(9)], ids=["empty9", "K9"])
+def test_aut_lists_a_group_of_exactly_9_factorial(g):
+    # S_9, at the budget: the listing stops before a coset would pass it,
+    # not before a generator that might
+    assert lc_automorphism_group(g).order == 362880
 
 
 # ---------------------------------------------------------------------------
