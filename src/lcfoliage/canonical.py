@@ -88,12 +88,10 @@ def _unpack(key: bytes) -> tuple[int, ...]:
         shift -= n - 1 - i
         seg = bits >> shift
         bits ^= seg << shift
-        while seg:
-            low = seg & -seg
-            j = n - low.bit_length()
+        for p in iter_bits(seg):
+            j = n - 1 - p
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-            seg ^= low
     return tuple(rows)
 
 

@@ -14,9 +14,10 @@ clique; it is labelled K with no axil so that the normal form leaves it
 alone.
 
 Away from leaves, related vertices are twins: non-adjacent ones share their
-open neighbourhood, adjacent ones their closed neighbourhood (over Z_d the
-weights must also be proportional).  So the partition and the quotient graph
-each take O(n + m) big-int operations on bitmask rows of up to n bits.
+open neighbourhood, adjacent ones their closed neighbourhood, and over Z_d
+only such support twins have their weights checked for proportionality.  So
+the partition and the quotient graph each take O(n + m) big-int operations
+on bitmask rows of up to n bits.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class FoliagePartition:
     def is_trivial(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 @dataclass(frozen=True)
 class FoliageRepresentation:
@@ -83,10 +81,6 @@ class FoliageRepresentation:
     quotient: Graph
     types: tuple[PartType, ...]
     axils: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
 
 
 @dataclass(frozen=True)
@@ -105,13 +99,8 @@ class SaturationReport:
 
 
 def _weighted_rows_dependent(g: WeightedGraph, v: int, w: int) -> bool:
-    # a support never holds its own vertex
+    # support twins: away from each other they share one nonempty support
     sv = g.supports[v] & ~(1 << w)
-    sw = g.supports[w] & ~(1 << v)
-    if sv == 0 or sw == 0:
-        return True
-    if sv != sw:
-        return False
     wv, ww, d = g._nbrs[v], g._nbrs[w], g.d
     u = sv.bit_length() - 1
     ratio = wv[u] * pow(ww[u], -1, d) % d

@@ -6,9 +6,9 @@ neighbour to nonzero weight.  Both are immutable; operators return new ones.
 
 The row primitives that other modules share are here too, one
 implementation each: ``_relabel_rows``, ``iter_bits``, ``mask_of``, the
-union-find ``_find`` and the budget check ``_guard``.  ``_lc_rows``
-(local complementation of a row tuple) serves ``local_complement`` alone;
-the orbit loops complement packed members instead (``orbits._Packed``).
+union-find ``_find`` and the budget check ``_guard``.  ``local_complement``
+complements a row tuple; the orbit loops complement packed members instead
+(``orbits._Packed``).
 
 Everything here works on Python ints and strings; no module of the package
 but the state-vector oracle imports numpy.
@@ -303,20 +303,6 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, d={self.d}, edges={self.edges()!r})"
 
 
-def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """Rows after complementing the neighbourhood of ``a``; ``a`` is not checked."""
-    nb = rows[a]
-    out = list(rows)
-    m = nb
-    while m:
-        low = m & -m
-        # toggle the edges from this neighbour to the other neighbours of a,
-        # keeping its own bit clear
-        out[low.bit_length() - 1] ^= nb ^ low
-        m ^= low
-    return tuple(out)
-
-
 def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]:
     """Rows of the same graph with vertex ``v`` renamed ``perm[v]``."""
     out = [0] * len(rows)
@@ -344,7 +330,12 @@ def local_complement(g: Graph, a: int) -> Graph:
     """Complement the subgraph induced on the neighbourhood of ``a``."""
     if not (0 <= a < g.n):
         raise ValueError(f"vertex {a} out of range")
-    return Graph._wrap(g.n, _lc_rows(g.rows, a))
+    nb = g.rows[a]
+    rows = list(g.rows)
+    for v in iter_bits(nb):
+        # toggle the edges from v to the other neighbours of a
+        rows[v] ^= nb ^ 1 << v
+    return Graph._wrap(g.n, tuple(rows))
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -61,12 +61,12 @@ _CENSUS_TYPES = 1 << 20
 _AUT_ELEMENTS = 362880
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class OrbitReport:
     representative: Graph
     labeled_size: int
     class_size: int
-    _packed: tuple[int, ...]  # the members in the format of _Packed, sorted
+    _packed: tuple[int, ...] = field(repr=False)  # the members in the format of _Packed, sorted
 
     @property
     def members(self) -> tuple[tuple[int, ...], ...]:  # adjacency rows, sorted
@@ -74,12 +74,6 @@ class OrbitReport:
 
     def member_graphs(self) -> list[Graph]:
         return [Graph._wrap(self.representative.n, rows) for rows in self.members]
-
-    def __repr__(self) -> str:  # unpacks the members afresh, as every read does
-        return (
-            f"OrbitReport(representative={self.representative!r}, labeled_size="
-            f"{self.labeled_size!r}, class_size={self.class_size!r}, members={self.members!r})"
-        )
 
 
 class _Packed(dict):
@@ -95,9 +89,9 @@ class _Packed(dict):
     ``diag`` clears the diagonal bits that it sets.  Entries are made on
     demand, one per neighbourhood met; no table has 2^n entries.
 
-    This beats ``_lc_rows`` on an orbit of many small graphs, but a single
-    move on a large graph pays far more to pack and unpack than ``_lc_rows``
-    costs, so ``local_complement`` keeps the tuples.
+    This beats complementing row tuples on an orbit of many small graphs,
+    but a single move on a large graph pays far more to pack and unpack than
+    that costs, so ``graph.local_complement`` keeps the tuples.
     ``unpack`` hands out one int object per row value, so that the members
     one ``_Packed`` unpacks share their rows.
     """

@@ -48,6 +48,12 @@ def test_package_exports_the_union_of_the_module_lists():
     assert [name for name in owner if getattr(lcfoliage, name) is not getattr(owner[name], name)] == []
 
 
+def test_dir_lists_every_exported_name():
+    # names resolve on first use (PEP 562), but dir() lists them all before
+    assert set(lcfoliage.__all__) <= set(dir(lcfoliage))
+    assert dir(lcfoliage) == sorted(dir(lcfoliage))
+
+
 def test_every_private_definition_is_referenced():
     # a private function or class whose last caller went is dead code
     trees = [ast.parse(path.read_text()) for path in Path(lcfoliage.__file__).parent.glob("*.py")]

@@ -186,6 +186,41 @@ def test_partition_matches_definition_on_twin_rich_weighted_graphs(d):
         assert parts_as_sets(foliage_partition(g).parts) == partition_by_definition(g)
 
 
+def with_pendant_leaves(g, rng):
+    """``g`` with one to three new vertices, each joined to a random old one."""
+    leaves = rng.randint(1, 3)
+    edges = g.edges() + [(rng.randrange(g.n), g.n + i, rng.randrange(1, g.d)) for i in range(leaves)]
+    return WeightedGraph.from_edges(g.n + leaves, g.d, edges)
+
+
+def test_weighted_twin_check_is_asked_only_about_support_twins(monkeypatch):
+    # _weighted_rows_dependent has no branch for supports that differ away
+    # from the two vertices, or are empty there: the sweep asks it only
+    # about support twins, which share one nonempty support away from each
+    # other
+    import lcfoliage.foliage as foliage_mod
+
+    real = foliage_mod._weighted_rows_dependent
+    asked = []
+
+    def spy(g, v, w):
+        asked.append((g.supports[v] & ~(1 << w), g.supports[w] & ~(1 << v)))
+        return real(g, v, w)
+
+    monkeypatch.setattr(foliage_mod, "_weighted_rows_dependent", spy)
+    rng = random.Random(45)
+    graphs = [
+        random_weighted(rng.randrange(1, 10), d, rng.random(), rng)
+        for d in (2, 3, 5, 7)
+        for _ in range(300)
+    ]
+    graphs += [with_pendant_leaves(twin_rich_graph(rng, d), rng) for d in (2, 3, 5, 7) for _ in range(100)]
+    for g in graphs:
+        assert parts_as_sets(foliage_partition(g).parts) == partition_by_definition(g)
+    assert asked
+    assert [(sv, sw) for sv, sw in asked if sv != sw or not sv] == []
+
+
 # parts, in order, of the sample below; the order reaches the CLI text and
 # JSON, so it must not drift
 FROZEN_PARTS = [

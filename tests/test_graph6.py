@@ -49,6 +49,13 @@ def test_roundtrip_large_sizes(n):
     assert decode_graph6(text) == g
 
 
+def test_encode_refuses_an_order_past_the_4_byte_header():
+    # 258047 is the largest order of the 4-byte size header, the only long
+    # form the codec writes; the check comes before any body byte
+    with pytest.raises(ValueError, match="^graph6 size header supports at most n = 258047 here$"):
+        encode_graph6(Graph.from_edges(258048, []))
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -204,6 +204,21 @@ def test_weighted_from_edges_zero_weight_removes_the_pair():
     assert WeightedGraph.from_edges(2, 3, [(0, 1, 1), (0, 1, -3)]) == WeightedGraph(2, 3, [[0, 0], [0, 0]])
 
 
+def test_weighted_graphs_equal_by_either_constructor_hash_alike():
+    a = WeightedGraph.from_edges(4, 5, [(2, 0, 3), (0, 1, 4), (3, 2, 7)])
+    b = WeightedGraph(4, 5, [[0, 4, 3, 0], [4, 0, 0, 0], [3, 0, 0, 2], [0, 0, 2, 0]])
+    other_d = WeightedGraph.from_edges(4, 7, [(0, 1, 4), (0, 2, 3), (2, 3, 2)])
+    assert a == b and hash(a) == hash(b)
+    assert a != other_d
+    assert len({a, b, other_d}) == 2
+
+
+def test_weighted_repr_lists_n_d_and_the_edges():
+    g = WeightedGraph.from_edges(4, 5, [(2, 0, 3), (0, 1, 4), (3, 2, 7)])
+    assert repr(g) == "WeightedGraph(n=4, d=5, edges=[(0, 1, 4), (0, 2, 3), (2, 3, 2)])"
+    assert repr(WeightedGraph(2, 3, [[0, 0], [0, 0]])) == "WeightedGraph(n=2, d=3, edges=[])"
+
+
 def test_weighted_from_edges_reduces_negative_weights():
     g = WeightedGraph.from_edges(3, 5, [(0, 1, -1), (1, 2, 6), (2, 0, -7)])
     assert g.edges() == [(0, 1, 4), (0, 2, 3), (1, 2, 1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -8,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -15,12 +17,17 @@ import lcfoliage
 from conftest import complete, cycle, path, peak_rss_mb_under_1_gib, random_graph, star
 from lcfoliage.canonical import canonical_graph, canonical_key
 from lcfoliage.cli import main
-from lcfoliage.foliage import FoliagePartition, foliage_partition
+from lcfoliage.foliage import (
+    FoliagePartition,
+    PartType,
+    foliage_partition,
+    foliage_representation,
+    lifted_local_complement,
+)
 from lcfoliage.graph import (
     Graph,
     SizeGuardError,
     _find,
-    _lc_rows,
     _relabel_rows,
     connected_components,
     local_complement,
@@ -57,7 +64,8 @@ def test_orbit_anchors():
 
 @pytest.mark.parametrize("n", range(13))
 def test_packed_lc_matches_lc_rows(n):
-    # _lc_rows is the reference for the packed kernel the orbit loops use
+    # local_complement's row tuples are the reference for the packed kernel
+    # the orbit loops use
     rng = random.Random(1300 + n)
     packed = _Packed(n)
     graphs = [random_graph(n, p, rng) for p in (0.2, 0.5, 0.8) for _ in range(4)]
@@ -66,7 +74,7 @@ def test_packed_lc_matches_lc_rows(n):
         assert packed.unpack(m) == g.rows
         for a, shift in enumerate(packed.shifts):
             image = m ^ packed[m >> shift & packed.full]
-            assert packed.unpack(image) == _lc_rows(g.rows, a), (g.rows, a)
+            assert packed.unpack(image) == local_complement(g, a).rows, (g.rows, a)
     ints = [packed.pack(g.rows) for g in graphs]
     assert [packed.unpack(m) for m in sorted(ints)] == sorted(g.rows for g in graphs)
 
@@ -79,6 +87,25 @@ def test_orbit_members_are_closed_and_sorted():
     for rows in rep.members:
         for a in range(4):
             assert tuple(local_complement(Graph(4, rows), a).rows) in members
+
+
+def test_orbit_report_repr_shows_the_sizes_and_unpacks_no_member(monkeypatch):
+    g = random_graph(9, 0.5, random.Random(9))
+    report = lc_orbit(g)
+    unpacked = []
+    unpack = _Packed.unpack
+    monkeypatch.setattr(_Packed, "unpack", lambda self, m: unpacked.append(m) or unpack(self, m))
+    text = repr(report)
+    assert unpacked == []
+    assert text == (
+        f"OrbitReport(representative={g!r}, labeled_size={report.labeled_size}, "
+        f"class_size={report.class_size})"
+    )
+    assert "members=" not in text
+    assert len(report.members) == len(unpacked) == report.labeled_size > 1
+    # the packed members still take part in == and hash
+    assert report == dataclasses.replace(report) and hash(report) == hash(dataclasses.replace(report))
+    assert report != dataclasses.replace(report, _packed=report._packed[1:])
 
 
 def test_orbit_size_is_relabeling_invariant():
@@ -115,7 +142,9 @@ N12_ROWS = (242, 2745, 616, 2806, 3499, 2143, 3245, 347, 2704, 2318, 2128, 1914)
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from Linux's /proc")
 def test_n12_orbit_peak_rss_gate():
     # VmHWM starts afresh at exec; it is read as soon as lc_orbit returns,
-    # because repr(report) alone then takes about 40 MB more to build
+    # because the text of the members alone then takes about 40 MB more to
+    # build.  The digest is of the report's fields with its members, the
+    # text that OrbitReport's repr gave when it listed them
     code = (
         "import hashlib\n"
         "from lcfoliage.graph import Graph\n"
@@ -125,7 +154,9 @@ def test_n12_orbit_peak_rss_gate():
         "report = lc_orbit(g)\n"
         "with open('/proc/self/status') as fh:\n"
         "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"  # KiB
-        "digest = hashlib.sha256(repr(report).encode()).hexdigest()\n"
+        "text = (f'OrbitReport(representative={report.representative!r}, labeled_size='\n"
+        "        f'{report.labeled_size!r}, class_size={report.class_size!r}, members={report.members!r})')\n"
+        "digest = hashlib.sha256(text.encode()).hexdigest()\n"
         "print(report.labeled_size, report.class_size, peak, digest)\n"
     )
     src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
@@ -453,7 +484,7 @@ def test_cold_census_relabels_once_per_generator_of_each_class_orbit(monkeypatch
 
 @pytest.mark.slow
 @pytest.mark.skipif(
-    os.environ.get("LCFOLIAGE_N9") != "1", reason="set LCFOLIAGE_N9=1 to run (about 2 minutes)"
+    os.environ.get("LCFOLIAGE_N9") != "1", reason="set LCFOLIAGE_N9=1 to run (about 30 CPU s)"
 )
 def test_n9_census_gate():
     # peak RSS is VmHWM, which starts afresh at exec; ru_maxrss in a child
@@ -831,7 +862,59 @@ def test_orbit_members_is_a_bfs_tree_of_the_oracle_orbit():
         assert len(parent) == len(move) == len(members)
         for h in range(1, len(members)):
             assert parent[h] < h, (g.rows, h)
-            assert _lc_rows(rows[parent[h]], move[h]) == rows[h], (g.rows, h)
+            assert local_complement(Graph._wrap(n, rows[parent[h]]), move[h]).rows == rows[h], (g.rows, h)
+
+
+def labeled_size_from_reduced_states(g):
+    """The labelled orbit size of ``g`` from its foliage representation alone.
+
+    A reduced state is the quotient's rows and the part types.  A move
+    changes it by the part moved at alone, so the BFS makes one lifted move
+    per part: at the axil of an AL part, else at the least member.  Each
+    state stands for one labelled graph per choice of axil in each AL part,
+    so it counts the product of their sizes.  Nothing here touches the
+    packed orbit, its group or the canonical search.
+    """
+    rep = foliage_representation(g)
+    sizes = rep.partition.sizes()
+    seen = {(rep.quotient.rows, rep.types)}
+    states = [rep]
+    total = 0
+    for rep in states:  # the list grows while it is read
+        total += prod(s for s, t in zip(sizes, rep.types) if t is PartType.AL)
+        axil = {rep.partition.part_of(a): a for a in rep.axils}
+        for i, part in enumerate(rep.partition.parts):
+            image = lifted_local_complement(rep, axil.get(i, part[0]))
+            state = (image.quotient.rows, image.types)
+            if state not in seen:
+                seen.add(state)
+                states.append(image)
+    return total
+
+
+REDUCED_STATE_PROFILES = [(2, 2, 2), (3, 3, 3), (1, 2, 3, 4), (1, 1, 1, 1, 5), (2, 5), (1, 1, 4, 4)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # the 1,252 types take 2.1M lifted moves, about 7 us each on 2 shared vCPUs
+        pytest.param("all-types-to-7", marks=pytest.mark.slow),
+        pytest.param("random-8-9", marks=pytest.mark.slow),
+        "profiles",
+    ],
+)
+def test_labeled_size_matches_the_reduced_state_orbit(family):
+    if family == "all-types-to-7":
+        graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+        assert len(graphs) == 1252
+    elif family == "random-8-9":
+        rng = random.Random(4506)
+        graphs = [random_graph(n, rng.choice((0.2, 0.35, 0.5)), rng) for n in (8, 9) for _ in range(20)]
+    else:
+        graphs = [graph_for_partition(sizes) for sizes in REDUCED_STATE_PROFILES]
+    for g in graphs:
+        assert labeled_size_from_reduced_states(g) == lc_orbit(g).labeled_size, g.rows
 
 
 def plain_bfs_tree(n, rows):
