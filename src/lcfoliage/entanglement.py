@@ -23,7 +23,7 @@ from itertools import repeat
 from operator import or_, sub, xor
 
 from . import _NAMES
-from .foliage import FoliageRepresentation, PartType, foliage_partition, foliage_representation
+from .foliage import FoliageRepresentation, PartType, foliage_representation, vertices_related
 from .gf2 import rank_of_rows
 from .graph import Graph, WeightedGraph, _guard, connected_components, iter_bits, mask_of
 
@@ -210,8 +210,7 @@ def marginal_maximally_mixed(g: Graph, v: int, w: int) -> bool:
         raise ValueError("vertices must be distinct")
     if len(connected_components(g)) != 1:
         raise ValueError("marginal criterion assumes a connected graph")
-    part = foliage_partition(g)
-    return part.part_of(v) != part.part_of(w)
+    return not vertices_related(g, v, w)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ on bitmask rows of up to n bits.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, groupby
+from itertools import combinations, compress, groupby
 
 from . import _NAMES
 from .graph import Graph, WeightedGraph, _is_sparse, _support_rows, iter_bits, local_complement, mask_of
@@ -115,8 +116,6 @@ def vertices_related(g: Graph | WeightedGraph, v: int, w: int) -> bool:
     """
     if v == w:
         raise ValueError("vertices must be distinct")
-    if not (0 <= v < g.n and 0 <= w < g.n):
-        raise ValueError("vertex out of range")
     part = foliage_partition(g)
     return part.part_of(v) == part.part_of(w)
 
@@ -285,9 +284,7 @@ def reconstruct_graph(rep: FoliageRepresentation) -> Graph:
                 raise ValueError(f"part {i} of type {t} must not contain an axil")
             anchors.append(members)
             if t is PartType.K:
-                for a in range(len(members)):
-                    for b in range(a + 1, len(members)):
-                        edges.append((members[a], members[b]))
+                edges.extend(combinations(members, 2))
             elif t is PartType.Z and len(members) != 1:
                 raise ValueError(f"Z part {i} must be a singleton")
     for i, j in rep.quotient.edges():
@@ -295,6 +292,9 @@ def reconstruct_graph(rep: FoliageRepresentation) -> Graph:
             for v in anchors[j]:
                 edges.append((u, v))
     return Graph.from_edges(n, edges)
+
+
+_TWIN_FLIP = {PartType.K: PartType.D, PartType.D: PartType.K}
 
 
 def lifted_local_complement(rep: FoliageRepresentation, a: int) -> FoliageRepresentation:
@@ -308,30 +308,19 @@ def lifted_local_complement(rep: FoliageRepresentation, a: int) -> FoliageRepres
     """
     part = rep.partition
     i = part.part_of(a)  # raises ValueError for a vertex out of range
-    t = rep.types[i]
-    axil_set = set(rep.axils)
-    if t is PartType.AL and a not in axil_set:
+    t, row, axils = rep.types[i], rep.quotient.rows[i], rep.axils
+    if t is PartType.AL and a not in axils:
         return rep  # leaf: single-neighbour complementation is trivial
-    if t is PartType.K and len(part.parts[i]) == 2 and rep.quotient.rows[i] == 0:
+    if t is PartType.K and len(part.parts[i]) == 2 and row == 0:
         return rep  # isolated edge: same triviality
     types = list(rep.types)
     if t is PartType.AL:
-        types[i] = PartType.K
-        axil_set.discard(a)
+        types[i], axils = PartType.K, tuple(v for v in axils if v != a)
     elif t is PartType.K:
-        types[i] = PartType.AL
-        axil_set.add(a)
-    for j in iter_bits(rep.quotient.rows[i]):
-        if types[j] is PartType.K:
-            types[j] = PartType.D
-        elif types[j] is PartType.D:
-            types[j] = PartType.K
-    return FoliageRepresentation(
-        part,
-        local_complement(rep.quotient, i),
-        tuple(types),
-        tuple(sorted(axil_set)),
-    )
+        types[i], axils = PartType.AL, tuple(sorted(axils + (a,)))
+    for j in iter_bits(row):
+        types[j] = _TWIN_FLIP.get(types[j], types[j])
+    return FoliageRepresentation(part, local_complement(rep.quotient, i), tuple(types), axils)
 
 
 def normal_form(g: Graph) -> Graph:
@@ -380,7 +369,7 @@ def _quotient_edges(quotient: Graph, left: str, right: str) -> str:
     lists each row's far ends one by one instead.
     """
     labels = [f"{j}{right}" for j in range(quotient.n)]
-    sparse = _is_sparse(quotient.n, sum(row.bit_count() for row in quotient.rows))
+    sparse = _is_sparse(quotient.n, sum(row.bit_count() for row in quotient.rows) // 2)
     chunks = []
     for i, row in enumerate(quotient.rows):
         upper = row >> (i + 1)
@@ -394,14 +383,22 @@ def _quotient_edges(quotient: Graph, left: str, right: str) -> str:
     return ",".join(chunks)
 
 
+def _typed_parts(rep: FoliageRepresentation) -> Iterator[tuple[tuple[int, ...], PartType, int | None]]:
+    """Each part's members, type and axil, the axil ``None`` off AL parts."""
+    axils = set(rep.axils)
+    for members, t in zip(rep.partition.parts, rep.types):
+        axil = None
+        if t is PartType.AL:
+            (axil,) = [v for v in members if v in axils]
+        yield members, t, axil
+
+
 def representation_text(rep: FoliageRepresentation) -> str:
     """One-line form, e.g. ``parts=[{0,1}AL:a1,{2,3}AL:a2] edges=[(0,1)]``."""
-    axil_set = set(rep.axils)
     chunks = []
-    for i, members in enumerate(rep.partition.parts):
-        s = _part_str(members) + rep.types[i].value
-        if rep.types[i] is PartType.AL:
-            (axil,) = [v for v in members if v in axil_set]
+    for members, t, axil in _typed_parts(rep):
+        s = _part_str(members) + t.value
+        if axil is not None:
             s += f":a{axil}"
         chunks.append(s)
     return "parts=[" + ",".join(chunks) + "] edges=[" + _quotient_edges(rep.quotient, "(", ")") + "]"
@@ -411,15 +408,10 @@ def representation_json(rep: FoliageRepresentation) -> str:
     """Structured form with stable key order."""
     import json  # only this writer needs it, so other commands skip loading it
 
-    axil_set = set(rep.axils)
     parts = []
-    for i, members in enumerate(rep.partition.parts):
-        entry: dict[str, object] = {
-            "vertices": list(members),
-            "type": rep.types[i].value,
-        }
-        if rep.types[i] is PartType.AL:
-            (axil,) = [v for v in members if v in axil_set]
+    for members, t, axil in _typed_parts(rep):
+        entry: dict[str, object] = {"vertices": list(members), "type": t.value}
+        if axil is not None:
             entry["axil"] = axil
         parts.append(entry)
     head = json.dumps({"n": rep.partition.n, "parts": parts}, separators=(",", ":"))

@@ -73,10 +73,11 @@ def mask_of(vertices: Iterable[int]) -> int:
 def _is_sparse(n: int, m: int) -> bool:
     """Whether ``m`` edges on ``n`` vertices go to the per-edge paths.
 
-    The dense paths of the validator and the graph6 codec write n * n
-    characters in C-speed passes; the sparse ones make a few Python
-    operations per edge, each on ints of up to n bits.  The two cost the same
-    near m = n * n / 300 at n = 2000 and at n = 6000.
+    Callers pass edges, half the rows' summed ``bit_count()``.  The dense
+    paths of the validator and the graph6 codec write n * n characters in
+    C-speed passes; the sparse ones make a few Python operations per edge,
+    each on ints of up to n bits.  The two cost the same near m = n * n / 300
+    at n = 2000 and at n = 6000.
     """
     return 300 * m < n * n
 
@@ -90,7 +91,7 @@ def _first_one_way_arc(n: int, rows: Sequence[int]) -> tuple[int, int] | None:
     that differs from its column holds an arc with no reverse, at the lowest
     bit of ``row & ~column``, unless the column alone has the extra arcs.
     """
-    if _is_sparse(n, sum(row.bit_count() for row in rows)):
+    if _is_sparse(n, sum(row.bit_count() for row in rows) // 2):
         for v, row in enumerate(rows):
             for w in iter_bits(row):
                 if not (rows[w] >> v) & 1:

@@ -61,7 +61,7 @@ def encode_graph6(g: Graph) -> str:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     nbits = n * (n - 1) // 2
     need = -(-nbits // 6)
-    if _is_sparse(n, sum(row.bit_count() for row in g.rows)):
+    if _is_sparse(n, sum(row.bit_count() for row in g.rows) // 2):
         out = bytearray(b"?") * (len(head) + need)
         out[: len(head)] = head
         for j, row in enumerate(g.rows):

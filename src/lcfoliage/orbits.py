@@ -31,6 +31,7 @@ isomorphism types of order ``n`` (connected ones for the connected census).
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -484,16 +485,11 @@ def aut_bounds(part: FoliagePartition) -> tuple[int, int]:
     Permuting within parts is always allowed; on top of that, at most the
     permutations of equally-sized parts.
     """
-    sizes = part.sizes()
-    counts: dict[int, int] = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    lower = 1
-    upper_extra = 1
-    for s, t in counts.items():
+    lower = extra = 1
+    for s, t in Counter(part.sizes()).items():
         lower *= factorial(s) ** t
-        upper_extra *= factorial(t)
-    return lower, lower * upper_extra
+        extra *= factorial(t)
+    return lower, lower * extra
 
 
 # ---------------------------------------------------------------------------
@@ -528,27 +524,15 @@ def saturation_stats(n: int) -> SaturationStatsRow:
     The census is ``lc_classes(n)``'s, under its budget on the type count.
     """
     census = lc_classes(n)
-    times = []
-    sizes = []
-    reducible = 0
-    fully = 0
-    for cls in census.classes:
-        rep = cls.representative
-        sat = saturation(rep)
-        times.append(sat.time)
-        sizes.append(sat.size)
-        if sat.time > 0:  # the first partition is not trivial
-            reducible += 1
-        if sat.size == 1:
-            fully += 1
+    sats = [saturation(cls.representative) for cls in census.classes]
     count = census.count
     return SaturationStatsRow(
         n=n,
         class_count=count,
-        avg_time=Fraction(sum(times), count),
-        avg_size=Fraction(sum(sizes), count),
-        reducible=Fraction(reducible, count),
-        fully_reducible=Fraction(fully, count),
+        avg_time=Fraction(sum(sat.time for sat in sats), count),
+        avg_size=Fraction(sum(sat.size for sat in sats), count),
+        reducible=Fraction(sum(sat.time > 0 for sat in sats), count),  # first partition not trivial
+        fully_reducible=Fraction(sum(sat.size == 1 for sat in sats), count),
     )
 
 
@@ -656,9 +640,7 @@ def graph_for_partition(sizes: tuple[int, ...] | list[int]) -> Graph:
         for leaf in range(offset + 1, offset + s):
             edges.append((offset, leaf))
         offset += s
-    if k == 2:
-        edges.append((centres[0], centres[1]))
-    elif k >= 3:
+    if k >= 2:  # two centres list their edge twice, and from_edges sets it once
         for i in range(k):
             edges.append((centres[i], centres[(i + 1) % k]))
     return Graph.from_edges(n, edges)

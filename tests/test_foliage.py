@@ -273,6 +273,12 @@ def test_part_of_rejects_vertices_outside_the_graph(v):
         foliage_partition(K23).part_of(v)
 
 
+@pytest.mark.parametrize("v", [7, -1])
+def test_relation_names_the_vertex_outside_the_graph(v):
+    with pytest.raises(ValueError, match=rf"^vertex {v} out of range$"):
+        vertices_related(K23, 0, v)
+
+
 def test_foliage_set():
     assert foliage_set(path(4)) == 0b1111
     assert foliage_set(cycle(5)) == 0

@@ -234,6 +234,31 @@ def test_big_graph_families_roundtrip(name):
         assert g.edges() == edges
 
 
+def test_every_sparse_check_is_given_the_edge_count(monkeypatch):
+    # the validator, both codec directions and the representation writer
+    # pick their per-edge or dense path from (n, m), m the number of edges
+    import lcfoliage.foliage as foliage_mod
+    import lcfoliage.graph as graph_mod
+    import lcfoliage.graph6 as graph6_mod
+
+    calls = []
+    real = graph_mod._is_sparse
+
+    def spy(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    for mod in (graph_mod, graph6_mod, foliage_mod):
+        monkeypatch.setattr(mod, "_is_sparse", spy)
+    g = Graph.from_edges(9, [(v, (v + 1) % 9) for v in range(9)] + [(0, 4)])
+    rep = foliage_mod.foliage_representation(g)
+    assert rep.partition.is_trivial
+    Graph(g.n, g.rows)
+    assert decode_graph6(encode_graph6(g)) == g
+    foliage_mod.representation_text(rep)
+    assert calls == [(9, 10)] * 4
+
+
 def test_every_type_up_to_order_7_matches_networkx():
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253

@@ -169,6 +169,41 @@ def test_n12_orbit_peak_rss_gate():
     assert int(peak_kib) < 64 * 1024
 
 
+# A traced peak counts the bytes the interpreter asked for, so unlike VmHWM
+# it does not move with heap layout or hash seed.  Under tracemalloc the
+# n = 12 orbit took 22 CPU s and this G(10, 1/2) orbit about 2 (2 shared
+# vCPUs, Python 3.11).
+@pytest.mark.slow
+def test_n10_orbit_traced_peak_gate():
+    code = (
+        "import random, tracemalloc\n"
+        "from lcfoliage.graph import Graph\n"
+        "from lcfoliage.orbits import lc_orbit\n"
+        "rng = random.Random(10)\n"
+        "g = Graph.from_edges(10, [(v, w) for v in range(10) for w in range(v) if rng.random() < 0.5])\n"
+        "tracemalloc.start()\n"
+        "report = lc_orbit(g)\n"
+        "print(report.labeled_size, tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(lcfoliage.__file__))
+    peaks = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        labeled, peak = map(int, proc.stdout.split())
+        assert labeled == 25428
+        peaks.append(peak)
+    assert peaks[0] == peaks[1]
+    # 3,946,330 B under CPython 3.11; the bound leaves 27 % for the object
+    # and table sizes of 3.10 to 3.14
+    assert peaks[0] < 5_000_000
+
+
 def test_orbit_member_budget(monkeypatch):
     import lcfoliage.orbits as orbits_mod
 
