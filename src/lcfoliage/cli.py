@@ -239,7 +239,7 @@ def _cmd_orbit(args: argparse.Namespace) -> str:
 
 
 def _cmd_aut(args: argparse.Namespace) -> str:
-    from .orbits import lc_automorphism_group
+    from .orbits import _fmt2, lc_automorphism_group
 
     g = _load_graph(args)
     rep = lc_automorphism_group(g)
@@ -247,7 +247,7 @@ def _cmd_aut(args: argparse.Namespace) -> str:
     return (
         f"order={rep.order} aut_in={rep.aut_in_order} "
         f"aut_out_upper={rep.aut_out_upper_order} L={rep.labeled_size} "
-        f"C={rep.class_size} interplay={float(rep.interplay):.2f}\n"
+        f"C={rep.class_size} interplay={_fmt2(rep.interplay)}\n"
         f"generators=[{gens}]\n"
     )
 

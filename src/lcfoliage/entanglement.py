@@ -142,7 +142,7 @@ def e_matrix(rep: FoliageRepresentation) -> tuple[int, ...]:
         raise ValueError("E-matrix needs an axil-free representation (normal form)")
     return tuple(
         row | (1 << i if t is PartType.K else 0)
-        for i, (row, t) in enumerate(zip(rep.quotient.rows, rep.types))
+        for i, (row, t) in enumerate(zip(rep.quotient.rows, rep.types, strict=True))
     )
 
 

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, groupby
+from itertools import combinations, compress, groupby, product
 
 from . import _NAMES
 from .graph import Graph, WeightedGraph, _is_sparse, _support_rows, iter_bits, local_complement, mask_of
@@ -237,13 +237,8 @@ def _quotient(sup: tuple[int, ...], part: FoliagePartition, anchors: tuple[int, 
     """
     if part.is_trivial:
         return Graph._wrap(part.n, sup)
-    owner = part._index
-    rows = []
-    for i, anchor in enumerate(anchors):
-        row = 0
-        for u in iter_bits(sup[anchor]):
-            row |= 1 << owner[u]
-        rows.append(row & ~(1 << i))
+    owner = part._index.__getitem__
+    rows = [mask_of(map(owner, iter_bits(sup[a]))) & ~(1 << i) for i, a in enumerate(anchors)]
     return Graph._wrap(len(rows), tuple(rows))
 
 
@@ -261,37 +256,21 @@ def reconstruct_graph(rep: FoliageRepresentation) -> Graph:
 
     Intra-part edges follow the part type; vertices of adjacent parts are
     joined all-to-all except that an AL part participates only through its
-    axil.
+    axil.  Raises ``ValueError`` for a representation that no graph has.
     """
-    part = rep.partition
-    n = part.n
-    axil_set = set(rep.axils)
     edges = []
     anchors = []  # vertices of each part visible to neighbouring parts
-    for i, members in enumerate(part.parts):
-        t = rep.types[i]
-        inpart = [v for v in members if v in axil_set]
-        if t is PartType.AL:
-            if len(inpart) != 1:
-                raise ValueError(f"AL part {i} needs exactly one axil, got {inpart}")
-            axil = inpart[0]
+    for members, t, axil in _typed_parts(rep):
+        if axil is not None:
             anchors.append((axil,))
-            for v in members:
-                if v != axil:
-                    edges.append((axil, v))
+            edges.extend((axil, v) for v in members if v != axil)
         else:
-            if inpart:
-                raise ValueError(f"part {i} of type {t} must not contain an axil")
             anchors.append(members)
             if t is PartType.K:
                 edges.extend(combinations(members, 2))
-            elif t is PartType.Z and len(members) != 1:
-                raise ValueError(f"Z part {i} must be a singleton")
     for i, j in rep.quotient.edges():
-        for u in anchors[i]:
-            for v in anchors[j]:
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        edges.extend(product(anchors[i], anchors[j]))
+    return Graph.from_edges(rep.partition.n, edges)
 
 
 _TWIN_FLIP = {PartType.K: PartType.D, PartType.D: PartType.K}
@@ -384,13 +363,30 @@ def _quotient_edges(quotient: Graph, left: str, right: str) -> str:
 
 
 def _typed_parts(rep: FoliageRepresentation) -> Iterator[tuple[tuple[int, ...], PartType, int | None]]:
-    """Each part's members, type and axil, the axil ``None`` off AL parts."""
-    axils = set(rep.axils)
-    for members, t in zip(rep.partition.parts, rep.types):
+    """Each part's members, type and axil, the axil ``None`` off AL parts.
+
+    The one check that some graph has ``rep``: raises ``ValueError`` unless
+    the quotient's order and the length of ``types`` are the part count,
+    each AL part holds exactly one axil and no other part holds one, each Z
+    part is a singleton, and no axil is listed twice or lies in no part.
+    """
+    parts, axils = rep.partition.parts, set(rep.axils)
+    if rep.quotient.n != len(parts):
+        raise ValueError(f"quotient of order {rep.quotient.n} for {len(parts)} parts")
+    for i, (members, t) in enumerate(zip(parts, rep.types, strict=True)):
         axil = None
         if t is PartType.AL:
-            (axil,) = [v for v in members if v in axils]
+            inpart = [v for v in members if v in axils]
+            if len(inpart) != 1:
+                raise ValueError(f"AL part {i} needs exactly one axil, got {inpart}")
+            axil = inpart[0]
+        elif not axils.isdisjoint(members):
+            raise ValueError(f"part {i} of type {t} must not contain an axil")
+        elif t is PartType.Z and len(members) != 1:
+            raise ValueError(f"Z part {i} must be a singleton")
         yield members, t, axil
+    if len(rep.axils) != rep.types.count(PartType.AL):
+        raise ValueError(f"axils {list(rep.axils)} repeat a vertex or name one in no part")
 
 
 def representation_text(rep: FoliageRepresentation) -> str:

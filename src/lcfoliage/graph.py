@@ -308,10 +308,7 @@ def _relabel_rows(rows: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]
     """Rows of the same graph with vertex ``v`` renamed ``perm[v]``."""
     out = [0] * len(rows)
     for v, row in enumerate(rows):
-        image = 0
-        for w in iter_bits(row):
-            image |= 1 << perm[w]
-        out[perm[v]] = image
+        out[perm[v]] = mask_of(map(perm.__getitem__, iter_bits(row)))
     return tuple(out)
 
 

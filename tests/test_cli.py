@@ -302,6 +302,34 @@ def test_aut(capsys):
     )
 
 
+def test_aut_rounds_the_interplay_half_cent_to_even(capsys, monkeypatch):
+    # exact cents, ties to even, as in the I column of classes --csv; a
+    # float rounds 1/200 = 0.005000000000000000104 up to 0.01
+    from fractions import Fraction
+
+    from lcfoliage.orbits import AutReport
+
+    report = AutReport(2, ((1, 0),), 2, 1, 100, 1, Fraction(1, 200))
+    monkeypatch.setattr("lcfoliage.orbits.lc_automorphism_group", lambda g: report)
+    rc, out, _ = run(capsys, "aut", "--g6", P3)
+    assert (rc, out.split()[5]) == (0, "interplay=0.00")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_aut_agrees_with_the_symmetry_table(capsys, n):
+    # aut on each class representative prints the aut_order, L, C and I of
+    # that class's row of classes --csv
+    _, csv, _ = run(capsys, "classes", "--n", str(n), "--csv")
+    _, reps, _ = run(capsys, "classes", "--n", str(n), "--reps", "-")
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert len(rows) == len(reps.split()) > 0
+    for row, g6 in zip(rows, reps.split()):
+        rc, out, _ = run(capsys, "aut", "--g6", g6)
+        fields = dict(field.split("=") for field in out.splitlines()[0].split())
+        assert rc == 0
+        assert [fields["order"], fields["L"], fields["C"], fields["interplay"]] == row[5:]
+
+
 def test_classes_count(capsys):
     rc, out, _ = run(capsys, "classes", "--n", "4")
     assert (rc, out) == (0, "2\n")

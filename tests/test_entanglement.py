@@ -353,6 +353,27 @@ def test_uniformity_matches_the_first_failing_cut():
     assert uniformity(cycle(5)).witness is None  # C5, among the cases, has none
 
 
+def test_uniformity_below_three_is_read_off_the_foliage_partition():
+    # the paper's two-body result: the stabilizer supports of weight 1 are
+    # the isolated vertices, and those of weight 2 the pairs inside one
+    # non-singleton foliage part (besides pairs of isolated vertices)
+    rng = random.Random(2305)
+    graphs = [relabelled(g, rng) for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng.randint(4, 14), rng.random(), rng) for _ in range(2000)]
+    assert len(graphs) == 3252
+    for g in graphs:
+        rep = uniformity(g)
+        isolated = [v for v in range(g.n) if not g.rows[v]]
+        pairs = [part[:2] for part in foliage_partition(g).parts if len(part) > 1]
+        if isolated and g.n >= 2:
+            assert (rep.k_max, rep.witness) == (0, 1 << isolated[0]), g.rows
+        elif pairs and g.n >= 4:
+            v, w = min(pairs)
+            assert (rep.k_max, rep.witness) == (1, 1 << v | 1 << w), g.rows
+        if g.n >= 4:
+            assert (rep.k_max >= 2) == (not isolated and not pairs), g.rows
+
+
 def first_sets(g, count):
     """``(size, least)``: the size of the ``count``-th vertex set x by size, then in
     ``combinations`` order, and the least support weight |x | Gamma(x)| up to it."""

@@ -427,6 +427,35 @@ def test_reconstruct_rejects_a_z_part_of_two_vertices():
         reconstruct_graph(type(rep)(rep.partition, rep.quotient, (PartType.Z,), ()))
 
 
+def malformed_representations():
+    """Representations that no graph has, each with its refusal."""
+    k2, k3, p4 = (foliage_representation(g) for g in (complete(2), complete(3), path(4)))
+    assert (p4.types, p4.axils) == ((PartType.AL, PartType.AL), (1, 2))
+    cases = [
+        ("K3-axil-0", k3, k3.quotient, k3.types, (0,), "part 0 of type K must not contain an axil"),
+        ("P4-no-axils", p4, p4.quotient, p4.types, (), "AL part 0 needs exactly one axil, got []"),
+        ("K2-as-Z", k2, k2.quotient, (PartType.Z,), (), "Z part 0 must be a singleton"),
+        ("P4-stray-axil", p4, p4.quotient, p4.types, (1, 2, 99),
+         "axils [1, 2, 99] repeat a vertex or name one in no part"),
+        ("P4-one-type", p4, p4.quotient, p4.types[:1], p4.axils, "zip() argument 2 is shorter than argument 1"),
+        ("P4-one-vertex-quotient", p4, Graph(1, [0]), p4.types, p4.axils, "quotient of order 1 for 2 parts"),
+    ]
+    return [
+        pytest.param(type(rep)(rep.partition, quotient, types, axils), message, id=name)
+        for name, rep, quotient, types, axils, message in cases
+    ]
+
+
+@pytest.mark.parametrize("read", [reconstruct_graph, representation_text, representation_json])
+@pytest.mark.parametrize("rep, message", malformed_representations())
+def test_every_reader_refuses_a_representation_no_graph_has(read, rep, message):
+    # the writers read the same validating walk as reconstruct_graph, so
+    # none of them prints a representation that it would refuse
+    with pytest.raises(ValueError) as info:
+        read(rep)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("typed", [foliage_representation, normal_form])
 def test_part_typing_refuses_a_weighted_graph(typed):
     with pytest.raises(TypeError, match="^part typing is defined for qubit graphs$"):
